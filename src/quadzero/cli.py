@@ -93,8 +93,6 @@ def _solve_config(a: _Args) -> SolveConfig:
         accept_tol=a.get("accept_tol", float, 1e-10),
         merge_radius=a.get("merge_radius", float, None),
         max_depth=a.get("max_depth", int, 12),
-        extra_starts=a.get("extra_starts", int, 8),
-        seed=a.get("seed", int, 0),
         singular_tol=a.get("singular_tol", float, 1e-12),
     )
 
@@ -153,6 +151,7 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
                     "n_plus": report.n_plus,
                     "n_minus": report.n_minus,
                     "n_singular": report.n_singular,
+                    "n_certified": report.n_certified,
                     "radius": report.disk.radius,
                     "winding_check": report.winding_check,
                     "zeros": [
@@ -162,7 +161,7 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
                             "residual": rec.residual,
                             "jacobian": rec.jacobian,
                             "orientation": rec.orientation.value,
-                            "multiplicity_hint": rec.multiplicity_hint,
+                            "certified": rec.certified,
                         }
                         for rec in report.zeros
                     ],
@@ -320,8 +319,6 @@ def _add_solve_flags(sp):
     sp.add_argument("--accept-tol", dest="accept_tol", type=float)
     sp.add_argument("--merge-radius", dest="merge_radius", type=float)
     sp.add_argument("--max-depth", dest="max_depth", type=int)
-    sp.add_argument("--extra-starts", dest="extra_starts", type=int)
-    sp.add_argument("--seed", type=int)
     sp.add_argument("--singular-tol", dest="singular_tol", type=float)
 
 

@@ -1,21 +1,27 @@
 """Locates all zeros of q inside its bounding disk.
 
-Strategy: circumscribe the disk D(0, R) with a square, subdivide it as a
-quadtree, and prune any cell where a Lipschitz estimate certifies |q| > 0.
-Surviving max-depth cells get a battery of damped Newton starts on the
-equivalent 2-real-equation system; accepted points are deduplicated,
-classified by orientation, and cross-checked against the argument
-principle on C(0, R+1).
+Strategy: circumscribe the disk D(0, R) with a square and subdivide it as
+a quadtree.  Each cell ends in one of three ways:
 
-The pruning bound certifies exclusions only; inclusion confidence comes
-from the winding consistency check.
+* excluded: a Lipschitz estimate, with a margin for the rounding error of
+  evaluating q at the centre, proves |q| > 0 on the whole cell;
+* certified: a Kantorovich test on the harmonic Newton step at the centre
+  proves that a disk around the cell holds exactly one zero, and one
+  Newton run from the centre converges to it;
+* floor: the cell reached `max_depth` without either proof.  It gets one
+  Newton run from its centre, and a zero found that way is reported as
+  not certified.
+
+All candidates are merged at the merge radius, classified by orientation,
+and cross-checked against the argument principle on C(0, R+1).  Inclusion
+evidence is the certificate of each zero; the winding check stays as a
+cross-check, and it is the only evidence for uncertified zeros.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import BoundSource, CountBound, DiskBound, count_bound, radius_bound
@@ -37,6 +43,12 @@ from .model import (
 )
 
 _NEWTON_CAP = 100
+_SQRT2 = math.sqrt(2.0)
+_UNIT_ROUNDOFF = 2.0**-53
+# Radius of the Kantorovich disk as a multiple of the cell's half-diagonal.
+# It must exceed 1: a zero on a cell corner (the origin is one at every
+# depth) has to lie strictly inside the disk of some cell around it.
+_CERT_RADIUS = 1.5
 
 
 @dataclass(frozen=True)
@@ -44,8 +56,6 @@ class SolveConfig:
     accept_tol: float = 1e-10
     merge_radius: Optional[float] = None  # default 1e-7 * max(1, R)
     max_depth: int = 12
-    extra_starts: int = 8
-    seed: int = 0
     singular_tol: float = 1e-12
 
     def __post_init__(self):
@@ -61,7 +71,7 @@ class ZeroRecord:
     residual: float
     jacobian: float
     orientation: OrientationClass
-    multiplicity_hint: int = 1
+    certified: bool  # a Kantorovich disk around it holds no other zero
 
 
 @dataclass(frozen=True)
@@ -71,6 +81,7 @@ class ZeroSetReport:
     n_plus: int
     n_minus: int
     n_singular: int
+    n_certified: int
     bound: Optional[CountBound]
     disk: DiskBound
     winding_check: str  # "passed" | "failed" | "inconclusive"
@@ -116,6 +127,65 @@ def _gradient_bound(p: HarmonicQuadrinomial, rho: float) -> float:
     )
 
 
+def _hessian_bound(p: HarmonicQuadrinomial, rho: float) -> float:
+    """Upper bound for |h''| + |g''| on |z| <= rho.
+
+    It is a Lipschitz constant of the real Jacobian there, in the operator
+    norm: DF(z)d = h'(z)d + conj(g'(z) d).  rho > 0, so the degree-1
+    terms are 0 * rho**-1 = 0.
+    """
+    return (
+        abs(p.b) * p.k * (p.k - 1) * rho ** (p.k - 2)
+        + p.n * (p.n - 1) * rho ** (p.n - 2)
+        + abs(p.c) * p.m * (p.m - 1) * rho ** (p.m - 2)
+    )
+
+
+def _excluded(p: HarmonicQuadrinomial, center: complex, half: float) -> bool:
+    """True when the closed cell center +- half (both axes) provably holds
+    no zero of q.
+
+    |q| falls by at most G(rho)*diag across the cell, and the computed
+    |q(center)| can exceed the exact one by the rounding error of
+    `evaluate`: at most gamma*(|b||z|^k + |z|^n + |c||z|^m + |z|), with
+    gamma covering the complex multiplications of the integer powers and
+    the three additions.
+    """
+    diag = half * _SQRT2
+    a = abs(center)
+    gamma = 4.0 * (max(p.k, p.n) + 2) * _UNIT_ROUNDOFF
+    rounding = gamma * (abs(p.b) * a**p.k + a**p.n + abs(p.c) * a**p.m + a)
+    return abs(evaluate(p, center)) - rounding > _gradient_bound(p, a + diag) * diag
+
+
+def _kantorovich_step(
+    p: HarmonicQuadrinomial, z0: complex, r: float
+) -> Optional[complex]:
+    """The Newton iterate from z0 if D(z0, r) provably holds exactly one
+    zero of q, else None.
+
+    sigma = ||h'(z0)| - |g'(z0)|| is the smallest singular value of the
+    real Jacobian and L bounds its Lipschitz constant on the disk, so the
+    simplified Newton map z - DF(z0)^-1 F(z) moves by at most
+    kappa = L*r/sigma per unit on D(z0, r).  With kappa < 1/2 and
+    eta + kappa*r < r (eta the first Newton step) it maps the disk into
+    itself as a contraction: exactly one zero.  The margins absorb
+    rounding in sigma and eta.  Kantorovich's h = kappa*eta/r is then at
+    most about 0.2 < 1/2, so plain Newton from z0 converges to that zero.
+    """
+    sigma = abs(abs(analytic_derivative(p, z0)) - abs(coanalytic_derivative(p, z0)))
+    lr = _hessian_bound(p, abs(z0) + r) * r  # kappa = lr / sigma
+    if not lr < 0.5 * sigma:
+        return None
+    try:
+        z1 = newton_step(p, z0)
+    except DegenerateJacobian:
+        return None
+    if abs(z1 - z0) + lr / sigma * r < 0.9 * r:
+        return z1
+    return None
+
+
 def _newton_polish(
     p: HarmonicQuadrinomial,
     z: complex,
@@ -141,17 +211,19 @@ def _newton_polish(
 
 
 def _cluster(points, radius):
-    """Greedy dedup: deterministic order, representative = smallest residual."""
-    clusters = []  # [rep, residual, members]
-    for z, res in points:
+    """Greedy merge in the given order: [representative, residual,
+    certified] per cluster.  The representative has the smallest residual;
+    the cluster is certified if any member is."""
+    clusters = []
+    for z, res, cert in points:
         for cl in clusters:
             if abs(z - cl[0]) <= radius:
-                cl[2].append(z)
                 if res < cl[1]:
                     cl[0], cl[1] = z, res
+                cl[2] = cl[2] or cert
                 break
         else:
-            clusters.append([z, res, [z]])
+            clusters.append([z, res, cert])
     return clusters
 
 
@@ -169,19 +241,35 @@ def find_zeros(
         if cfg.merge_radius is not None
         else 1e-7 * max(1.0, r_disk)
     )
+    escape_radius = r_disk + 1.0
 
     # Quadtree over the circumscribing square [-R, R]^2.  Depth-first,
-    # children pushed in fixed order, so leaf order is deterministic.
-    leaves = []
+    # children pushed in fixed order, so candidate order is deterministic.
+    candidates = [(0j, 0.0, False)]  # q(0) = 0: every term has z or zbar
     stack = [(0j, r_disk, 0)]
     while stack:
         center, half, depth = stack.pop()
-        diag = half * math.sqrt(2.0)
-        qc = abs(evaluate(p, center))
-        if qc > _gradient_bound(p, abs(center) + diag) * diag:
-            continue  # certified zero-free
+        if _excluded(p, center, half):
+            continue
+        max_step = 2.0 * half * _SQRT2
+        z1 = _kantorovich_step(p, center, _CERT_RADIUS * half * _SQRT2)
+        if z1 is not None:
+            z = _newton_polish(p, z1, max_step, cfg.accept_tol, escape_radius)
+            if z is not None:
+                # The Kantorovich disk covers the cell, so a zero outside
+                # the cell leaves it zero-free.  The widening keeps a zero
+                # on a shared edge; the merge below reports it once.
+                reach = half + merge_radius
+                if (
+                    abs(z.real - center.real) <= reach
+                    and abs(z.imag - center.imag) <= reach
+                ):
+                    candidates.append((z, abs(evaluate(p, z)), True))
+                continue
         if depth >= cfg.max_depth:
-            leaves.append((center, half))
+            z = _newton_polish(p, center, max_step, cfg.accept_tol, escape_radius)
+            if z is not None:
+                candidates.append((z, abs(evaluate(p, z)), False))
             continue
         h2 = 0.5 * half
         d2 = depth + 1
@@ -190,48 +278,17 @@ def find_zeros(
         stack.append((center + complex(h2, -h2), h2, d2))
         stack.append((center + complex(-h2, -h2), h2, d2))
 
-    escape_radius = r_disk + 1.0
-    candidates = [(0j, 0.0)]  # q(0) = 0 identically: every term has z or zbar
-    for idx, (center, half) in enumerate(leaves):
-        rng = random.Random(cfg.seed * 0x9E3779B1 + idx)
-        starts = [
-            center,
-            center + complex(half, half),
-            center + complex(-half, half),
-            center + complex(half, -half),
-            center + complex(-half, -half),
-        ]
-        for _ in range(cfg.extra_starts):
-            starts.append(
-                center
-                + complex(
-                    rng.uniform(-half, half), rng.uniform(-half, half)
-                )
-            )
-        max_step = 2.0 * half * math.sqrt(2.0)
-        for z0 in starts:
-            z = _newton_polish(p, z0, max_step, cfg.accept_tol, escape_radius)
-            if z is not None:
-                candidates.append((z, abs(evaluate(p, z))))
-
-    # Two-stage dedup: first absorb Newton jitter at a tight radius, then
-    # merge at merge_radius; the second stage's cluster size feeds the
-    # multiplicity hint.
     candidates.sort(key=lambda t: (t[0].real, t[0].imag, t[1]))
-    jitter = min(1e-10 * max(1.0, r_disk), 0.5 * merge_radius)
-    stage1 = [(cl[0], cl[1]) for cl in _cluster(candidates, jitter)]
-    stage1.sort(key=lambda t: (t[0].real, t[0].imag, t[1]))
-    records = []
-    for rep, res, members in _cluster(stage1, merge_radius):
-        records.append(
-            ZeroRecord(
-                location=rep,
-                residual=res,
-                jacobian=jacobian(p, rep),
-                orientation=classify_point(p, rep, cfg.singular_tol),
-                multiplicity_hint=len(members),
-            )
+    records = [
+        ZeroRecord(
+            location=rep,
+            residual=res,
+            jacobian=jacobian(p, rep),
+            orientation=classify_point(p, rep, cfg.singular_tol),
+            certified=cert,
         )
+        for rep, res, cert in _cluster(candidates, merge_radius)
+    ]
     records.sort(key=lambda r: (r.location.real, r.location.imag))
 
     n_plus = sum(
@@ -265,6 +322,7 @@ def find_zeros(
         n_plus=n_plus,
         n_minus=n_minus,
         n_singular=n_singular,
+        n_certified=sum(1 for r in records if r.certified),
         bound=bound,
         disk=disk,
         winding_check=winding_check,

@@ -64,6 +64,7 @@ class TestZeros:
         assert doc["n_minus"] == 4
         assert doc["winding_check"] == "passed"
         assert len(doc["zeros"]) == 5
+        assert doc["n_certified"] == sum(z["certified"] for z in doc["zeros"]) == 5
 
     def test_svg_output_is_valid_xml(self, capsys, tmp_path):
         svg = tmp_path / "zeros.svg"

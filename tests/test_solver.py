@@ -1,18 +1,20 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
 from quadzero import (
     HarmonicQuadrinomial,
     OrientationClass,
-    SolveConfig,
     count_zeros,
+    evaluate,
     find_zeros,
     newton_step,
     real_system,
 )
 from quadzero.errors import BoundUnavailable, DegenerateJacobian
+from quadzero.solver import _excluded, _gradient_bound
 
 CUBIC = HarmonicQuadrinomial(b=0.0, c=0.0, k=1, n=3, m=1)  # conj(z)^3 + z
 
@@ -83,8 +85,6 @@ class TestFindZeros:
             assert min(abs(rec.location) for rec in report.zeros) < 1e-12
 
     def test_residuals_within_tolerance(self):
-        from quadzero import evaluate
-
         p = HarmonicQuadrinomial(b=2.0, c=3.0, k=4, n=3, m=1)
         report = find_zeros(p)
         for rec in report.zeros:
@@ -123,15 +123,6 @@ class TestFindZeros:
         assert count_zeros(CUBIC) == 5
         assert count_zeros(HarmonicQuadrinomial(b=0.0, c=0.0, k=1, n=5, m=1)) == 7
 
-    def test_seed_changes_starts_not_zeros(self):
-        p = HarmonicQuadrinomial(b=2.0, c=3.0, k=4, n=3, m=1)
-        a = find_zeros(p, SolveConfig(seed=0))
-        b = find_zeros(p, SolveConfig(seed=123))
-        assert a.count == b.count
-        for ra, rb in zip(a.zeros, b.zeros):
-            assert abs(ra.location - rb.location) < 1e-8
-
-
 class TestOrientationBookkeeping:
     def test_singular_zero_marks_inconclusive(self):
         # c = 1, m = 1, b = 0: J(0) = 1 - c^2 = 0, the origin is singular
@@ -147,3 +138,78 @@ class TestOrientationBookkeeping:
                 assert rec.jacobian > 0
             elif rec.orientation is OrientationClass.SENSE_REVERSING:
                 assert rec.jacobian < 0
+
+
+class TestExclusion:
+    @pytest.mark.parametrize(
+        "b, c, k, n, m, lo, hi",
+        [
+            (-1.051, -0.158, 5, 2, 1, -0.66, -0.64),
+            (-3.162, 1.958, 6, 2, 1, 1.04, 1.06),
+        ],
+    )
+    def test_cell_holding_a_zero_is_never_pruned(self, b, c, k, n, m, lo, hi):
+        # A real zero, bracketed in exact rational arithmetic.  The cell is
+        # centred on a float next to it and just wide enough to hold the
+        # bracket, so the computed |q(centre)| is mostly rounding error,
+        # several times the Lipschitz drop across the cell.
+        p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
+
+        def q(x):
+            return Fraction(b) * x**k + x**n + Fraction(c) * x**m + x
+
+        lo, hi = Fraction(lo), Fraction(hi)
+        assert q(lo) * q(hi) < 0
+        while hi - lo > Fraction(1, 2**80):
+            mid = (lo + hi) / 2
+            if q(mid) * q(lo) > 0:
+                lo = mid
+            else:
+                hi = mid
+        x = float((lo + hi) / 2)
+        half = 2.0 * float(max(Fraction(x) - lo, hi - Fraction(x)))
+        center = complex(x, 0.0)
+        diag = half * math.sqrt(2.0)
+        # Without the rounding margin the cell would be pruned.
+        assert abs(evaluate(p, center)) > _gradient_bound(p, abs(center) + diag) * diag
+        assert not _excluded(p, center, half)
+
+
+class TestCertification:
+    def test_zero_on_shared_cell_edge_reported_once(self):
+        # The real axis is a cell edge at every depth; this zero sits on it
+        # and is found from the cells on both sides.
+        p = HarmonicQuadrinomial(
+            b=-3.6336954423642998, c=1.0581275863701707, k=5, n=3, m=2
+        )
+        report = find_zeros(p)
+        near = [rec for rec in report.zeros if abs(rec.location + 0.671881) < 1e-5]
+        assert len(near) == 1
+        assert near[0].certified
+        assert report.count == 5
+        assert report.winding_check == "passed"
+
+    @pytest.mark.parametrize(
+        "p",
+        [CUBIC, HarmonicQuadrinomial(b=2.0, c=3.0, k=4, n=3, m=1)],
+        ids=["cubic", "b2-c3-k4-n3-m1"],
+    )
+    def test_regular_zeros_are_certified(self, p):
+        report = find_zeros(p)
+        assert all(rec.certified for rec in report.zeros)
+        assert report.n_certified == report.count
+
+    def test_singular_origin_not_certified(self):
+        p = HarmonicQuadrinomial(b=0.0, c=1.0, k=1, n=3, m=1)
+        report = find_zeros(p)
+        origin = min(report.zeros, key=lambda rec: abs(rec.location))
+        assert origin.location == 0j
+        assert not origin.certified
+        assert report.n_certified < report.count
+
+    def test_near_unit_b_cliff(self):
+        # k = n with |b| -> 1: the disk radius is 300 here.
+        p = HarmonicQuadrinomial(b=1.01, c=2.0, k=3, n=3, m=1)
+        report = find_zeros(p)
+        assert report.count == 5
+        assert report.winding_check == "passed"

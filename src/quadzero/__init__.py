@@ -42,7 +42,6 @@ from .realroots import (
     sign_changes,
 )
 from .solver import (
-    SolveConfig,
     ZeroRecord,
     ZeroSetReport,
     count_zeros,
@@ -66,7 +65,6 @@ __all__ = [
     "PositiveRoot",
     "RealPoly",
     "Rectangle",
-    "SolveConfig",
     "SweepCell",
     "SweepGrid",
     "WindingReport",

@@ -6,7 +6,9 @@ for plots; stdout carries data, stderr carries diagnostics.
 
 Exit codes: 0 success, 2 hypothesis/precondition violation, 3 numerical
 non-convergence.  Any flag may also come from a key=value config file via
---config PATH; command-line values win.
+--config PATH; command-line values win.  A config file may set the flags
+of any subcommand, so one parameter file serves them all; a key that no
+subcommand defines is an error.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Optional
 
 from .bounds import radius_bound
 from .contour import Circle, Rectangle, winding_number
@@ -28,7 +31,7 @@ from .model import (
     jacobian,
 )
 from .errors import PoleAtCriticalPoint
-from .solver import SolveConfig, find_zeros
+from .solver import find_zeros
 from .svg import render_zero_plot
 from .sweep import Axis, run_sweep, sweep_csv_lines
 
@@ -60,6 +63,11 @@ class _Args:
     def __init__(self, ns: argparse.Namespace):
         self.ns = ns
         self.cfg = _load_config(ns.config) if getattr(ns, "config", None) else {}
+        unknown = sorted(set(self.cfg) - ns.config_keys)
+        if unknown:
+            raise QuadzeroError(
+                f"unknown config key(s) in {ns.config}: {', '.join(unknown)}"
+            )
 
     def get(self, name: str, typ, default=_REQUIRED):
         v = getattr(self.ns, name, None)
@@ -88,13 +96,20 @@ def _quadrinomial(a: _Args) -> HarmonicQuadrinomial:
         raise QuadzeroError(str(exc)) from exc
 
 
-def _solve_config(a: _Args) -> SolveConfig:
-    return SolveConfig(
-        accept_tol=a.get("accept_tol", float, 1e-10),
-        merge_radius=a.get("merge_radius", float, None),
-        max_depth=a.get("max_depth", int, 12),
-        singular_tol=a.get("singular_tol", float, 1e-12),
-    )
+def _svg_critical_radius(
+    b: float, c: float, k: int, n: int, m: int
+) -> Optional[float]:
+    """Radius of the critical circle to draw in a zero plot, or None.
+
+    The circle (Theorem 3.4) belongs to the n = k, m = 1 family only.
+    """
+    if n != k or m != 1:
+        return None
+    try:
+        cc = critical_radius(b, c, k)
+    except (QuadzeroError, ValueError):
+        return None
+    return cc.radius if cc.exists else None
 
 
 def _default_threads(a: _Args) -> int:
@@ -138,7 +153,7 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
     a = _Args(ns)
     p = _quadrinomial(a)
     fmt = a.get("format", str, "csv")
-    report = find_zeros(p, _solve_config(a))
+    report = find_zeros(p)
     if fmt == "csv":
         print(ZEROS_HEADER)
         for row in _zero_rows(report):
@@ -172,19 +187,13 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
         raise QuadzeroError(f"unknown format {fmt!r} (want csv or json)")
     svg_path = a.get("svg", str, None)
     if svg_path:
-        crit = []
-        try:
-            cc = critical_radius(p.b, p.c, p.k)
-            if cc.exists:
-                crit.append(cc.radius)
-        except (QuadzeroError, ValueError):
-            pass
+        crit = _svg_critical_radius(p.b, p.c, p.k, p.n, p.m)
         with open(svg_path, "w") as fh:
             fh.write(
                 render_zero_plot(
                     [(rec.location, rec.orientation) for rec in report.zeros],
                     bounding_radius=report.disk.radius,
-                    critical_radii=crit,
+                    critical_radii=[] if crit is None else [crit],
                 )
             )
     return 0
@@ -273,7 +282,6 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         k=a.get("k", int),
         n=a.get("n", int),
         m=a.get("m", int),
-        cfg=_solve_config(a),
         threads=_default_threads(a),
     )
     for line in sweep_csv_lines(grid):
@@ -290,12 +298,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
                 (rec.location, rec.orientation) for rec in cell.report.zeros
             )
             radii.append(cell.report.disk.radius)
-            try:
-                cc = critical_radius(cell.b, cell.c, grid.k)
-                if cc.exists:
-                    crit.add(round(cc.radius, 12))
-            except (QuadzeroError, ValueError):
-                pass
+            r = _svg_critical_radius(cell.b, cell.c, grid.k, grid.n, grid.m)
+            if r is not None:
+                crit.add(round(r, 12))
         with open(svg_path, "w") as fh:
             fh.write(
                 render_zero_plot(
@@ -313,13 +318,6 @@ def _add_quad_flags(sp):
     sp.add_argument("--k", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)
-
-
-def _add_solve_flags(sp):
-    sp.add_argument("--accept-tol", dest="accept_tol", type=float)
-    sp.add_argument("--merge-radius", dest="merge_radius", type=float)
-    sp.add_argument("--max-depth", dest="max_depth", type=int)
-    sp.add_argument("--singular-tol", dest="singular_tol", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = new("zeros", cmd_zeros, "locate and classify all zeros (CSV/JSON)")
     _add_quad_flags(sp)
-    _add_solve_flags(sp)
     sp.add_argument("--format", choices=("csv", "json"))
     sp.add_argument("--svg", help="write a zero-plot SVG to this path")
 
@@ -378,8 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int)
     sp.add_argument("--threads", type=int)
     sp.add_argument("--svg", help="write a zero-plot SVG to this path")
-    _add_solve_flags(sp)
 
+    parser.set_defaults(
+        config_keys={
+            action.dest
+            for sp in sub.choices.values()
+            for action in sp._actions
+            if action.option_strings and action.dest != "help"
+        }
+    )
     return parser
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import BEqualsOne, BZero, HypothesisViolation
 from .model import HarmonicQuadrinomial, dilatation, evaluate
-from .solver import SolveConfig, ZeroSetReport, find_zeros
+from .solver import ZeroSetReport, find_zeros
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,6 @@ def circle_image(
 
 def modular_root_census(
     p: HarmonicQuadrinomial,
-    cfg: SolveConfig = SolveConfig(),
     band: float = 1e-6,
     report: Optional[ZeroSetReport] = None,
 ) -> tuple[int, int, int]:
@@ -192,7 +191,7 @@ def modular_root_census(
     if not circle.exists:
         raise HypothesisViolation("critical circle does not exist")
     if report is None:
-        report = find_zeros(p, cfg)
+        report = find_zeros(p)
     on = inside = outside = 0
     for rec in report.zeros:
         d = abs(rec.location) - circle.radius

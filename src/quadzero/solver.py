@@ -8,14 +8,15 @@ a quadtree.  Each cell ends in one of three ways:
 * certified: a Kantorovich test on the harmonic Newton step at the centre
   proves that a disk around the cell holds exactly one zero, and one
   Newton run from the centre converges to it;
-* floor: the cell reached `max_depth` without either proof.  It gets one
-  Newton run from its centre, and a zero found that way is reported as
-  not certified.
+* floor: the cell reached depth `_MAX_DEPTH` without either proof.  It
+  gets one Newton run from its centre, and a zero found that way is
+  reported as not certified.
 
-All candidates are merged at the merge radius, classified by orientation,
-and cross-checked against the argument principle on C(0, R+1).  Inclusion
-evidence is the certificate of each zero; the winding check stays as a
-cross-check, and it is the only evidence for uncertified zeros.
+All candidates are merged at the radius 1e-7*max(1, R), classified by
+orientation, and cross-checked against the argument principle on
+C(0, R+1).  Inclusion evidence is the certificate of each zero; the
+winding check stays as a cross-check, and it is the only evidence for
+uncertified zeros.
 """
 
 from __future__ import annotations
@@ -43,26 +44,14 @@ from .model import (
 )
 
 _NEWTON_CAP = 100
+_ACCEPT_TOL = 1e-10  # a Newton run stops once |q| is at most this
+_MAX_DEPTH = 12  # quadtree depth of the floor cells
 _SQRT2 = math.sqrt(2.0)
 _UNIT_ROUNDOFF = 2.0**-53
 # Radius of the Kantorovich disk as a multiple of the cell's half-diagonal.
 # It must exceed 1: a zero on a cell corner (the origin is one at every
 # depth) has to lie strictly inside the disk of some cell around it.
 _CERT_RADIUS = 1.5
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    accept_tol: float = 1e-10
-    merge_radius: Optional[float] = None  # default 1e-7 * max(1, R)
-    max_depth: int = 12
-    singular_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.accept_tol <= 0 or self.singular_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.merge_radius is not None and self.merge_radius <= 0:
-            raise ValueError("merge_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -190,12 +179,11 @@ def _newton_polish(
     p: HarmonicQuadrinomial,
     z: complex,
     max_step: float,
-    accept_tol: float,
     escape_radius: float,
 ) -> Optional[complex]:
     for _ in range(_NEWTON_CAP):
         v = evaluate(p, z)
-        if abs(v) <= accept_tol:
+        if abs(v) <= _ACCEPT_TOL:
             return z
         try:
             z = newton_step(p, z, max_step)
@@ -205,7 +193,7 @@ def _newton_polish(
             return None
         if abs(z) > escape_radius:
             return None
-    if abs(evaluate(p, z)) <= accept_tol:
+    if abs(evaluate(p, z)) <= _ACCEPT_TOL:
         return z
     return None
 
@@ -227,20 +215,14 @@ def _cluster(points, radius):
     return clusters
 
 
-def find_zeros(
-    p: HarmonicQuadrinomial, cfg: SolveConfig = SolveConfig()
-) -> ZeroSetReport:
+def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
     disk = radius_bound(p)
     if disk.source is BoundSource.UNAVAILABLE:
         raise BoundUnavailable(
             "no zero-inclusion disk available (k = n with |b| = 1)"
         )
     r_disk = disk.radius
-    merge_radius = (
-        cfg.merge_radius
-        if cfg.merge_radius is not None
-        else 1e-7 * max(1.0, r_disk)
-    )
+    merge_radius = 1e-7 * max(1.0, r_disk)
     escape_radius = r_disk + 1.0
 
     # Quadtree over the circumscribing square [-R, R]^2.  Depth-first,
@@ -254,7 +236,7 @@ def find_zeros(
         max_step = 2.0 * half * _SQRT2
         z1 = _kantorovich_step(p, center, _CERT_RADIUS * half * _SQRT2)
         if z1 is not None:
-            z = _newton_polish(p, z1, max_step, cfg.accept_tol, escape_radius)
+            z = _newton_polish(p, z1, max_step, escape_radius)
             if z is not None:
                 # The Kantorovich disk covers the cell, so a zero outside
                 # the cell leaves it zero-free.  The widening keeps a zero
@@ -266,8 +248,8 @@ def find_zeros(
                 ):
                     candidates.append((z, abs(evaluate(p, z)), True))
                 continue
-        if depth >= cfg.max_depth:
-            z = _newton_polish(p, center, max_step, cfg.accept_tol, escape_radius)
+        if depth >= _MAX_DEPTH:
+            z = _newton_polish(p, center, max_step, escape_radius)
             if z is not None:
                 candidates.append((z, abs(evaluate(p, z)), False))
             continue
@@ -284,7 +266,7 @@ def find_zeros(
             location=rep,
             residual=res,
             jacobian=jacobian(p, rep),
-            orientation=classify_point(p, rep, cfg.singular_tol),
+            orientation=classify_point(p, rep),
             certified=cert,
         )
         for rep, res, cert in _cluster(candidates, merge_radius)
@@ -330,5 +312,5 @@ def find_zeros(
     )
 
 
-def count_zeros(p: HarmonicQuadrinomial, cfg: SolveConfig = SolveConfig()) -> int:
-    return find_zeros(p, cfg).count
+def count_zeros(p: HarmonicQuadrinomial) -> int:
+    return find_zeros(p).count

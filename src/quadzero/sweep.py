@@ -12,10 +12,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import count_bound
-from .errors import BoundUnavailable, HypothesisViolation
+from .errors import BoundUnavailable
 from .model import HarmonicQuadrinomial
-from .solver import SolveConfig, ZeroSetReport, find_zeros
+from .solver import ZeroSetReport, find_zeros
 
 
 @dataclass(frozen=True)
@@ -39,16 +38,11 @@ class Axis:
 class SweepCell:
     b: float
     c: float
-    count: Optional[int]
-    n_plus: Optional[int]
-    n_minus: Optional[int]
-    n_singular: Optional[int]
-    bound_upper: Optional[int]
-    bound_proven: Optional[bool]
-    radius: Optional[float]
-    winding_check: str
-    violation: Optional[bool]
-    report: Optional[ZeroSetReport] = None
+    report: Optional[ZeroSetReport]  # None: no inclusion disk (BoundUnavailable)
+
+    @property
+    def winding_check(self) -> str:
+        return "unavailable" if self.report is None else self.report.winding_check
 
 
 @dataclass(frozen=True)
@@ -61,45 +55,12 @@ class SweepGrid:
     cells: tuple[SweepCell, ...]
 
 
-def _solve_cell(b, c, k, n, m, cfg) -> SweepCell:
-    p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
+def _solve_cell(b, c, k, n, m) -> SweepCell:
     try:
-        upper, proven = None, None
-        try:
-            cb = count_bound(p)
-            upper, proven = cb.upper, cb.upper_is_proven
-        except HypothesisViolation:
-            pass
-        report = find_zeros(p, cfg)
-        violation = upper is not None and report.count > upper
-        return SweepCell(
-            b=b,
-            c=c,
-            count=report.count,
-            n_plus=report.n_plus,
-            n_minus=report.n_minus,
-            n_singular=report.n_singular,
-            bound_upper=upper,
-            bound_proven=proven,
-            radius=report.disk.radius,
-            winding_check=report.winding_check,
-            violation=violation,
-            report=report,
-        )
+        report = find_zeros(HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m))
     except BoundUnavailable:
-        return SweepCell(
-            b=b,
-            c=c,
-            count=None,
-            n_plus=None,
-            n_minus=None,
-            n_singular=None,
-            bound_upper=None,
-            bound_proven=None,
-            radius=None,
-            winding_check="unavailable",
-            violation=None,
-        )
+        report = None
+    return SweepCell(b, c, report)
 
 
 def run_sweep(
@@ -108,16 +69,15 @@ def run_sweep(
     k: int,
     n: int,
     m: int,
-    cfg: SolveConfig = SolveConfig(),
     threads: int = 1,
 ) -> SweepGrid:
     tasks = [(b, c) for b in b_axis.values() for c in c_axis.values()]
     if threads <= 1:
-        cells = [_solve_cell(b, c, k, n, m, cfg) for b, c in tasks]
+        cells = [_solve_cell(b, c, k, n, m) for b, c in tasks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             cells = list(
-                pool.map(lambda t: _solve_cell(t[0], t[1], k, n, m, cfg), tasks)
+                pool.map(lambda t: _solve_cell(t[0], t[1], k, n, m), tasks)
             )
     return SweepGrid(b_axis, c_axis, k, n, m, tuple(cells))
 
@@ -140,25 +100,29 @@ SWEEP_HEADER = (
 )
 
 
+def _csv_fields(cell: SweepCell) -> tuple:
+    r = cell.report
+    if r is None:
+        return (cell.b, cell.c) + (None,) * 7 + (cell.winding_check, None)
+    upper = r.bound.upper if r.bound else None
+    proven = r.bound.upper_is_proven if r.bound else None
+    return (
+        cell.b,
+        cell.c,
+        r.count,
+        r.n_plus,
+        r.n_minus,
+        r.n_singular,
+        upper,
+        proven,
+        r.disk.radius,
+        r.winding_check,
+        upper is not None and r.count > upper,
+    )
+
+
 def sweep_csv_lines(grid: SweepGrid) -> list[str]:
     lines = [SWEEP_HEADER]
     for cell in grid.cells:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    cell.b,
-                    cell.c,
-                    cell.count,
-                    cell.n_plus,
-                    cell.n_minus,
-                    cell.n_singular,
-                    cell.bound_upper,
-                    cell.bound_proven,
-                    cell.radius,
-                    cell.winding_check,
-                    cell.violation,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(v) for v in _csv_fields(cell)))
     return lines

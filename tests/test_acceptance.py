@@ -16,7 +16,6 @@ import pytest
 
 from quadzero import (
     HarmonicQuadrinomial,
-    SolveConfig,
     critical_radius,
     critical_radius_alt,
     deflate_at_one,

@@ -74,6 +74,25 @@ class TestZeros:
         assert root.tag.endswith("svg")
         assert root.get("version") == "1.1"
 
+    @pytest.mark.parametrize(
+        "degrees, circles",
+        [
+            (["--k", "3", "--n", "3", "--m", "1"], 1),
+            (["--k", "4", "--n", "3", "--m", "1"], 0),
+            (["--k", "4", "--n", "3", "--m", "2"], 0),
+        ],
+    )
+    def test_svg_critical_circle_only_for_n_eq_k_m_1(
+        self, capsys, tmp_path, degrees, circles
+    ):
+        # Theorem 3.4's circle belongs to the n = k, m = 1 family only.
+        svg = tmp_path / "zeros.svg"
+        code, _, _ = run(
+            capsys, ["zeros", "--b", "2", "--c", "3", *degrees, "--svg", str(svg)]
+        )
+        assert code == 0
+        assert svg.read_text().count("stroke-dasharray") == circles
+
     def test_unavailable_bound_exits_2(self, capsys):
         code, _, err = run(
             capsys,
@@ -172,6 +191,24 @@ class TestConfigFile:
         assert code == 2
         assert "key=value" in err
 
+    @pytest.mark.parametrize("key", ["max_depth", "accept-tol", "b_rnage"])
+    def test_unknown_key_exits_2(self, capsys, tmp_path, key):
+        cfgfile = tmp_path / "quad.cfg"
+        cfgfile.write_text(f"b = 0.5\nc = 2\nk = 4\nn = 2\nm = 1\n{key} = 3\n")
+        code, out, err = run(capsys, ["radius", "--config", str(cfgfile)])
+        assert code == 2
+        assert out == ""
+        assert key.replace("-", "_") in err
+
+    def test_keys_of_other_subcommands_accepted(self, capsys, tmp_path):
+        # n, m belong to zeros/radius; threads to sweep; one shared file
+        # serves critical-circle too.
+        cfgfile = tmp_path / "shared.cfg"
+        cfgfile.write_text("b = 2\nc = 3\nk = 2\nn = 3\nm = 1\nthreads = 2\n")
+        code, out, _ = run(capsys, ["critical-circle", "--config", str(cfgfile)])
+        assert code == 0
+        assert json.loads(out)["radius"] == pytest.approx(math.sqrt(2.0 / 3.0))
+
 
 class TestSweep:
     def test_csv_shape_and_svg(self, capsys, tmp_path):
@@ -193,6 +230,8 @@ class TestSweep:
         assert len(lines) == 1 + 3 * 2
         root = ET.parse(svg).getroot()
         assert root.tag.endswith("svg")
+        # n != k: no cell has a critical circle to draw.
+        assert "stroke-dasharray" not in svg.read_text()
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(

@@ -1,15 +1,24 @@
 """Parameter sweeps over a (b, c) grid with fixed degrees.
 
-Cells are solved independently (optionally across a thread pool) but
-always reported in row-major (b index, c index) order, so the CSV is
-byte-identical regardless of worker count.
+Cells are solved independently, one b-row per task, in this process or
+across a pool of worker processes, and always reported in row-major
+(b index, c index) order, so the CSV is byte-identical regardless of
+worker count.  ``threads`` (the CLI's ``--threads`` and
+``QUADZERO_THREADS``) is the number of worker processes asked for; a
+sweep uses at most one per CPU and one per b-row, and with one it starts
+no pool.  Workers start by the platform's default method.  Where that is
+``spawn`` (Windows, macOS) or ``forkserver`` (Linux from Python 3.14),
+each worker imports the calling script, so a script that sweeps with
+more than one worker must call ``run_sweep`` under
+``if __name__ == "__main__":``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 from .errors import BoundUnavailable
@@ -55,12 +64,16 @@ class SweepGrid:
     cells: tuple[SweepCell, ...]
 
 
-def _solve_cell(b, c, k, n, m) -> SweepCell:
-    try:
-        report = find_zeros(HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m))
-    except BoundUnavailable:
-        report = None
-    return SweepCell(b, c, report)
+def _solve_row(b, cs, k, n, m) -> list[SweepCell]:
+    """The cells of one b-row, in c order: the unit of work of a worker."""
+    cells = []
+    for c in cs:
+        try:
+            report = find_zeros(HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m))
+        except BoundUnavailable:
+            report = None
+        cells.append(SweepCell(b, c, report))
+    return cells
 
 
 def run_sweep(
@@ -71,15 +84,26 @@ def run_sweep(
     m: int,
     threads: int = 1,
 ) -> SweepGrid:
-    tasks = [(b, c) for b in b_axis.values() for c in c_axis.values()]
-    if threads <= 1:
-        cells = [_solve_cell(b, c, k, n, m) for b, c in tasks]
+    bs = b_axis.values()
+    rows = (bs, repeat(c_axis.values()), repeat(k), repeat(n), repeat(m))
+    # A forking pool starts all its workers at once: no more than can run.
+    workers = min(threads, len(bs), os.cpu_count() or 1)
+    if workers <= 1:
+        solved = list(map(_solve_row, *rows))
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(
-                pool.map(lambda t: _solve_cell(t[0], t[1], k, n, m), tasks)
-            )
-    return SweepGrid(b_axis, c_axis, k, n, m, tuple(cells))
+        # Imported here: it pulls in multiprocessing, which would add about
+        # half again to the CLI's import time.
+        from concurrent.futures import ProcessPoolExecutor
+
+        # The default start method, fork on Linux up to Python 3.13, starts
+        # a worker in about a millisecond; a spawned worker takes longer to
+        # start than a 16-cell sweep takes to solve.  One row per task
+        # (map's default chunksize), handed out as workers free up; map
+        # returns the rows in grid order.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(_solve_row, *rows))
+    cells = tuple(cell for row in solved for cell in row)
+    return SweepGrid(b_axis, c_axis, k, n, m, cells)
 
 
 def _fmt(x) -> str:

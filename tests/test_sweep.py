@@ -1,5 +1,8 @@
+import concurrent.futures
+
 import pytest
 
+from quadzero.cli import main
 from quadzero.sweep import SWEEP_HEADER, Axis, run_sweep, sweep_csv_lines
 
 
@@ -40,3 +43,69 @@ def test_rows_come_from_cell_reports(grid):
         assert row["winding_check"] == r.winding_check == cell.winding_check
         assert row["violation"] == str(r.count > r.bound.upper).lower()
 
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swaps ProcessPoolExecutor for a stand-in that records its worker
+    count and solves the rows in this process, so no process starts."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, pool_size",
+    [
+        (10_000, 64, 3),  # one worker per b-row at most
+        (8, 2, 2),  # one worker per CPU at most
+        (8, None, None),  # CPU count unknown: no pool
+        (1, 64, None),
+    ],
+)
+def test_worker_count_is_capped(monkeypatch, pool_sizes, threads, cpus, pool_size):
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    grid = run_sweep(Axis(2, 4, 3), Axis(3, 3, 1), 3, 2, 1, threads=threads)
+    assert pool_sizes == ([] if pool_size is None else [pool_size])
+    assert [(cell.b, cell.c) for cell in grid.cells] == [(2, 3), (3, 3), (4, 3)]
+
+
+def test_process_pool_returns_the_serial_reports(monkeypatch):
+    # b = 1 with k = n gives unavailable cells, c = -1 a singular origin
+    # (|c| = 1, m = 1), b = 2 or 3 with c = 3 regular cells.
+    monkeypatch.setattr("os.cpu_count", lambda: 2)  # a real pool on any host
+    args = (Axis(1, 3, 3), Axis(-1, 3, 2), 3, 3, 1)
+    serial = run_sweep(*args, threads=1)
+    pooled = run_sweep(*args, threads=2)
+    assert pooled.cells == serial.cells
+    assert [cell.winding_check for cell in serial.cells] == [
+        "unavailable", "unavailable", "inconclusive", "passed", "inconclusive", "passed",
+    ]
+    assert all(cell.report.zeros for cell in serial.cells[2:])
+
+
+def test_invalid_degrees_fail_alike_in_workers(capsys, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    results = []
+    for threads in ("1", "2"):
+        code = main(["sweep", "--b-range", "1:2:2", "--c-range", "2:3:2",
+                     "--k", "3", "--n", "1", "--m", "1", "--threads", threads])
+        results.append((code, capsys.readouterr()))
+    assert results[0] == results[1]
+    code, captured = results[0]
+    assert code == 2
+    assert captured.out == ""
+    assert "need n > m >= 1" in captured.err

@@ -4,9 +4,11 @@ Subcommands: radius, zeros, classify, winding, critical-circle,
 circle-image, sweep.  JSON for scalar answers, CSV for tabular data, SVG
 for plots; stdout carries data, stderr carries diagnostics.
 
-Exit codes: 0 success, 2 hypothesis/precondition violation, 3 numerical
-non-convergence.  Any flag may also come from a key=value config file via
---config PATH; command-line values win.  A config file may set the flags
+Exit codes: 0 success, 2 hypothesis/precondition violation, usage error
+or unreadable file, 3 numerical non-convergence.  Any flag may also come
+from a key=value config file via --config PATH: each key becomes a
+--key=value flag placed before the command line's own flags, so argparse
+checks both and command-line values win.  A config file may set the flags
 of any subcommand, so one parameter file serves them all; a key that no
 subcommand defines is an error.
 """
@@ -54,46 +56,33 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-_REQUIRED = object()
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with the --config file's keys spliced in after the subcommand.
+
+    Keys of other subcommands are dropped, so one file serves them all.
+    """
+    flags = parser.get_default("config_flags")
+    own = flags.get(argv[0]) if argv else None
+    if own is None:
+        return argv  # argparse reports the missing or unknown subcommand
+    # Find --config the way the subcommand's parser will, abbreviations
+    # included; a parser that knew only --config would read --c 2 as it.
+    pre = argparse.ArgumentParser(prog=f"quadzero {argv[0]}", add_help=False)
+    for flag in (*own.values(), "--config"):
+        pre.add_argument(flag)
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    cfg = _load_config(path)
+    unknown = sorted(set(cfg).difference(*flags.values()))
+    if unknown:
+        raise QuadzeroError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    spliced = [f"{own[key]}={val}" for key, val in cfg.items() if key in own]
+    return [argv[0], *spliced, *argv[1:]]
 
 
-class _Args:
-    """Merged view of CLI flags over config-file values."""
-
-    def __init__(self, ns: argparse.Namespace):
-        self.ns = ns
-        self.cfg = _load_config(ns.config) if getattr(ns, "config", None) else {}
-        unknown = sorted(set(self.cfg) - ns.config_keys)
-        if unknown:
-            raise QuadzeroError(
-                f"unknown config key(s) in {ns.config}: {', '.join(unknown)}"
-            )
-
-    def get(self, name: str, typ, default=_REQUIRED):
-        v = getattr(self.ns, name, None)
-        if v is not None:
-            return v
-        if name in self.cfg:
-            raw = self.cfg[name]
-            if typ is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
-            return typ(raw)
-        if default is _REQUIRED:
-            raise QuadzeroError(f"missing required option --{name.replace('_', '-')}")
-        return default
-
-
-def _quadrinomial(a: _Args) -> HarmonicQuadrinomial:
-    try:
-        return HarmonicQuadrinomial(
-            b=a.get("b", float),
-            c=a.get("c", float),
-            k=a.get("k", int),
-            n=a.get("n", int),
-            m=a.get("m", int),
-        )
-    except (TypeError, ValueError) as exc:
-        raise QuadzeroError(str(exc)) from exc
+def _quadrinomial(ns: argparse.Namespace) -> HarmonicQuadrinomial:
+    return HarmonicQuadrinomial(b=ns.b, c=ns.c, k=ns.k, n=ns.n, m=ns.m)
 
 
 def _svg_critical_radius(
@@ -112,15 +101,8 @@ def _svg_critical_radius(
     return cc.radius if cc.exists else None
 
 
-def _default_threads(a: _Args) -> int:
-    env = os.environ.get("QUADZERO_THREADS")
-    fallback = int(env) if env else (os.cpu_count() or 1)
-    return a.get("threads", int, fallback)
-
-
 def cmd_radius(ns: argparse.Namespace) -> int:
-    a = _Args(ns)
-    disk = radius_bound(_quadrinomial(a))
+    disk = radius_bound(_quadrinomial(ns))
     print(
         json.dumps(
             {"radius": disk.radius, "delta": disk.delta, "source": disk.source.value}
@@ -132,33 +114,28 @@ def cmd_radius(ns: argparse.Namespace) -> int:
 ZEROS_HEADER = "re,im,residual,jacobian,orientation"
 
 
-def _zero_rows(report) -> list[str]:
-    rows = []
-    for rec in report.zeros:
-        rows.append(
-            ",".join(
-                (
-                    _fmt17(rec.location.real),
-                    _fmt17(rec.location.imag),
-                    _fmt17(rec.residual),
-                    _fmt17(rec.jacobian),
-                    rec.orientation.value,
-                )
-            )
-        )
-    return rows
+def _zero_fields(rec) -> dict:
+    """One zero's output fields: its JSON entry, and its CSV row by header."""
+    return {
+        "re": rec.location.real,
+        "im": rec.location.imag,
+        "residual": rec.residual,
+        "jacobian": rec.jacobian,
+        "orientation": rec.orientation.value,
+        "certified": rec.certified,
+    }
 
 
 def cmd_zeros(ns: argparse.Namespace) -> int:
-    a = _Args(ns)
-    p = _quadrinomial(a)
-    fmt = a.get("format", str, "csv")
+    p = _quadrinomial(ns)
     report = find_zeros(p)
-    if fmt == "csv":
+    zeros = [_zero_fields(rec) for rec in report.zeros]
+    if ns.format == "csv":
         print(ZEROS_HEADER)
-        for row in _zero_rows(report):
-            print(row)
-    elif fmt == "json":
+        for fields in zeros:
+            values = (fields[name] for name in ZEROS_HEADER.split(","))
+            print(",".join(_fmt17(v) if isinstance(v, float) else v for v in values))
+    else:
         print(
             json.dumps(
                 {
@@ -169,26 +146,13 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
                     "n_certified": report.n_certified,
                     "radius": report.disk.radius,
                     "winding_check": report.winding_check,
-                    "zeros": [
-                        {
-                            "re": rec.location.real,
-                            "im": rec.location.imag,
-                            "residual": rec.residual,
-                            "jacobian": rec.jacobian,
-                            "orientation": rec.orientation.value,
-                            "certified": rec.certified,
-                        }
-                        for rec in report.zeros
-                    ],
+                    "zeros": zeros,
                 }
             )
         )
-    else:
-        raise QuadzeroError(f"unknown format {fmt!r} (want csv or json)")
-    svg_path = a.get("svg", str, None)
-    if svg_path:
+    if ns.svg:
         crit = _svg_critical_radius(p.b, p.c, p.k, p.n, p.m)
-        with open(svg_path, "w") as fh:
+        with open(ns.svg, "w") as fh:
             fh.write(
                 render_zero_plot(
                     [(rec.location, rec.orientation) for rec in report.zeros],
@@ -200,9 +164,8 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
 
 
 def cmd_classify(ns: argparse.Namespace) -> int:
-    a = _Args(ns)
-    p = _quadrinomial(a)
-    z = complex(a.get("re", float), a.get("im", float, 0.0))
+    p = _quadrinomial(ns)
+    z = complex(ns.re, ns.im)
     try:
         omega_abs = abs(dilatation(p, z))
     except PoleAtCriticalPoint:
@@ -212,9 +175,7 @@ def cmd_classify(ns: argparse.Namespace) -> int:
             {
                 "q": {"re": evaluate(p, z).real, "im": evaluate(p, z).imag},
                 "jacobian": jacobian(p, z),
-                "orientation": classify_point(
-                    p, z, a.get("singular_tol", float, 1e-12)
-                ).value,
+                "orientation": classify_point(p, z, ns.singular_tol).value,
                 "dilatation_abs": omega_abs,
             }
         )
@@ -223,17 +184,16 @@ def cmd_classify(ns: argparse.Namespace) -> int:
 
 
 def cmd_winding(ns: argparse.Namespace) -> int:
-    a = _Args(ns)
-    p = _quadrinomial(a)
-    rect = a.get("rect", str, None)
-    if rect:
-        lo_re, lo_im, hi_re, hi_im = (float(x) for x in rect.split(","))
+    p = _quadrinomial(ns)
+    if ns.rect:
+        lo_re, lo_im, hi_re, hi_im = (float(x) for x in ns.rect.split(","))
         contour = Rectangle(complex(lo_re, lo_im), complex(hi_re, hi_im))
+    elif ns.radius is None:
+        # Checked here, not by an argparse group: a shared config file may
+        # set radius (for circle-image) while the command line gives --rect.
+        raise QuadzeroError("winding needs --radius or --rect")
     else:
-        contour = Circle(
-            complex(a.get("center_re", float, 0.0), a.get("center_im", float, 0.0)),
-            a.get("radius", float),
-        )
+        contour = Circle(complex(ns.center_re, ns.center_im), ns.radius)
     rep = winding_number(p, contour)
     print(
         json.dumps(
@@ -249,18 +209,13 @@ def cmd_winding(ns: argparse.Namespace) -> int:
 
 
 def cmd_critical_circle(ns: argparse.Namespace) -> int:
-    a = _Args(ns)
-    cc = critical_radius(a.get("b", float), a.get("c", float), a.get("k", int))
+    cc = critical_radius(ns.b, ns.c, ns.k)
     print(json.dumps({"exists": cc.exists, "radius": cc.radius, "k": cc.k}))
     return 0
 
 
 def cmd_circle_image(ns: argparse.Namespace) -> int:
-    a = _Args(ns)
-    p = _quadrinomial(a)
-    pts = circle_image(
-        p, a.get("radius", float), a.get("samples", int, 256)
-    )
+    pts = circle_image(_quadrinomial(ns), ns.radius, ns.samples)
     print("re,im")
     for w in pts:
         print(f"{_fmt17(w.real)},{_fmt17(w.imag)}")
@@ -275,19 +230,17 @@ def _parse_range(spec: str) -> Axis:
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
-    a = _Args(ns)
     grid = run_sweep(
-        _parse_range(a.get("b_range", str)),
-        _parse_range(a.get("c_range", str)),
-        k=a.get("k", int),
-        n=a.get("n", int),
-        m=a.get("m", int),
-        threads=_default_threads(a),
+        _parse_range(ns.b_range),
+        _parse_range(ns.c_range),
+        k=ns.k,
+        n=ns.n,
+        m=ns.m,
+        threads=ns.threads,
     )
     for line in sweep_csv_lines(grid):
         print(line)
-    svg_path = a.get("svg", str, None)
-    if svg_path:
+    if ns.svg:
         zeros = []
         radii = []
         crit = set()
@@ -301,7 +254,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             r = _svg_critical_radius(cell.b, cell.c, grid.k, grid.n, grid.m)
             if r is not None:
                 crit.add(round(r, 12))
-        with open(svg_path, "w") as fh:
+        with open(ns.svg, "w") as fh:
             fh.write(
                 render_zero_plot(
                     zeros,
@@ -312,12 +265,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _add_quad_flags(sp):
-    sp.add_argument("--b", type=float)
-    sp.add_argument("--c", type=float)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--m", type=int)
+def _add_quad_flags(sp, names="bcknm"):
+    for name in names:
+        sp.add_argument(f"--{name}", type=float if name in "bc" else int, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,49 +289,54 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = new("zeros", cmd_zeros, "locate and classify all zeros (CSV/JSON)")
     _add_quad_flags(sp)
-    sp.add_argument("--format", choices=("csv", "json"))
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--svg", help="write a zero-plot SVG to this path")
 
     sp = new("classify", cmd_classify, "orientation of q at a point (JSON)")
     _add_quad_flags(sp)
-    sp.add_argument("--re", type=float)
-    sp.add_argument("--im", type=float)
-    sp.add_argument("--singular-tol", dest="singular_tol", type=float)
+    sp.add_argument("--re", type=float, required=True)
+    sp.add_argument("--im", type=float, default=0.0)
+    sp.add_argument("--singular-tol", dest="singular_tol", type=float, default=1e-12)
 
     sp = new("winding", cmd_winding, "winding number along a contour (JSON)")
     _add_quad_flags(sp)
     sp.add_argument("--radius", type=float, help="circle radius")
-    sp.add_argument("--center-re", dest="center_re", type=float)
-    sp.add_argument("--center-im", dest="center_im", type=float)
+    sp.add_argument("--center-re", dest="center_re", type=float, default=0.0)
+    sp.add_argument("--center-im", dest="center_im", type=float, default=0.0)
     sp.add_argument("--rect", help="rectangle as loRe,loIm,hiRe,hiIm")
 
     sp = new(
         "critical-circle", cmd_critical_circle, "critical circle radius (JSON)"
     )
-    sp.add_argument("--b", type=float)
-    sp.add_argument("--c", type=float)
-    sp.add_argument("--k", type=int)
+    _add_quad_flags(sp, "bck")
 
     sp = new("circle-image", cmd_circle_image, "image of a circle under q (CSV)")
     _add_quad_flags(sp)
-    sp.add_argument("--radius", type=float)
-    sp.add_argument("--samples", type=int)
+    sp.add_argument("--radius", type=float, required=True)
+    sp.add_argument("--samples", type=int, default=256)
 
     sp = new("sweep", cmd_sweep, "parameter sweep over a (b,c) grid (CSV)")
-    sp.add_argument("--b-range", dest="b_range", help="lo:hi:steps")
-    sp.add_argument("--c-range", dest="c_range", help="lo:hi:steps")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--threads", type=int)
+    sp.add_argument("--b-range", dest="b_range", required=True, help="lo:hi:steps")
+    sp.add_argument("--c-range", dest="c_range", required=True, help="lo:hi:steps")
+    _add_quad_flags(sp, "knm")
+    # A string default goes through type=int only when --threads is absent.
+    sp.add_argument(
+        "--threads",
+        type=int,
+        default=os.environ.get("QUADZERO_THREADS") or os.cpu_count() or 1,
+        help="worker processes (default: $QUADZERO_THREADS, else the CPU count)",
+    )
     sp.add_argument("--svg", help="write a zero-plot SVG to this path")
 
+    # The flag each config key stands for, per subcommand.
     parser.set_defaults(
-        config_keys={
-            action.dest
-            for sp in sub.choices.values()
-            for action in sp._actions
-            if action.option_strings and action.dest != "help"
+        config_flags={
+            name: {
+                action.dest: action.option_strings[0]
+                for action in sp._actions
+                if action.option_strings and action.dest not in ("help", "config")
+            }
+            for name, sp in sub.choices.items()
         }
     )
     return parser
@@ -389,16 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        ns = parser.parse_args(_with_config(parser, argv))
         return ns.func(ns)
+    except SystemExit as exc:  # argparse: usage error (2) or --help (0)
+        return exc.code
     except NumericalError as exc:
         print(f"quadzero: {exc}", file=sys.stderr)
         return 3
-    except QuadzeroError as exc:
-        print(f"quadzero: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as exc:
+    except (QuadzeroError, ValueError, TypeError, OSError) as exc:
         print(f"quadzero: {exc}", file=sys.stderr)
         return 2
 

@@ -199,14 +199,25 @@ def test_criterion_7_closed_form_equivalence():
 
 
 def _oracle_count(p: HarmonicQuadrinomial, radius: float) -> int:
-    """Dense-grid + Newton-polish zero count, pitch radius/400."""
+    """Dense-grid + Newton-polish zero count, pitch radius/400.
+
+    Each grid point takes up to 60 Newton steps.  A point stops once
+    |q| <= 1e-10 and is then accepted where it stands; a point whose
+    iterate is no longer finite can never become finite again, so it is
+    dropped.
+    """
     pitch = radius / 400.0
     xs = np.arange(-radius, radius + 0.5 * pitch, pitch)
     grid_x, grid_y = np.meshgrid(xs, xs)
     z = (grid_x + 1j * grid_y).ravel()
     b, c, k, n, m = p.b, p.c, p.k, p.n, p.m
+    accepted = []
     for _ in range(60):
         q = b * z**k + np.conj(z) ** n + c * np.conj(z) ** m + z
+        finite = np.isfinite(z)
+        done = finite & (np.abs(q) <= 1e-10)
+        accepted.append(z[done])
+        z, q = z[finite & ~done], q[finite & ~done]
         fz = b * k * z ** (k - 1) + 1.0
         fzb = np.conj(n * z ** (n - 1) + c * m * z ** (m - 1))
         jac = np.abs(fz) ** 2 - np.abs(fzb) ** 2
@@ -214,13 +225,26 @@ def _oracle_count(p: HarmonicQuadrinomial, radius: float) -> int:
         step = (fzb * np.conj(q) - np.conj(fz) * q) / np.where(safe, jac, 1.0)
         z = z + np.where(safe, step, 0.0)
     q = b * z**k + np.conj(z) ** n + c * np.conj(z) ** m + z
-    converged = z[np.isfinite(z) & (np.abs(q) <= 1e-10)]
+    accepted.append(z[np.isfinite(z) & (np.abs(q) <= 1e-10)])
+    converged = np.concatenate(accepted)
     converged = converged[np.lexsort((converged.imag, converged.real))]
-    roots: list[complex] = []
-    for w in converged:
-        if all(abs(w - r) > 1e-6 for r in roots):
-            roots.append(complex(w))
-    return len(roots)
+    # Greedy dedup in sorted order: a point is a new root unless it lies
+    # within 1e-6 of an earlier root.  Each pass takes the first point left
+    # as a root and drops every point within 1e-6 of it, so the points left
+    # are those farther than 1e-6 from every root so far, and the first of
+    # them is the greedy scan's next root.  The vector np.abs can differ
+    # from the scalar abs in the last bit, so distances within 1e-20
+    # (about 50 ulps) of the threshold are settled by the scalar abs.
+    count = 0
+    while converged.size:
+        root = converged[0]
+        dist = np.abs(converged - root)
+        far = dist > 1e-6
+        for i in np.flatnonzero(np.abs(dist - 1e-6) <= 1e-20):
+            far[i] = abs(converged[i] - root) > 1e-6
+        converged = converged[far]
+        count += 1
+    return count
 
 
 def test_criterion_8_oracle_cross_validation(solved_batch):

@@ -93,6 +93,13 @@ class TestZeros:
         assert code == 0
         assert svg.read_text().count("stroke-dasharray") == circles
 
+    def test_unwritable_svg_path_exits_2(self, capsys, tmp_path):
+        svg = tmp_path / "no" / "such" / "dir" / "z.svg"
+        code, _, err = run(capsys, ["zeros", *QUINTET, "--svg", str(svg)])
+        assert code == 2
+        assert err.startswith("quadzero: ") and len(err.splitlines()) == 1
+        assert "No such file or directory" in err
+
     def test_unavailable_bound_exits_2(self, capsys):
         code, _, err = run(
             capsys,
@@ -191,7 +198,7 @@ class TestConfigFile:
         assert code == 2
         assert "key=value" in err
 
-    @pytest.mark.parametrize("key", ["max_depth", "accept-tol", "b_rnage"])
+    @pytest.mark.parametrize("key", ["max_depth", "accept-tol", "b_rnage", "config"])
     def test_unknown_key_exits_2(self, capsys, tmp_path, key):
         cfgfile = tmp_path / "quad.cfg"
         cfgfile.write_text(f"b = 0.5\nc = 2\nk = 4\nn = 2\nm = 1\n{key} = 3\n")
@@ -199,6 +206,58 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert key.replace("-", "_") in err
+
+    def test_bad_value_names_its_flag(self, capsys, tmp_path):
+        cfgfile = tmp_path / "quad.cfg"
+        cfgfile.write_text("b = 0.5\nc = 2\nk = four\nn = 2\nm = 1\n")
+        code, out, err = run(capsys, ["radius", "--config", str(cfgfile)])
+        assert code == 2
+        assert out == ""
+        assert "--k" in err and "'four'" in err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_exits_2(self, capsys, tmp_path, kind):
+        path = tmp_path / "nope.cfg" if kind == "missing" else tmp_path
+        code, out, err = run(capsys, ["radius", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("quadzero: ") and len(err.splitlines()) == 1
+        assert str(path) in err
+
+    def test_abbreviated_config_flag(self, capsys, tmp_path):
+        cfgfile = tmp_path / "quad.cfg"
+        cfgfile.write_text("b = 0.5\nc = 2\nk = 4\nn = 2\nm = 1\n")
+        code, out, _ = run(capsys, ["radius", "--conf", str(cfgfile)])
+        assert code == 0
+        assert json.loads(out)["source"] == "Thm31"
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("radius", {"b": "0.5", "c": "2", "k": "4", "n": "2", "m": "1"}),
+            ("zeros", {"b": "2", "c": "3", "k": "4", "n": "3", "m": "1",
+                       "format": "json"}),
+            ("classify", {"b": "0", "c": "0", "k": "1", "n": "3", "m": "1",
+                          "re": "0.1", "im": "-0.2", "singular_tol": "1e-9"}),
+            ("winding", {"b": "0", "c": "0", "k": "1", "n": "3", "m": "1",
+                         "radius": "0.5", "center_re": "0.9",
+                         "center_im": "-0.1"}),
+            ("critical-circle", {"b": "2", "c": "3", "k": "2"}),
+            ("circle-image", {"b": "0", "c": "0", "k": "1", "n": "3", "m": "1",
+                              "radius": "1", "samples": "16"}),
+            ("sweep", {"b_range": "0.5:2:2", "c_range": "-1:1:2", "k": "3",
+                       "n": "2", "m": "1", "threads": "1"}),
+        ],
+    )
+    def test_every_flag_from_config(self, capsys, tmp_path, command, flags):
+        cfgfile = tmp_path / "all.cfg"
+        cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in flags.items()))
+        argv = [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
+        code, out_flags, _ = run(capsys, [command, *argv])
+        assert code == 0
+        code, out_cfg, _ = run(capsys, [command, "--config", str(cfgfile)])
+        assert code == 0
+        assert out_cfg == out_flags != ""
 
     def test_keys_of_other_subcommands_accepted(self, capsys, tmp_path):
         # n, m belong to zeros/radius; threads to sweep; one shared file
@@ -251,3 +310,22 @@ class TestSweep:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 5
+
+    @pytest.mark.parametrize(
+        "threads, code", [(["--threads", "1"], 0), ([], 2)], ids=["flag", "no-flag"]
+    )
+    def test_bad_env_threads_read_only_without_flag(
+        self, capsys, monkeypatch, threads, code
+    ):
+        monkeypatch.setenv("QUADZERO_THREADS", "abc")
+        got, out, err = run(
+            capsys,
+            ["sweep", "--b-range", "1:2:2", "--c-range", "2:3:2",
+             "--k", "4", "--n", "2", "--m", "1", *threads],
+        )
+        assert got == code
+        if code == 0:
+            assert len(out.strip().splitlines()) == 5
+        else:
+            assert out == ""
+            assert "--threads" in err and "'abc'" in err

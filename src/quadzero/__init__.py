@@ -44,10 +44,8 @@ from .realroots import (
 from .solver import (
     ZeroRecord,
     ZeroSetReport,
-    count_zeros,
     find_zeros,
     newton_step,
-    real_system,
 )
 from .sweep import Axis, SweepCell, SweepGrid, run_sweep, sweep_csv_lines
 
@@ -76,7 +74,6 @@ __all__ = [
     "classify_point",
     "coanalytic_derivative",
     "count_bound",
-    "count_zeros",
     "critical_radius",
     "critical_radius_alt",
     "deflate_at_one",
@@ -90,7 +87,6 @@ __all__ = [
     "pure_imaginary_rays",
     "radius_bound",
     "radius_polynomial",
-    "real_system",
     "run_sweep",
     "sign_changes",
     "sweep_csv_lines",

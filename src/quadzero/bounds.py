@@ -1,11 +1,11 @@
 """Zero-inclusion disks and zero-count bounds for the quadrinomial family.
 
-The primary route builds the radius equation |b|x^(k+1) - (|b|+|c|)x^k + |c| = 0
-(or its |c| <= 1 variant with |c| replaced by 1), deflates the trivial root
-x = 1, and isolates the remaining positive root.  Outside the hypotheses
-(b, c nonzero and k > n) a cruder triangle-inequality disk is produced so
-parameter sweeps never stall; the one genuinely unbounded-looking case
-(k = n with |b| = 1) is reported as unavailable.
+One route gives the disk for every instance: the triangle inequality
+leaves a majorant with one sign change, whose positive root, rounded
+outward, bounds every zero.  k = n with |b| = 1 has none (unavailable).
+Where b, c != 0 and k > n the paper's radius equation |b|x^(k+1) -
+(|b|+|c|)x^k + |c| = 0 (|c| replaced by 1 when |c| <= 1), deflated at
+x = 1, gives delta; for k >= 4 the disk is never larger.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import HypothesisViolation
+from .errors import HypothesisViolation, NonConvergence
 from .model import HarmonicQuadrinomial
 from .realroots import RealPoly, deflate_at_one, positive_root_bracketed
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class BoundSource(enum.Enum):
@@ -73,62 +75,57 @@ def radius_polynomial(p: HarmonicQuadrinomial) -> tuple[RealPoly, BoundSource]:
     return RealPoly(tuple(coeffs)), source
 
 
-def _majorant_root(p: HarmonicQuadrinomial) -> float:
-    """Positive root of |b|x^k - x^n - |c|x^m - x (requires b != 0, k > n).
+def _majorant(p: HarmonicQuadrinomial) -> Optional[RealPoly]:
+    """M(x): a*x^d minus every other |term| of q at |z| = x; None if a = 0.
 
-    By the triangle inequality |q(z)| >= |b||z|^k - |z|^n - |c||z|^m - |z|,
-    so every zero of q has modulus at most this root.  The coefficient
-    sequence has exactly one sign change, hence a unique positive root.
+    a*x^d bounds the dominant term below: |b|x^k when k > n, x^n when
+    k < n or b = 0, ||b| - 1|x^k when k = n.  |q(z)| >= M(|z|).
     """
-    coeffs = [0.0] * (p.k + 1)
-    coeffs[p.k] = abs(p.b)
-    coeffs[p.n] -= 1.0
-    coeffs[p.m] -= abs(p.c)
-    coeffs[1] -= 1.0
-    return positive_root_bracketed(RealPoly(tuple(coeffs))).value
+    bb, cc = abs(p.b), abs(p.c)
+    if bb == 0.0 or p.k < p.n:
+        lead, d, rest = 1.0, p.n, ((bb, p.k), (cc, p.m), (1.0, 1))
+    elif p.k > p.n:
+        lead, d, rest = bb, p.k, ((1.0, p.n), (cc, p.m), (1.0, 1))
+    else:
+        lead, d, rest = abs(bb - 1.0), p.k, ((cc, p.m), (1.0, 1))
+    if lead == 0.0:
+        return None
+    coeffs = [0.0] * d + [lead]
+    for coef, deg in rest:
+        if coef:
+            coeffs[deg] -= coef
+    return RealPoly(tuple(coeffs))
 
 
 def radius_bound(p: HarmonicQuadrinomial) -> DiskBound:
-    """Zero-inclusion disk; hypothesis checks route internally.
+    """The disk of the majorant M of `_majorant`; UNAVAILABLE if it has none.
 
-    Fallbacks (all from termwise triangle inequalities on |z| >= 1):
-      - b = 0 or k < n: the degree-n co-analytic term dominates,
-        R = max(1, |b| + |c| + 1).
-      - k > n with c = 0: |b||z|^k <= |z|^n + |z| <= 2|z|^n,
-        R = max(1, (2/|b|)^(1/(k-n))).
-      - k = n, |b| != 1: |b z^k + conj(z)^k| >= ||b|-1| |z|^k,
-        R = max(1, (|c|+1)/||b|-1|).
-      - k = n, |b| = 1: no disk from these estimates; UNAVAILABLE.
+    M's only positive coefficient is its leading one, so M has one
+    positive root rho, below which it is negative: every zero has
+    |z| <= rho.  R = max(1, rho), grown until M(R) exceeds gamma*sum
+    |a_i| R^i, a bound on the rounding of the coefficients and of Horner's
+    rule; the step doubles, so it ends in a few steps.
+
+    delta is the paper's root (Theorems 3.1/3.2: b, c != 0, k > n).  For
+    k >= 4, rho <= max(1, delta), so no min is taken: at x = max(1, delta)
+    the deflated radius equation gives |b|x^k >= C(1 + x + ... + x^(k-1))
+    >= x^n + |c|x^m + x, C = max(1, |c|).  At k = 3 delta can undershoot.
     """
-    bb, cc = abs(p.b), abs(p.c)
-    if p.b != 0.0 and p.c != 0.0 and p.k > p.n:
-        poly, source = radius_polynomial(p)
-        delta = positive_root_bracketed(deflate_at_one(poly)).value
-        if p.k == 3:
-            # The radius equation rests on the termwise comparison
-            # x + x^n + x^m <= x^(k-1) + ... + x + 1 (x >= 1), which
-            # needs three distinct geometric-sum terms and so k >= 4.
-            # At k = 3 (forcing n = 2, m = 1) the left side is
-            # x^2 + 2x > x^2 + x + 1, and the equation's root can
-            # undershoot a real zero of q.  Guard with the direct
-            # majorant |b|x^k - x^n - |c|x^m - x, whose single positive
-            # root always bounds |z| for any zero.
-            guard = _majorant_root(p)
-            if guard > delta:
-                return DiskBound(
-                    max(1.0, guard), guard, BoundSource.FALLBACK_CAUCHY
-                )
-        return DiskBound(max(1.0, delta), delta, source)
-    if p.b == 0.0 or p.k < p.n:
-        return DiskBound(max(1.0, bb + cc + 1.0), None, BoundSource.FALLBACK_CAUCHY)
-    if p.k > p.n:  # b != 0, c == 0
-        r = (2.0 / bb) ** (1.0 / (p.k - p.n))
-        return DiskBound(max(1.0, r), None, BoundSource.FALLBACK_CAUCHY)
-    # k == n
-    if bb != 1.0:
-        r = (cc + 1.0) / abs(bb - 1.0)
-        return DiskBound(max(1.0, r), None, BoundSource.FALLBACK_CAUCHY)
-    return DiskBound(math.inf, None, BoundSource.UNAVAILABLE)
+    poly = _majorant(p)
+    if poly is None:
+        return DiskBound(math.inf, None, BoundSource.UNAVAILABLE)
+    gamma = 4.0 * (poly.degree + 2) * _UNIT_ROUNDOFF
+    size = RealPoly(tuple(abs(a) for a in poly.coeffs))
+    radius, step = max(1.0, positive_root_bracketed(poly).value), gamma
+    while not poly(radius) > gamma * size(radius):
+        if math.isinf(radius):
+            raise NonConvergence("the inclusion majorant overflows")
+        radius, step = radius * (1.0 + step), 2.0 * step
+    if p.b == 0.0 or p.c == 0.0 or not p.k > p.n:
+        return DiskBound(radius, None, BoundSource.FALLBACK_CAUCHY)
+    theorem, source = radius_polynomial(p)
+    delta = positive_root_bracketed(deflate_at_one(theorem)).value
+    return DiskBound(radius, delta, source)
 
 
 def count_bound(p: HarmonicQuadrinomial) -> CountBound:

@@ -4,8 +4,9 @@ Subcommands: radius, zeros, classify, winding, critical-circle,
 circle-image, sweep.  JSON for scalar answers, CSV for tabular data, SVG
 for plots; stdout carries data, stderr carries diagnostics.
 
-Exit codes: 0 success, 2 hypothesis/precondition violation, usage error
-or unreadable file, 3 numerical non-convergence.  Any flag may also come
+Exit codes: 0 success, 1 stdout closed by its reader (nothing more is
+written, not even to stderr), 2 hypothesis/precondition violation, usage
+error or unreadable file, 3 numerical non-convergence.  Any flag may also come
 from a key=value config file via --config PATH: each key becomes a
 --key=value flag placed before the command line's own flags, so argparse
 checks both and command-line values win.  A config file may set the flags
@@ -129,6 +130,17 @@ def _zero_fields(rec) -> dict:
 def cmd_zeros(ns: argparse.Namespace) -> int:
     p = _quadrinomial(ns)
     report = find_zeros(p)
+    # The SVG goes first: an unwritable path exits 2 before any stdout.
+    if ns.svg:
+        crit = _svg_critical_radius(p.b, p.c, p.k, p.n, p.m)
+        with open(ns.svg, "w") as fh:
+            fh.write(
+                render_zero_plot(
+                    [(rec.location, rec.orientation) for rec in report.zeros],
+                    bounding_radius=report.disk.radius,
+                    critical_radii=[] if crit is None else [crit],
+                )
+            )
     zeros = [_zero_fields(rec) for rec in report.zeros]
     if ns.format == "csv":
         print(ZEROS_HEADER)
@@ -150,16 +162,6 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
                 }
             )
         )
-    if ns.svg:
-        crit = _svg_critical_radius(p.b, p.c, p.k, p.n, p.m)
-        with open(ns.svg, "w") as fh:
-            fh.write(
-                render_zero_plot(
-                    [(rec.location, rec.orientation) for rec in report.zeros],
-                    bounding_radius=report.disk.radius,
-                    critical_radii=[] if crit is None else [crit],
-                )
-            )
     return 0
 
 
@@ -185,9 +187,8 @@ def cmd_classify(ns: argparse.Namespace) -> int:
 
 def cmd_winding(ns: argparse.Namespace) -> int:
     p = _quadrinomial(ns)
-    if ns.rect:
-        lo_re, lo_im, hi_re, hi_im = (float(x) for x in ns.rect.split(","))
-        contour = Rectangle(complex(lo_re, lo_im), complex(hi_re, hi_im))
+    if ns.rect is not None:
+        contour = ns.rect
     elif ns.radius is None:
         # Checked here, not by an argparse group: a shared config file may
         # set radius (for circle-image) while the command line gives --rect.
@@ -222,25 +223,11 @@ def cmd_circle_image(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_range(spec: str) -> Axis:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise QuadzeroError(f"bad range {spec!r} (want lo:hi:steps)")
-    return Axis(float(parts[0]), float(parts[1]), int(parts[2]))
-
-
 def cmd_sweep(ns: argparse.Namespace) -> int:
     grid = run_sweep(
-        _parse_range(ns.b_range),
-        _parse_range(ns.c_range),
-        k=ns.k,
-        n=ns.n,
-        m=ns.m,
-        threads=ns.threads,
+        ns.b_range, ns.c_range, k=ns.k, n=ns.n, m=ns.m, threads=ns.threads
     )
-    for line in sweep_csv_lines(grid):
-        print(line)
-    if ns.svg:
+    if ns.svg:  # before stdout, as in cmd_zeros
         zeros = []
         radii = []
         crit = set()
@@ -262,7 +249,29 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
                     critical_radii=sorted(crit),
                 )
             )
+    for line in sweep_csv_lines(grid):
+        print(line)
     return 0
+
+
+def _rect(spec: str) -> Rectangle:
+    try:
+        lo_re, lo_im, hi_re, hi_im = (float(x) for x in spec.split(","))
+        return Rectangle(complex(lo_re, lo_im), complex(hi_re, hi_im))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"{spec!r} is not loRe,loIm,hiRe,hiIm ({exc})"
+        ) from None
+
+
+def _axis(spec: str) -> Axis:
+    try:
+        lo, hi, steps = spec.split(":")
+        return Axis(float(lo), float(hi), int(steps))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"{spec!r} is not lo:hi:steps ({exc})"
+        ) from None
 
 
 def _add_quad_flags(sp, names="bcknm"):
@@ -303,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radius", type=float, help="circle radius")
     sp.add_argument("--center-re", dest="center_re", type=float, default=0.0)
     sp.add_argument("--center-im", dest="center_im", type=float, default=0.0)
-    sp.add_argument("--rect", help="rectangle as loRe,loIm,hiRe,hiIm")
+    sp.add_argument("--rect", type=_rect, help="rectangle as loRe,loIm,hiRe,hiIm")
 
     sp = new(
         "critical-circle", cmd_critical_circle, "critical circle radius (JSON)"
@@ -316,8 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=256)
 
     sp = new("sweep", cmd_sweep, "parameter sweep over a (b,c) grid (CSV)")
-    sp.add_argument("--b-range", dest="b_range", required=True, help="lo:hi:steps")
-    sp.add_argument("--c-range", dest="c_range", required=True, help="lo:hi:steps")
+    for axis in ("b", "c"):
+        sp.add_argument(
+            f"--{axis}-range", dest=f"{axis}_range", type=_axis, required=True,
+            help="lo:hi:steps",
+        )
     _add_quad_flags(sp, "knm")
     # A string default goes through type=int only when --threads is absent.
     sp.add_argument(
@@ -347,9 +359,17 @@ def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         ns = parser.parse_args(_with_config(parser, argv))
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
     except SystemExit as exc:  # argparse: usage error (2) or --help (0)
         return exc.code
+    except BrokenPipeError:
+        # The reader has gone (e.g. `| head`): stop quietly, and send the
+        # interpreter's last flush to devnull, as the Python signal docs
+        # advise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except NumericalError as exc:
         print(f"quadzero: {exc}", file=sys.stderr)
         return 3

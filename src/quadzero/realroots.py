@@ -131,6 +131,8 @@ def positive_root_bracketed(p: RealPoly) -> PositiveRoot:
 
     while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
+            break
         f_mid = q(mid)
         if f_mid == 0.0:
             lo = hi = mid
@@ -145,15 +147,14 @@ def positive_root_bracketed(p: RealPoly) -> PositiveRoot:
 
     x = 0.5 * (lo + hi)
     dq = q.derivative()
-    deg = p.degree
-    coeff_sum = sum(abs(a) for a in p.coeffs)
-
-    def residual_tol(v: float) -> float:
-        return 1e-13 * coeff_sum * max(1.0, v) ** deg
+    # The residual is judged against sum |a_i| x^i, the size of q's terms
+    # at x.  One sign change makes the root well conditioned (x q'(x) is
+    # at least half that size there), so the root is relatively accurate.
+    size = RealPoly(tuple(abs(a) for a in q.coeffs))
 
     while True:
         fx = q(x)
-        if abs(fx) <= residual_tol(x):
+        if abs(fx) <= 1e-13 * size(x):
             break
         dfx = dq(x)
         if dfx == 0.0:

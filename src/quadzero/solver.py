@@ -77,12 +77,6 @@ class ZeroSetReport:
     winding: Optional[int] = None
 
 
-def real_system(p: HarmonicQuadrinomial, z: complex) -> tuple[float, float]:
-    """(Re q(z), Im q(z)); both vanish iff q(z) = 0."""
-    v = evaluate(p, z)
-    return (v.real, v.imag)
-
-
 def newton_step(
     p: HarmonicQuadrinomial, z: complex, max_step: float = math.inf
 ) -> complex:
@@ -310,7 +304,3 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         winding_check=winding_check,
         winding=winding,
     )
-
-
-def count_zeros(p: HarmonicQuadrinomial) -> int:
-    return find_zeros(p).count

@@ -1,4 +1,9 @@
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadzero import (
     BoundSource,
@@ -26,7 +31,7 @@ class TestRadiusBound:
         db = radius_bound(p)
         assert db.source is BoundSource.THM31
         assert db.delta == pytest.approx(expected, abs=1e-10)
-        assert db.radius == pytest.approx(2.458972346378018, abs=1e-9)
+        assert db.radius == pytest.approx(1.4505401701440732, abs=1e-9)
 
     def test_small_c_route(self):
         p = HarmonicQuadrinomial(b=2.0, c=1.0, k=4, n=3, m=1)
@@ -47,7 +52,7 @@ class TestRadiusBound:
         p = HarmonicQuadrinomial(b=0.0, c=3.0, k=1, n=3, m=2)
         db = radius_bound(p)
         assert db.source is BoundSource.FALLBACK_CAUCHY
-        assert db.radius == pytest.approx(4.0)
+        assert db.radius == pytest.approx((3.0 + math.sqrt(13.0)) / 2.0)
         assert db.delta is None
 
     def test_unavailable_when_degrees_tie_with_unit_b(self):
@@ -59,7 +64,7 @@ class TestRadiusBound:
         p = HarmonicQuadrinomial(b=3.0, c=2.0, k=3, n=3, m=1)
         db = radius_bound(p)
         assert db.source is BoundSource.FALLBACK_CAUCHY
-        assert db.radius == pytest.approx((2.0 + 1.0) / 2.0)
+        assert db.radius == pytest.approx(math.sqrt(1.5))
 
     def test_radius_at_least_one(self):
         p = HarmonicQuadrinomial(b=5.0, c=0.1, k=6, n=2, m=1)
@@ -92,6 +97,62 @@ class TestRadiusBound:
         p = HarmonicQuadrinomial(b=0.0, c=3.0, k=5, n=3, m=1)
         with pytest.raises(HypothesisViolation):
             radius_polynomial(p)
+
+
+def _exact_majorant(p, x):
+    """A lower bound on |q(z)| at |z| = x, in exact rational arithmetic."""
+    b, c = abs(Fraction(p.b)), abs(Fraction(p.c))
+    rest = c * x**p.m + x
+    if b != 0 and p.k > p.n:
+        return b * x**p.k - x**p.n - rest
+    if b != 0 and p.k == p.n:
+        return abs(b - 1) * x**p.k - rest
+    return x**p.n - b * x**p.k - rest
+
+
+signs = st.sampled_from((-1.0, 1.0))
+magnitudes = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def instances(draw):
+    """The interior, and the boundaries b = 0, c = 0, |c| = 1, k = 1,
+    k < n, m = 1, and k = n with |b| within 1e-3 of 1."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    m = draw(st.one_of(st.just(1), st.integers(min_value=1, max_value=n - 1)))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(min_value=1, max_value=10)))
+    near_unit = st.floats(min_value=-1e-3, max_value=1e-3).map(lambda e: 1.0 + e)
+    b = draw(signs) * draw(st.one_of(st.just(0.0), magnitudes, near_unit))
+    c = draw(signs) * draw(st.one_of(st.just(0.0), st.just(1.0), magnitudes))
+    return HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
+
+
+@given(instances())
+@settings(max_examples=300, deadline=None)
+def test_majorant_positive_at_radius(p):
+    # The majorant has one positive root and is negative below it, so
+    # being positive at R puts every zero strictly inside the disk.
+    disk = radius_bound(p)
+    if disk.source is BoundSource.UNAVAILABLE:
+        assert p.k == p.n and abs(p.b) == 1.0
+        return
+    assert disk.radius >= 1.0
+    assert _exact_majorant(p, Fraction(disk.radius)) > 0
+
+
+@given(
+    b=signs.flatmap(lambda s: magnitudes.map(lambda v: s * v)),
+    c=signs.flatmap(lambda s: magnitudes.map(lambda v: s * v)),
+    k=st.integers(min_value=4, max_value=10),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_radius_never_exceeds_the_theorems(b, c, k, data):
+    n = data.draw(st.integers(min_value=2, max_value=k - 1))
+    m = data.draw(st.integers(min_value=1, max_value=n - 1))
+    disk = radius_bound(HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m))
+    assert disk.source in (BoundSource.THM31, BoundSource.THM32)
+    assert disk.radius <= max(1.0, disk.delta)
 
 
 class TestCountBound:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import quadzero
 from quadzero.cli import ZEROS_HEADER, main
 from quadzero.sweep import SWEEP_HEADER
 
@@ -25,7 +30,7 @@ class TestRadius:
         assert code == 0
         doc = json.loads(out)
         assert doc["source"] == "Thm31"
-        assert doc["radius"] == doc["delta"] > 1.0
+        assert 1.0 <= doc["radius"] < doc["delta"]
 
     def test_fallback_route(self, capsys):
         code, out, _ = run(
@@ -35,7 +40,7 @@ class TestRadius:
         assert code == 0
         doc = json.loads(out)
         assert doc["source"] == "FallbackCauchy"
-        assert doc["radius"] == pytest.approx(4.0)
+        assert doc["radius"] == pytest.approx(2.0)
         assert doc["delta"] is None
 
     def test_missing_flag_exits_2(self, capsys):
@@ -95,8 +100,9 @@ class TestZeros:
 
     def test_unwritable_svg_path_exits_2(self, capsys, tmp_path):
         svg = tmp_path / "no" / "such" / "dir" / "z.svg"
-        code, _, err = run(capsys, ["zeros", *QUINTET, "--svg", str(svg)])
+        code, out, err = run(capsys, ["zeros", *QUINTET, "--svg", str(svg)])
         assert code == 2
+        assert out == ""
         assert err.startswith("quadzero: ") and len(err.splitlines()) == 1
         assert "No such file or directory" in err
 
@@ -143,6 +149,12 @@ class TestWinding:
         code, _, err = run(capsys, ["winding", *QUINTET, "--radius", "1"])
         assert code == 3
         assert "contour" in err
+
+    def test_bad_rect_exits_2(self, capsys):
+        code, out, err = run(capsys, ["winding", *QUINTET, "--rect", "1,2,3"])
+        assert code == 2
+        assert out == ""
+        assert "--rect" in err and "loRe,loIm,hiRe,hiIm" in err
 
 
 class TestCriticalCircle:
@@ -301,6 +313,18 @@ class TestSweep:
         assert code == 2
         assert "lo:hi:steps" in err
 
+    def test_unwritable_svg_path_exits_2(self, capsys, tmp_path):
+        svg = tmp_path / "no" / "such" / "dir" / "s.svg"
+        code, out, err = run(
+            capsys,
+            ["sweep", "--b-range", "1:2:2", "--c-range", "2:3:2",
+             "--k", "4", "--n", "2", "--m", "1", "--threads", "1", "--svg", str(svg)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("quadzero: ") and len(err.splitlines()) == 1
+        assert "No such file or directory" in err
+
     def test_env_thread_default(self, capsys, monkeypatch):
         monkeypatch.setenv("QUADZERO_THREADS", "1")
         code, out, _ = run(
@@ -329,3 +353,30 @@ class TestSweep:
         else:
             assert out == ""
             assert "--threads" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        (["circle-image", *QUINTET, "--radius", "1", "--samples", "50000"], 1),
+        (["radius", *QUINTET], 0),
+    ],
+    ids=["mid-output", "before-output"],
+)
+def test_closed_pipe_exits_1_quietly(argv, lines_read):
+    # The reader closes stdout after one line of a 2 MB answer, or before
+    # a small answer is written, which then fails at the final flush.
+    # stdout is block-buffered, as it is for a user's pipe.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(quadzero.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadzero.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

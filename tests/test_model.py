@@ -54,6 +54,13 @@ class TestEvaluate:
         p = HarmonicQuadrinomial(b=1.0, c=1.0, k=2, n=2, m=1)
         assert evaluate(p, 1 + 0j) == 4 + 0j
 
+    def test_hand_expansion_at_i(self):
+        # i^2 + (-i)^2 + (-i) + i = -2
+        p = HarmonicQuadrinomial(b=1.0, c=1.0, k=2, n=2, m=1)
+        v = evaluate(p, 1j)
+        assert v.real == pytest.approx(-2.0)
+        assert v.imag == pytest.approx(0.0)
+
 
 class TestDerivatives:
     def test_analytic_derivative_direct(self):

@@ -35,7 +35,6 @@ from .model import (
     jacobian,
 )
 from .realroots import (
-    PositiveRoot,
     RealPoly,
     deflate_at_one,
     positive_root_bracketed,
@@ -60,7 +59,6 @@ __all__ = [
     "DiskBound",
     "HarmonicQuadrinomial",
     "OrientationClass",
-    "PositiveRoot",
     "RealPoly",
     "Rectangle",
     "SweepCell",

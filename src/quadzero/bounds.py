@@ -1,11 +1,12 @@
 """Zero-inclusion disks and zero-count bounds for the quadrinomial family.
 
 One route gives the disk for every instance: the triangle inequality
-leaves a majorant with one sign change, whose positive root, rounded
-outward, bounds every zero.  k = n with |b| = 1 has none (unavailable).
+leaves a majorant with one sign change, and the disk's radius is the
+least float >= 1 at which that majorant is provably positive under
+rounding.  k = n with |b| = 1 has none (unavailable).
 Where b, c != 0 and k > n the paper's radius equation |b|x^(k+1) -
 (|b|+|c|)x^k + |c| = 0 (|c| replaced by 1 when |c| <= 1), deflated at
-x = 1, gives delta; for k >= 4 the disk is never larger.
+x = 1, gives delta; for k >= 4 the majorant's root is never larger.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import HypothesisViolation, NonConvergence
+from .errors import HypothesisViolation
 from .model import HarmonicQuadrinomial
-from .realroots import RealPoly, deflate_at_one, positive_root_bracketed
+from .realroots import RealPoly, deflate_at_one, first_true, positive_root_bracketed
 
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -100,11 +101,14 @@ def _majorant(p: HarmonicQuadrinomial) -> Optional[RealPoly]:
 def radius_bound(p: HarmonicQuadrinomial) -> DiskBound:
     """The disk of the majorant M of `_majorant`; UNAVAILABLE if it has none.
 
-    M's only positive coefficient is its leading one, so M has one
-    positive root rho, below which it is negative: every zero has
-    |z| <= rho.  R = max(1, rho), grown until M(R) exceeds gamma*sum
-    |a_i| R^i, a bound on the rounding of the coefficients and of Horner's
-    rule; the step doubles, so it ends in a few steps.
+    M's only positive coefficient is its leading one, so M is negative
+    below its one positive root rho and positive above it: every zero has
+    |z| <= rho.  R is the least float >= 1 at which M(R) > gamma*sum
+    |a_i| R^i in floating point; gamma*sum |a_i| R^i bounds the rounding
+    of the coefficients and of Horner's rule (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 5.1), so M(R) > 0 holds
+    exactly.  M - gamma*sum |a_i| x^i has one sign change too, so the test
+    switches once, and `first_true` finds where.
 
     delta is the paper's root (Theorems 3.1/3.2: b, c != 0, k > n).  For
     k >= 4, rho <= max(1, delta), so no min is taken: at x = max(1, delta)
@@ -116,15 +120,11 @@ def radius_bound(p: HarmonicQuadrinomial) -> DiskBound:
         return DiskBound(math.inf, None, BoundSource.UNAVAILABLE)
     gamma = 4.0 * (poly.degree + 2) * _UNIT_ROUNDOFF
     size = RealPoly(tuple(abs(a) for a in poly.coeffs))
-    radius, step = max(1.0, positive_root_bracketed(poly).value), gamma
-    while not poly(radius) > gamma * size(radius):
-        if math.isinf(radius):
-            raise NonConvergence("the inclusion majorant overflows")
-        radius, step = radius * (1.0 + step), 2.0 * step
+    radius = first_true(lambda x: poly(x) > gamma * size(x), 1.0)
     if p.b == 0.0 or p.c == 0.0 or not p.k > p.n:
         return DiskBound(radius, None, BoundSource.FALLBACK_CAUCHY)
     theorem, source = radius_polynomial(p)
-    delta = positive_root_bracketed(deflate_at_one(theorem)).value
+    delta = positive_root_bracketed(deflate_at_one(theorem))
     return DiskBound(radius, delta, source)
 
 

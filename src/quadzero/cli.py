@@ -6,7 +6,8 @@ for plots; stdout carries data, stderr carries diagnostics.
 
 Exit codes: 0 success, 1 stdout closed by its reader (nothing more is
 written, not even to stderr), 2 hypothesis/precondition violation, usage
-error or unreadable file, 3 numerical non-convergence.  Any flag may also come
+error (a non-finite number included) or unreadable file, 3 numerical
+non-convergence or floating-point overflow.  Any flag may also come
 from a key=value config file via --config PATH: each key becomes a
 --key=value flag placed before the command line's own flags, so argparse
 checks both and command-line values win.  A config file may set the flags
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -254,11 +256,21 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _finite(spec: str) -> float:
+    try:
+        x = float(spec)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{spec!r} is not a finite number")
+    return x
+
+
 def _rect(spec: str) -> Rectangle:
     try:
-        lo_re, lo_im, hi_re, hi_im = (float(x) for x in spec.split(","))
+        lo_re, lo_im, hi_re, hi_im = (_finite(x) for x in spec.split(","))
         return Rectangle(complex(lo_re, lo_im), complex(hi_re, hi_im))
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(
             f"{spec!r} is not loRe,loIm,hiRe,hiIm ({exc})"
         ) from None
@@ -267,8 +279,8 @@ def _rect(spec: str) -> Rectangle:
 def _axis(spec: str) -> Axis:
     try:
         lo, hi, steps = spec.split(":")
-        return Axis(float(lo), float(hi), int(steps))
-    except ValueError as exc:
+        return Axis(_finite(lo), _finite(hi), int(steps))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(
             f"{spec!r} is not lo:hi:steps ({exc})"
         ) from None
@@ -276,7 +288,7 @@ def _axis(spec: str) -> Axis:
 
 def _add_quad_flags(sp, names="bcknm"):
     for name in names:
-        sp.add_argument(f"--{name}", type=float if name in "bc" else int, required=True)
+        sp.add_argument(f"--{name}", type=_finite if name in "bc" else int, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,15 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = new("classify", cmd_classify, "orientation of q at a point (JSON)")
     _add_quad_flags(sp)
-    sp.add_argument("--re", type=float, required=True)
-    sp.add_argument("--im", type=float, default=0.0)
-    sp.add_argument("--singular-tol", dest="singular_tol", type=float, default=1e-12)
+    sp.add_argument("--re", type=_finite, required=True)
+    sp.add_argument("--im", type=_finite, default=0.0)
+    sp.add_argument("--singular-tol", dest="singular_tol", type=_finite, default=1e-12)
 
     sp = new("winding", cmd_winding, "winding number along a contour (JSON)")
     _add_quad_flags(sp)
-    sp.add_argument("--radius", type=float, help="circle radius")
-    sp.add_argument("--center-re", dest="center_re", type=float, default=0.0)
-    sp.add_argument("--center-im", dest="center_im", type=float, default=0.0)
+    sp.add_argument("--radius", type=_finite, help="circle radius")
+    sp.add_argument("--center-re", dest="center_re", type=_finite, default=0.0)
+    sp.add_argument("--center-im", dest="center_im", type=_finite, default=0.0)
     sp.add_argument("--rect", type=_rect, help="rectangle as loRe,loIm,hiRe,hiIm")
 
     sp = new(
@@ -321,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = new("circle-image", cmd_circle_image, "image of a circle under q (CSV)")
     _add_quad_flags(sp)
-    sp.add_argument("--radius", type=float, required=True)
+    sp.add_argument("--radius", type=_finite, required=True)
     sp.add_argument("--samples", type=int, default=256)
 
     sp = new("sweep", cmd_sweep, "parameter sweep over a (b,c) grid (CSV)")
@@ -372,6 +384,9 @@ def main(argv=None) -> int:
         return 1
     except NumericalError as exc:
         print(f"quadzero: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"quadzero: floating-point overflow: {exc}", file=sys.stderr)
         return 3
     except (QuadzeroError, ValueError, TypeError, OSError) as exc:
         print(f"quadzero: {exc}", file=sys.stderr)

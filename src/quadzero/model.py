@@ -98,7 +98,7 @@ def classify_point(
     derivative magnitude, so an absolute cutoff alone misclassifies far
     from the origin.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     hp = analytic_derivative(p, z)
     gp = coanalytic_derivative(p, z)

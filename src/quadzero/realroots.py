@@ -1,7 +1,8 @@
 """Real-coefficient polynomial utilities for the radius equations.
 
 Only what the zero-inclusion radii need: Descartes sign counting, synthetic
-deflation by (x - 1), and bracketed isolation of a unique positive root.
+deflation by (x - 1), and one search, `first_true`, for the float where a
+test on the positive reals switches from false to true.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import NoSignChange, NonConvergence, NotARootAtOne, ZeroPolynomial
-
-_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -49,17 +48,6 @@ class RealPoly:
             acc = acc * x + a
         return acc
 
-    def derivative(self) -> "RealPoly":
-        if self.degree == 0:
-            raise ZeroPolynomial("derivative of a constant is the zero polynomial")
-        return RealPoly(tuple(i * a for i, a in enumerate(self.coeffs) if i > 0))
-
-
-@dataclass(frozen=True)
-class PositiveRoot:
-    value: float
-    residual: float
-    iterations: int
 
 
 def sign_changes(p: RealPoly) -> int:
@@ -92,84 +80,43 @@ def deflate_at_one(p: RealPoly) -> RealPoly:
     return RealPoly.from_coeffs(list(reversed(quot)))
 
 
-def positive_root_bracketed(p: RealPoly) -> PositiveRoot:
+def first_true(pred, lo: float) -> float:
+    """The float x >= lo where pred switches from false to true.
+
+    pred must be false on [lo, x) and true from x on, up to rounding
+    where it switches.  Steps out from lo by doubling to bracket the
+    switch, then bisects until no float lies between the two ends, and
+    returns the end where pred is true (lo itself if pred(lo)).  Raises
+    NonConvergence only if doubling reaches inf.  lo must be >= 0.
+    """
+    if pred(lo):
+        return lo
+    hi = max(1.0, 2.0 * lo)
+    while not pred(hi):
+        lo, hi = hi, 2.0 * hi
+        if math.isinf(hi):
+            raise NonConvergence("no switch below the largest float")
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if mid in (lo, hi):
+            return hi
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+def positive_root_bracketed(p: RealPoly) -> float:
     """The unique positive root of a polynomial with one Descartes sign change.
 
-    Bracket expansion, bisection to width 1e-3, then Newton polish.  One
-    sign change guarantees p(0+) and p(+inf) have opposite signs, so the
-    bracket always exists.
+    One sign change puts the lowest nonzero coefficient's sign opposite
+    the leading one's, so p(x)*lead <= 0 on [0, root] and > 0 beyond it.
+    The answer is the float where p(x), as evaluated, takes the sign of
+    its leading coefficient; the float below it does not.
     """
     if sign_changes(p) != 1:
         raise NoSignChange(
             f"expected exactly one sign change, got {sign_changes(p)}"
         )
-    iterations = 0
-
-    # Strip a factor x^t so the constant term is nonzero; positive roots
-    # are unchanged.
-    coeffs = list(p.coeffs)
-    t = 0
-    while coeffs[0] == 0.0:
-        coeffs.pop(0)
-        t += 1
-    q = RealPoly(tuple(coeffs))
-
-    lead_sign = 1 if q.coeffs[-1] > 0 else -1
-    lo, f_lo = 0.0, q.coeffs[0]
-    hi = 1.0
-    while True:
-        f_hi = q(hi)
-        if f_hi == 0.0:
-            return PositiveRoot(hi, 0.0, iterations)
-        if (f_hi > 0) == (lead_sign > 0):
-            break
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        iterations += 1
-        if iterations > _MAX_ITER:
-            raise NonConvergence("bracket expansion exceeded iteration cap")
-
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
-            break
-        f_mid = q(mid)
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-        iterations += 1
-        if iterations > _MAX_ITER:
-            raise NonConvergence("bisection exceeded iteration cap")
-
-    x = 0.5 * (lo + hi)
-    dq = q.derivative()
-    # The residual is judged against sum |a_i| x^i, the size of q's terms
-    # at x.  One sign change makes the root well conditioned (x q'(x) is
-    # at least half that size there), so the root is relatively accurate.
-    size = RealPoly(tuple(abs(a) for a in q.coeffs))
-
-    while True:
-        fx = q(x)
-        if abs(fx) <= 1e-13 * size(x):
-            break
-        dfx = dq(x)
-        if dfx == 0.0:
-            raise NonConvergence("Newton polish hit a stationary point")
-        step = fx / dfx
-        x_new = x - step
-        if not (lo - 1e-3 <= x_new <= hi + 1e-3) or not math.isfinite(x_new):
-            x_new = 0.5 * (lo + hi)  # fall back inside the bracket
-            if q(x_new) * f_lo > 0:
-                lo = x_new
-            else:
-                hi = x_new
-        x = x_new
-        iterations += 1
-        if iterations > _MAX_ITER:
-            raise NonConvergence("Newton polish exceeded iteration cap")
-
-    return PositiveRoot(x, abs(p(x)), iterations)
+    sign = math.copysign(1.0, p.coeffs[-1])
+    return first_true(lambda x: p(x) * sign > 0.0, 0.0)

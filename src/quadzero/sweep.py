@@ -15,7 +15,6 @@ more than one worker must call ``run_sweep`` under
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from itertools import repeat
@@ -112,8 +111,6 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
         return f"{x:.17g}"
     return str(x)
 

@@ -48,6 +48,16 @@ class TestRadius:
         assert code == 2
         assert "--n" in err
 
+    def test_root_beyond_500_doublings_and_halvings(self, capsys):
+        # The root is near 2^465: bracketing and bisection together take
+        # more than 500 steps.
+        code, out, _ = run(
+            capsys,
+            ["radius", "--b", "0", "--c", "1e140", "--k", "1", "--n", "2", "--m", "1"],
+        )
+        assert code == 0
+        assert json.loads(out)["radius"] >= 1e140
+
 
 class TestZeros:
     def test_csv_five_rows(self, capsys):
@@ -353,6 +363,50 @@ class TestSweep:
         else:
             assert out == ""
             assert "--threads" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeros", "--b", "1e-90", "--c", "2", "--k", "4", "--n", "3", "--m", "1"],
+        ["classify", "--b", "1", "--c", "1", "--k", "3", "--n", "2", "--m", "1",
+         "--re", "1e200"],
+        ["winding", *QUINTET, "--radius", "1e200"],
+        ["circle-image", *QUINTET, "--radius", "1e200"],
+        ["sweep", "--b-range", "1e-90:1e-90:1", "--c-range", "2:2:1",
+         "--k", "4", "--n", "3", "--m", "1", "--threads", "1"],
+    ],
+    ids=["zeros", "classify", "winding", "circle-image", "sweep"],
+)
+def test_overflow_exits_3(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("quadzero: ") and len(err.splitlines()) == 1
+    assert "overflow" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["classify", "--b", "2", "--c", "3", "--k", "4", "--n", "3", "--m", "1",
+          "--re", "0", "--singular-tol", "nan"], "--singular-tol"),
+        (["classify", *QUINTET, "--re", "nan"], "--re"),
+        (["critical-circle", "--b", "2", "--c", "nan", "--k", "3"], "--c"),
+        (["winding", *QUINTET, "--radius", "inf"], "--radius"),
+        (["circle-image", *QUINTET, "--radius=-inf"], "--radius"),
+        (["winding", *QUINTET, "--rect=-inf,-1,1,1"], "--rect"),
+        (["sweep", "--b-range", "0:inf:2", "--c-range", "2:2:1",
+          "--k", "4", "--n", "3", "--m", "1"], "--b-range"),
+    ],
+    ids=["singular-tol", "re", "critical-circle", "winding", "circle-image",
+         "rect", "b-range"],
+)
+def test_non_finite_number_exits_2(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: " in err and "not a finite number" in err
 
 
 @pytest.mark.parametrize(

@@ -127,8 +127,9 @@ class TestClassifyPoint:
         assert classify_point(CUBIC, z) is OrientationClass.SINGULAR
 
     def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError):
-            classify_point(CUBIC, 0j, tol=0.0)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                classify_point(CUBIC, 0j, tol=tol)
 
 
 finite_coeff = st.floats(

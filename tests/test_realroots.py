@@ -10,7 +10,8 @@ from quadzero import (
     positive_root_bracketed,
     sign_changes,
 )
-from quadzero.errors import NoSignChange, NotARootAtOne, ZeroPolynomial
+from quadzero.errors import NoSignChange, NonConvergence, NotARootAtOne, ZeroPolynomial
+from quadzero.realroots import first_true
 
 
 def poly(*ascending):
@@ -85,18 +86,55 @@ class TestPositiveRootBracketed:
         assert p(2.5) == pytest.approx(2.0)
         expected = bisect_root(p, 2.0, 2.5)
         root = positive_root_bracketed(p)
-        assert root.value == pytest.approx(expected, abs=1e-12)
-        assert root.value == pytest.approx(2.458972346378018, abs=1e-9)
-        assert abs(p(root.value)) <= 1e-13 * sum(
+        assert root == pytest.approx(expected, abs=1e-12)
+        assert root == pytest.approx(2.458972346378018, abs=1e-9)
+        assert abs(p(root)) <= 1e-13 * sum(
             abs(a) for a in p.coeffs
-        ) * max(1.0, root.value) ** p.degree
+        ) * max(1.0, root) ** p.degree
 
     def test_linear(self):
-        assert positive_root_bracketed(poly(-2.0, 1.0)).value == pytest.approx(2.0)
+        assert positive_root_bracketed(poly(-2.0, 1.0)) == pytest.approx(2.0)
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChange):
             positive_root_bracketed(poly(1.0, 1.0))
+
+
+class TestFirstTrue:
+    def test_switch_found_to_the_float(self):
+        assert first_true(lambda x: x >= 3.0, 1.0) == 3.0
+        assert first_true(lambda x: x > 1e300, 0.0) == math.nextafter(1e300, math.inf)
+        assert first_true(lambda x: x > 0.0, 0.0) == 5e-324
+
+    def test_true_at_start(self):
+        assert first_true(lambda x: True, 1.0) == 1.0
+
+    def test_never_true_raises(self):
+        with pytest.raises(NonConvergence):
+            first_true(lambda x: False, 0.0)
+
+
+@st.composite
+def one_sign_change_polys(draw):
+    """Negative low coefficients, positive high ones, maybe a factor x^t,
+    and an overall sign; zeros may sit anywhere but at the top."""
+    mags = st.floats(min_value=1e-3, max_value=1e3)
+    some = st.lists(st.one_of(st.just(0.0), mags), max_size=4)
+    low = [-a for a in draw(some) + [draw(mags)]]
+    high = draw(some) + [draw(mags)]
+    t = draw(st.integers(min_value=0, max_value=2))
+    sign = draw(st.sampled_from((-1.0, 1.0)))
+    return RealPoly.from_coeffs([sign * a for a in [0.0] * t + low + high])
+
+
+@given(one_sign_change_polys())
+@settings(max_examples=200, deadline=None)
+def test_root_is_where_the_sign_switches(p):
+    # No float is left between the answer and the last point below the root.
+    lead = p.coeffs[-1]
+    x = positive_root_bracketed(p)
+    assert p(x) * lead > 0
+    assert not p(math.nextafter(x, 0.0)) * lead > 0
 
 
 @st.composite

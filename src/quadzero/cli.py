@@ -24,7 +24,7 @@ import os
 import sys
 from typing import Optional
 
-from .bounds import radius_bound
+from .bounds import BoundSource, radius_bound
 from .contour import Circle, Rectangle, winding_number
 from .critical import critical_radius, circle_image
 from .errors import NumericalError, QuadzeroError
@@ -43,6 +43,16 @@ from .sweep import Axis, run_sweep, sweep_csv_lines
 
 def _fmt17(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _print_json(doc: dict) -> None:
+    """Print `doc` as strict JSON.  Only overflow puts a non-finite number
+    in an answer, so one exits 3 like any other overflow."""
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError as exc:
+        raise OverflowError(exc) from None
+    print(text)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -106,11 +116,8 @@ def _svg_critical_radius(
 
 def cmd_radius(ns: argparse.Namespace) -> int:
     disk = radius_bound(_quadrinomial(ns))
-    print(
-        json.dumps(
-            {"radius": disk.radius, "delta": disk.delta, "source": disk.source.value}
-        )
-    )
+    radius = None if disk.source is BoundSource.UNAVAILABLE else disk.radius
+    _print_json({"radius": radius, "delta": disk.delta, "source": disk.source.value})
     return 0
 
 
@@ -150,19 +157,17 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
             values = (fields[name] for name in ZEROS_HEADER.split(","))
             print(",".join(_fmt17(v) if isinstance(v, float) else v for v in values))
     else:
-        print(
-            json.dumps(
-                {
-                    "count": report.count,
-                    "n_plus": report.n_plus,
-                    "n_minus": report.n_minus,
-                    "n_singular": report.n_singular,
-                    "n_certified": report.n_certified,
-                    "radius": report.disk.radius,
-                    "winding_check": report.winding_check,
-                    "zeros": zeros,
-                }
-            )
+        _print_json(
+            {
+                "count": report.count,
+                "n_plus": report.n_plus,
+                "n_minus": report.n_minus,
+                "n_singular": report.n_singular,
+                "n_certified": report.n_certified,
+                "radius": report.disk.radius,
+                "winding_check": report.winding_check,
+                "zeros": zeros,
+            }
         )
     return 0
 
@@ -170,19 +175,18 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
 def cmd_classify(ns: argparse.Namespace) -> int:
     p = _quadrinomial(ns)
     z = complex(ns.re, ns.im)
+    q = evaluate(p, z)
     try:
         omega_abs = abs(dilatation(p, z))
     except PoleAtCriticalPoint:
         omega_abs = None
-    print(
-        json.dumps(
-            {
-                "q": {"re": evaluate(p, z).real, "im": evaluate(p, z).imag},
-                "jacobian": jacobian(p, z),
-                "orientation": classify_point(p, z, ns.singular_tol).value,
-                "dilatation_abs": omega_abs,
-            }
-        )
+    _print_json(
+        {
+            "q": {"re": q.real, "im": q.imag},
+            "jacobian": jacobian(p, z),
+            "orientation": classify_point(p, z, ns.singular_tol).value,
+            "dilatation_abs": omega_abs,
+        }
     )
     return 0
 
@@ -198,22 +202,20 @@ def cmd_winding(ns: argparse.Namespace) -> int:
     else:
         contour = Circle(complex(ns.center_re, ns.center_im), ns.radius)
     rep = winding_number(p, contour)
-    print(
-        json.dumps(
-            {
-                "winding": rep.winding,
-                "min_modulus": rep.min_modulus,
-                "samples_used": rep.samples_used,
-                "refined": rep.refined,
-            }
-        )
+    _print_json(
+        {
+            "winding": rep.winding,
+            "min_modulus": rep.min_modulus,
+            "samples_used": rep.samples_used,
+            "refined": rep.refined,
+        }
     )
     return 0
 
 
 def cmd_critical_circle(ns: argparse.Namespace) -> int:
     cc = critical_radius(ns.b, ns.c, ns.k)
-    print(json.dumps({"exists": cc.exists, "radius": cc.radius, "k": cc.k}))
+    _print_json({"exists": cc.exists, "radius": cc.radius, "k": cc.k})
     return 0
 
 

@@ -1,22 +1,20 @@
 """Locates all zeros of q inside its bounding disk.
 
 Strategy: circumscribe the disk D(0, R) with a square and subdivide it as
-a quadtree.  Each cell ends in one of three ways:
+a quadtree.  A cell is dropped when a Lipschitz estimate, with a margin
+for the rounding error of evaluating q at the centre, proves |q| > 0 on
+it; kept when a Kantorovich test at its centre proves that a disk around
+it holds exactly one zero, or at depth `_MAX_DEPTH`; split otherwise.
+Each kept cell makes one Newton run, from the test's iterate or, at the
+floor, from the centre.
 
-* excluded: a Lipschitz estimate, with a margin for the rounding error of
-  evaluating q at the centre, proves |q| > 0 on the whole cell;
-* certified: a Kantorovich test on the harmonic Newton step at the centre
-  proves that a disk around the cell holds exactly one zero, and one
-  Newton run from the centre converges to it;
-* floor: the cell reached depth `_MAX_DEPTH` without either proof.  It
-  gets one Newton run from its centre, and a zero found that way is
-  reported as not certified.
-
-All candidates are merged at the radius 1e-7*max(1, R), classified by
-orientation, and cross-checked against the argument principle on
-C(0, R+1).  Inclusion evidence is the certificate of each zero; the
-winding check stays as a cross-check, and it is the only evidence for
-uncertified zeros.
+Each Newton result z is certified at itself: a Kantorovich test proves
+that D(z, r), r set by the Jacobian and the Hessian bound at z, holds
+exactly one zero, and the record reports the test's Newton iterate.  A
+later result inside a certified disk is that zero and is dropped; results
+that fail the test are not certified and merge at 1e-7*max(1, R).  Zeros
+are classified by orientation and cross-checked against the argument
+principle on C(0, R+1): the only evidence for uncertified zeros.
 """
 
 from __future__ import annotations
@@ -48,9 +46,9 @@ _ACCEPT_TOL = 1e-10  # a Newton run stops once |q| is at most this
 _MAX_DEPTH = 12  # quadtree depth of the floor cells
 _SQRT2 = math.sqrt(2.0)
 _UNIT_ROUNDOFF = 2.0**-53
-# Radius of the Kantorovich disk as a multiple of the cell's half-diagonal.
-# It must exceed 1: a zero on a cell corner (the origin is one at every
-# depth) has to lie strictly inside the disk of some cell around it.
+# Radius of the cell's Kantorovich disk as a multiple of its half-diagonal.
+# It must exceed 1: a passing cell is not split, so the disk has to cover
+# the closed cell, corners included, to hold all of the cell's zeros.
 _CERT_RADIUS = 1.5
 
 
@@ -60,7 +58,7 @@ class ZeroRecord:
     residual: float
     jacobian: float
     orientation: OrientationClass
-    certified: bool  # a Kantorovich disk around it holds no other zero
+    certified: bool  # a Kantorovich disk centred at the zero holds only it
 
 
 @dataclass(frozen=True)
@@ -124,20 +122,24 @@ def _hessian_bound(p: HarmonicQuadrinomial, rho: float) -> float:
     )
 
 
+def _rounding_bound(p: HarmonicQuadrinomial, a: float) -> float:
+    """Upper bound for the rounding error of `evaluate` at |z| = a:
+    gamma*(|b|a^k + a^n + |c|a^m + a), with gamma covering the complex
+    multiplications of the integer powers and the three additions."""
+    gamma = 4.0 * (max(p.k, p.n) + 2) * _UNIT_ROUNDOFF
+    return gamma * (abs(p.b) * a**p.k + a**p.n + abs(p.c) * a**p.m + a)
+
+
 def _excluded(p: HarmonicQuadrinomial, center: complex, half: float) -> bool:
     """True when the closed cell center +- half (both axes) provably holds
     no zero of q.
 
     |q| falls by at most G(rho)*diag across the cell, and the computed
-    |q(center)| can exceed the exact one by the rounding error of
-    `evaluate`: at most gamma*(|b||z|^k + |z|^n + |c||z|^m + |z|), with
-    gamma covering the complex multiplications of the integer powers and
-    the three additions.
+    |q(center)| can exceed the exact one by at most `_rounding_bound`.
     """
     diag = half * _SQRT2
     a = abs(center)
-    gamma = 4.0 * (max(p.k, p.n) + 2) * _UNIT_ROUNDOFF
-    rounding = gamma * (abs(p.b) * a**p.k + a**p.n + abs(p.c) * a**p.m + a)
+    rounding = _rounding_bound(p, a)
     return abs(evaluate(p, center)) - rounding > _gradient_bound(p, a + diag) * diag
 
 
@@ -169,6 +171,13 @@ def _kantorovich_step(
     return None
 
 
+def _certificate_radius(p: HarmonicQuadrinomial, z: complex) -> float:
+    """Kantorovich radius at a converged z: kappa <= 1/4 on D(z, r), so the
+    test passes there unless the Jacobian is singular (r = 0)."""
+    sigma = abs(abs(analytic_derivative(p, z)) - abs(coanalytic_derivative(p, z)))
+    return min(1.0, sigma / (4.0 * _hessian_bound(p, abs(z) + 1.0)))
+
+
 def _newton_polish(
     p: HarmonicQuadrinomial,
     z: complex,
@@ -187,26 +196,10 @@ def _newton_polish(
             return None
         if abs(z) > escape_radius:
             return None
-    if abs(evaluate(p, z)) <= _ACCEPT_TOL:
+    # Rounding alone can keep |q| above _ACCEPT_TOL at large |z|.
+    if abs(evaluate(p, z)) <= max(_ACCEPT_TOL, _rounding_bound(p, abs(z))):
         return z
     return None
-
-
-def _cluster(points, radius):
-    """Greedy merge in the given order: [representative, residual,
-    certified] per cluster.  The representative has the smallest residual;
-    the cluster is certified if any member is."""
-    clusters = []
-    for z, res, cert in points:
-        for cl in clusters:
-            if abs(z - cl[0]) <= radius:
-                if res < cl[1]:
-                    cl[0], cl[1] = z, res
-                cl[2] = cl[2] or cert
-                break
-        else:
-            clusters.append([z, res, cert])
-    return clusters
 
 
 def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
@@ -221,31 +214,20 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
 
     # Quadtree over the circumscribing square [-R, R]^2.  Depth-first,
     # children pushed in fixed order, so candidate order is deterministic.
-    candidates = [(0j, 0.0, False)]  # q(0) = 0: every term has z or zbar
+    candidates = [0j]  # q(0) = 0: every term has z or zbar
     stack = [(0j, r_disk, 0)]
     while stack:
         center, half, depth = stack.pop()
         if _excluded(p, center, half):
             continue
-        max_step = 2.0 * half * _SQRT2
+        # A passing cell holds at most the one zero of its Kantorovich disk,
+        # which Newton from the test's iterate converges to.
         z1 = _kantorovich_step(p, center, _CERT_RADIUS * half * _SQRT2)
-        if z1 is not None:
-            z = _newton_polish(p, z1, max_step, escape_radius)
+        if z1 is not None or depth >= _MAX_DEPTH:
+            start = center if z1 is None else z1
+            z = _newton_polish(p, start, 2.0 * half * _SQRT2, escape_radius)
             if z is not None:
-                # The Kantorovich disk covers the cell, so a zero outside
-                # the cell leaves it zero-free.  The widening keeps a zero
-                # on a shared edge; the merge below reports it once.
-                reach = half + merge_radius
-                if (
-                    abs(z.real - center.real) <= reach
-                    and abs(z.imag - center.imag) <= reach
-                ):
-                    candidates.append((z, abs(evaluate(p, z)), True))
-                continue
-        if depth >= _MAX_DEPTH:
-            z = _newton_polish(p, center, max_step, escape_radius)
-            if z is not None:
-                candidates.append((z, abs(evaluate(p, z)), False))
+                candidates.append(z)
             continue
         h2 = 0.5 * half
         d2 = depth + 1
@@ -254,16 +236,31 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         stack.append((center + complex(h2, -h2), h2, d2))
         stack.append((center + complex(-h2, -h2), h2, d2))
 
-    candidates.sort(key=lambda t: (t[0].real, t[0].imag, t[1]))
+    certified = []  # (centre, radius, location) per certified zero
+    loose = []  # uncertified results, one per merge_radius
+    for z in candidates:
+        if any(abs(z - w) < r for w, r, _ in certified):
+            continue
+        r = _certificate_radius(p, z)
+        z1 = _kantorovich_step(p, z, r) if r > 0 else None
+        if z1 is not None:
+            certified.append((z, r, z1))
+        elif all(abs(z - w) > merge_radius for w in loose):
+            loose.append(z)
+    zeros = [(z1, True) for _, _, z1 in certified] + [
+        (z, False)
+        for z in loose
+        if not any(abs(z - w) < r for w, r, _ in certified)
+    ]
     records = [
         ZeroRecord(
-            location=rep,
-            residual=res,
-            jacobian=jacobian(p, rep),
-            orientation=classify_point(p, rep),
+            location=z,
+            residual=abs(evaluate(p, z)),
+            jacobian=jacobian(p, z),
+            orientation=classify_point(p, z),
             certified=cert,
         )
-        for rep, res, cert in _cluster(candidates, merge_radius)
+        for z, cert in zeros
     ]
     records.sort(key=lambda r: (r.location.real, r.location.imag))
 

@@ -58,6 +58,19 @@ class TestRadius:
         assert code == 0
         assert json.loads(out)["radius"] >= 1e140
 
+    def test_unavailable_is_strict_json(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["radius", "--b", "1", "--c", "2", "--k", "3", "--n", "3", "--m", "1"],
+        )
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc == {"radius": None, "delta": None, "source": "Unavailable"}
+
 
 class TestZeros:
     def test_csv_five_rows(self, capsys):
@@ -371,12 +384,15 @@ class TestSweep:
         ["zeros", "--b", "1e-90", "--c", "2", "--k", "4", "--n", "3", "--m", "1"],
         ["classify", "--b", "1", "--c", "1", "--k", "3", "--n", "2", "--m", "1",
          "--re", "1e200"],
+        # q is finite, the Jacobian is inf - inf = nan
+        ["classify", "--b", "1", "--c", "2", "--k", "3", "--n", "3", "--m", "1",
+         "--re", "1e100"],
         ["winding", *QUINTET, "--radius", "1e200"],
         ["circle-image", *QUINTET, "--radius", "1e200"],
         ["sweep", "--b-range", "1e-90:1e-90:1", "--c-range", "2:2:1",
          "--k", "4", "--n", "3", "--m", "1", "--threads", "1"],
     ],
-    ids=["zeros", "classify", "winding", "circle-image", "sweep"],
+    ids=["zeros", "classify", "classify-nan", "winding", "circle-image", "sweep"],
 )
 def test_overflow_exits_3(capsys, argv):
     code, out, err = run(capsys, argv)

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadzero import (
     HarmonicQuadrinomial,
@@ -12,7 +14,12 @@ from quadzero import (
     newton_step,
 )
 from quadzero.errors import BoundUnavailable, DegenerateJacobian
-from quadzero.solver import _excluded, _gradient_bound
+from quadzero.solver import (
+    _certificate_radius,
+    _excluded,
+    _gradient_bound,
+    _kantorovich_step,
+)
 
 CUBIC = HarmonicQuadrinomial(b=0.0, c=0.0, k=1, n=3, m=1)  # conj(z)^3 + z
 
@@ -199,14 +206,81 @@ class TestCertification:
         [
             (HarmonicQuadrinomial(b=1.05, c=2.0, k=3, n=3, m=1), 5),
             (HarmonicQuadrinomial(b=1.05, c=1.5, k=4, n=4, m=1), 6),
+            (HarmonicQuadrinomial(b=1.01, c=2.0, k=3, n=3, m=1), 5),
         ],
-        ids=["b1.05-c2-k3", "b1.05-c1.5-k4"],
+        ids=["b1.05-c2-k3", "b1.05-c1.5-k4", "b1.01-c2-k3"],
     )
     def test_cliff_zeros_certified(self, p, count):
-        # k = n with |b| near 1: the floor cells scale with the disk
-        # radius, so every zero certifies only in a tight disk (R = 7.75
-        # and 3.68 here).
+        # k = n with |b| near 1: the zeros certify only in disks smaller
+        # than a floor cell (R = 7.75, 3.68 and 17.3 here), so the test
+        # has to be centred at each zero, not at a cell.
         report = find_zeros(p)
         assert report.count == count
         assert report.n_certified == count
         assert report.winding_check == "passed"
+
+    @pytest.mark.parametrize(
+        "p, count",
+        [
+            (HarmonicQuadrinomial(b=2.6, c=-0.99935, k=4, n=2, m=1), 6),
+            (HarmonicQuadrinomial(b=4.8, c=-1.0006, k=5, n=2, m=1), 7),
+            (HarmonicQuadrinomial(b=-3.084, c=-0.99324, k=6, n=4, m=1), 10),
+        ],
+        ids=["b2.6-c-0.99935", "b4.8-c-1.0006", "b-3.084-c-0.99324"],
+    )
+    def test_near_singular_close_zeros_certified_once(self, p, count):
+        # |c| near 1 with m = 1: zeros close to the origin and to each
+        # other, where Newton runs from many floor cells end up to 1e-6
+        # apart; each zero is certified once, by its own disk.
+        report = find_zeros(p)
+        assert report.count == count
+        assert report.n_certified == count
+        assert report.winding_check == "passed"
+
+    def test_tiny_b_keeps_far_zeros(self):
+        # R = 1e4: near |z| = 1e4 rounding keeps |q| near 1e-4, far above
+        # the Newton stopping tolerance, for all 7 far zeros.
+        p = HarmonicQuadrinomial(b=1e-4, c=2.0, k=4, n=3, m=1)
+        report = find_zeros(p)
+        assert report.count == 10
+        assert report.n_certified == 10
+        assert report.winding_check == "passed"
+        assert sum(1 for rec in report.zeros if abs(rec.location) > 1e3) == 7
+
+
+signs = st.sampled_from((-1.0, 1.0))
+near_unit = st.floats(min_value=-1e-3, max_value=1e-3).map(lambda e: 1.0 + e)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=n - 1))
+    # k = n + 1 (and b = 0) are where Theorem 3.3's bound is proven.
+    k = draw(st.one_of(st.just(n + 1), st.integers(min_value=1, max_value=6)))
+    b = draw(signs) * draw(
+        st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=5.0))
+    )
+    # The |b| -> 1 cliff at k = n is slow; the cliff tests cover it.
+    assume(k != n or abs(abs(b) - 1.0) > 0.2)
+    c = draw(signs) * draw(
+        st.one_of(
+            st.floats(min_value=0.1, max_value=5.0), st.just(1.0), near_unit
+        )
+    )
+    return HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
+
+
+@given(instances())
+@settings(max_examples=60, deadline=None)
+def test_certified_disks_hold_one_reported_zero(p):
+    report = find_zeros(p)
+    for rec in report.zeros:
+        if not rec.certified:
+            continue
+        r = _certificate_radius(p, rec.location)
+        assert _kantorovich_step(p, rec.location, r) is not None
+        others = [o for o in report.zeros if o is not rec]
+        assert all(abs(o.location - rec.location) >= r for o in others)
+    if report.bound is not None and report.bound.upper_is_proven:
+        assert report.n_certified <= report.bound.upper

@@ -268,6 +268,16 @@ def _finite(spec: str) -> float:
     return x
 
 
+def _positive_int(spec: str) -> int:
+    try:
+        x = int(spec)
+    except ValueError:
+        x = 0
+    if x < 1:
+        raise argparse.ArgumentTypeError(f"{spec!r} is not a positive integer")
+    return x
+
+
 def _rect(spec: str) -> Rectangle:
     try:
         lo_re, lo_im, hi_re, hi_im = (_finite(x) for x in spec.split(","))
@@ -345,10 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="lo:hi:steps",
         )
     _add_quad_flags(sp, "knm")
-    # A string default goes through type=int only when --threads is absent.
+    # A string default goes through its type only when --threads is absent.
     sp.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=os.environ.get("QUADZERO_THREADS") or os.cpu_count() or 1,
         help="worker processes (default: $QUADZERO_THREADS, else the CPU count)",
     )

@@ -186,7 +186,14 @@ def modular_root_census(
 ) -> tuple[int, int, int]:
     """(on-circle, inside, outside) partition of the zeros of q by the
     critical circle; exploratory output for the open root-census question.
+
+    The circle (Theorem 3.4) belongs to the n = k, m = 1 family only;
+    HypothesisViolation for any other family, or where it does not exist.
     """
+    if p.n != p.k or p.m != 1:
+        raise HypothesisViolation(
+            f"critical circle needs n = k and m = 1, got k={p.k} n={p.n} m={p.m}"
+        )
     circle = critical_radius(p.b, p.c, p.k)
     if not circle.exists:
         raise HypothesisViolation("critical circle does not exist")

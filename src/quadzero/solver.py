@@ -5,8 +5,13 @@ a quadtree.  A cell is dropped when a Lipschitz estimate, with a margin
 for the rounding error of evaluating q at the centre, proves |q| > 0 on
 it; kept when a Kantorovich test at its centre proves that a disk around
 it holds exactly one zero, or at depth `_MAX_DEPTH`; split otherwise.
-Each kept cell makes one Newton run, from the test's iterate or, at the
-floor, from the centre.
+Each kept cell makes one undamped Newton run, from the test's iterate
+or, at the floor, from the centre.  The run may leave its cell: where it
+lands, not where it started, decides which zero it found.  Once |q| is
+at most `_ACCEPT_TOL` it takes one step more: near a zero with a small
+Jacobian the set where |q| meets the tolerance is wider than the zero's
+certified disk, and the step moves the run toward the zero, as a rule
+into that disk.
 
 Each Newton result z is certified at itself: a Kantorovich test proves
 that D(z, r), r set by the Jacobian and the Hessian bound at z, holds
@@ -75,10 +80,8 @@ class ZeroSetReport:
     winding: Optional[int] = None
 
 
-def newton_step(
-    p: HarmonicQuadrinomial, z: complex, max_step: float = math.inf
-) -> complex:
-    """One damped Newton update on the real 2x2 system, in complex form.
+def newton_step(p: HarmonicQuadrinomial, z: complex) -> complex:
+    """One full Newton update on the real 2x2 system, in complex form.
 
     Solving fz*d + fzb*conj(d) = -q(z) with fz = h'(z), fzb = conj(g'(z))
     gives d = (fzb*conj(q) - conj(fz)*q) / J where J is the Jacobian of
@@ -91,11 +94,7 @@ def newton_step(
     if abs(j) <= 1e-14 * max(1.0, mag):
         raise DegenerateJacobian(f"Jacobian {j:.3e} below degeneracy floor at {z!r}")
     v = evaluate(p, z)
-    d = (fzb * v.conjugate() - fz.conjugate() * v) / j
-    step = abs(d)
-    if step > max_step:
-        d *= max_step / step
-    return z + d
+    return z + (fzb * v.conjugate() - fz.conjugate() * v) / j
 
 
 def _gradient_bound(p: HarmonicQuadrinomial, rho: float) -> float:
@@ -179,22 +178,21 @@ def _certificate_radius(p: HarmonicQuadrinomial, z: complex) -> float:
 
 
 def _newton_polish(
-    p: HarmonicQuadrinomial,
-    z: complex,
-    max_step: float,
-    escape_radius: float,
+    p: HarmonicQuadrinomial, z: complex, escape_radius: float
 ) -> Optional[complex]:
+    """Undamped Newton from z to |q| <= _ACCEPT_TOL, then one step more,
+    kept if it still meets the tolerance; None on a degenerate Jacobian
+    before that or on leaving the escape disk."""
     for _ in range(_NEWTON_CAP):
-        v = evaluate(p, z)
-        if abs(v) <= _ACCEPT_TOL:
-            return z
+        accepted = abs(evaluate(p, z)) <= _ACCEPT_TOL
         try:
-            z = newton_step(p, z, max_step)
+            z1 = newton_step(p, z)
         except DegenerateJacobian:
-            return None
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            return None
-        if abs(z) > escape_radius:
+            return z if accepted else None
+        if accepted:
+            return z1 if abs(evaluate(p, z1)) <= _ACCEPT_TOL else z
+        z = z1
+        if not abs(z) <= escape_radius:  # NaN fails it too
             return None
     # Rounding alone can keep |q| above _ACCEPT_TOL at large |z|.
     if abs(evaluate(p, z)) <= max(_ACCEPT_TOL, _rounding_bound(p, abs(z))):
@@ -225,7 +223,7 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         z1 = _kantorovich_step(p, center, _CERT_RADIUS * half * _SQRT2)
         if z1 is not None or depth >= _MAX_DEPTH:
             start = center if z1 is None else z1
-            z = _newton_polish(p, start, 2.0 * half * _SQRT2, escape_radius)
+            z = _newton_polish(p, start, escape_radius)
             if z is not None:
                 candidates.append(z)
             continue

@@ -377,6 +377,27 @@ class TestSweep:
             assert out == ""
             assert "--threads" in err and "'abc'" in err
 
+    @pytest.mark.parametrize(
+        "threads, env",
+        [(["--threads", "0"], None), (["--threads", "-2"], None), ([], "0")],
+        ids=["flag-0", "flag-negative", "env-0"],
+    )
+    def test_threads_below_one_is_usage_error(
+        self, capsys, monkeypatch, threads, env
+    ):
+        if env is None:
+            monkeypatch.delenv("QUADZERO_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("QUADZERO_THREADS", env)
+        code, out, err = run(
+            capsys,
+            ["sweep", "--b-range", "1:2:2", "--c-range", "2:3:2",
+             "--k", "4", "--n", "2", "--m", "1", *threads],
+        )
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err and "positive integer" in err
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -193,3 +193,16 @@ class TestModularRootCensus:
         p = HarmonicQuadrinomial(b=2.0, c=1.0, k=2, n=2, m=1)
         with pytest.raises(HypothesisViolation):
             modular_root_census(p)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            HarmonicQuadrinomial(b=2.0, c=3.0, k=4, n=3, m=1),
+            HarmonicQuadrinomial(b=2.0, c=3.0, k=3, n=3, m=2),
+        ],
+        ids=["n-ne-k", "m-ne-1"],
+    )
+    def test_family_without_critical_circle(self, p):
+        # Theorem 3.4's circle is defined for n = k, m = 1 only.
+        with pytest.raises(HypothesisViolation, match="n = k and m = 1"):
+            modular_root_census(p)

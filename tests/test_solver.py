@@ -13,6 +13,7 @@ from quadzero import (
     find_zeros,
     newton_step,
 )
+from quadzero import solver
 from quadzero.errors import BoundUnavailable, DegenerateJacobian
 from quadzero.solver import (
     _certificate_radius,
@@ -207,13 +208,14 @@ class TestCertification:
             (HarmonicQuadrinomial(b=1.05, c=2.0, k=3, n=3, m=1), 5),
             (HarmonicQuadrinomial(b=1.05, c=1.5, k=4, n=4, m=1), 6),
             (HarmonicQuadrinomial(b=1.01, c=2.0, k=3, n=3, m=1), 5),
+            (HarmonicQuadrinomial(b=1.001, c=2.0, k=3, n=3, m=1), 5),
         ],
-        ids=["b1.05-c2-k3", "b1.05-c1.5-k4", "b1.01-c2-k3"],
+        ids=["b1.05-c2-k3", "b1.05-c1.5-k4", "b1.01-c2-k3", "b1.001-c2-k3"],
     )
     def test_cliff_zeros_certified(self, p, count):
         # k = n with |b| near 1: the zeros certify only in disks smaller
-        # than a floor cell (R = 7.75, 3.68 and 17.3 here), so the test
-        # has to be centred at each zero, not at a cell.
+        # than a floor cell (R = 7.75, 3.68, 17.3 and 54.8 here), so the
+        # test has to be centred at each zero, not at a cell.
         report = find_zeros(p)
         assert report.count == count
         assert report.n_certified == count
@@ -225,17 +227,49 @@ class TestCertification:
             (HarmonicQuadrinomial(b=2.6, c=-0.99935, k=4, n=2, m=1), 6),
             (HarmonicQuadrinomial(b=4.8, c=-1.0006, k=5, n=2, m=1), 7),
             (HarmonicQuadrinomial(b=-3.084, c=-0.99324, k=6, n=4, m=1), 10),
+            (HarmonicQuadrinomial(
+                b=-4.077946842625792, c=0.9999943886934131, k=3, n=3, m=1), 3),
+            (HarmonicQuadrinomial(
+                b=3.695214146417557, c=-1.0000278613634654, k=5, n=3, m=1), 7),
+            (HarmonicQuadrinomial(
+                b=4.792960812136874, c=0.9998777716731656, k=8, n=3, m=1), 8),
+            (HarmonicQuadrinomial(b=1.4275698133347674e-05, c=-1.0, k=1, n=2, m=1), 4),
+            (HarmonicQuadrinomial(b=8.065959996400468e-05, c=-1.0, k=1, n=5, m=1), 7),
         ],
-        ids=["b2.6-c-0.99935", "b4.8-c-1.0006", "b-3.084-c-0.99324"],
+        ids=[
+            "b2.6-c-0.99935", "b4.8-c-1.0006", "b-3.084-c-0.99324",
+            "b-4.078-c0.999994", "b3.695-c-1.000028", "b4.793-c0.999878",
+            "b1.4e-5-c-1-k1-n2", "b8.1e-5-c-1-k1-n5",
+        ],
     )
     def test_near_singular_close_zeros_certified_once(self, p, count):
         # |c| near 1 with m = 1: zeros close to the origin and to each
         # other, where Newton runs from many floor cells end up to 1e-6
-        # apart; each zero is certified once, by its own disk.
+        # apart; each zero is certified once, by its own disk.  Near such
+        # a zero |q| <= 1e-10 holds on a set wider than its certified
+        # disk, so a run that stopped at the first point there could be
+        # reported as a second zero: the counts are the dense-grid
+        # oracle's.
         report = find_zeros(p)
         assert report.count == count
         assert report.n_certified == count
         assert report.winding_check == "passed"
+
+    def test_newton_work_near_close_pair(self, monkeypatch):
+        # Floor cells around a close pair of zeros each make a Newton run;
+        # undamped, each run takes a few steps, not up to the step cap.
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return newton_step(*args)
+
+        monkeypatch.setattr(solver, "newton_step", counting)
+        p = HarmonicQuadrinomial(b=4.768, c=-1.00146, k=4, n=3, m=1)
+        report = find_zeros(p)
+        assert report.n_certified == report.count == 8
+        assert calls <= 12_000
 
     def test_tiny_b_keeps_far_zeros(self):
         # R = 1e4: near |z| = 1e4 rounding keeps |q| near 1e-4, far above

@@ -1,10 +1,29 @@
 """Locates all zeros of q inside its bounding disk.
 
 Strategy: circumscribe the disk D(0, R) with a square and subdivide it as
-a quadtree.  A cell is dropped when a Lipschitz estimate, with a margin
-for the rounding error of evaluating q at the centre, proves |q| > 0 on
-it; kept when a Kantorovich test at its centre proves that a disk around
-it holds exactly one zero, or at depth `_MAX_DEPTH`; split otherwise.
+a quadtree.  Every cell test rests on one majorant of q,
+M(x) = |b|x^k + x^n + |c|x^m + x, built once per instance.  For a cell
+with centre c, a = |c| and half-diagonal r, binomial expansion of each
+term gives |q(c + d) - q(c)| <= M(a + r) - M(a) for |d| <= r, and bounds
+the part beyond the linear terms h'(c)d + conj(g'(c)d) by
+M(a + r) - M(a) - M'(a)r.  The test evaluates q, h' and g' at the centre
+at most once each and
+
+1. drops the cell when |q(c)| exceeds M(a + r) - M(a): no derivative;
+2. else drops it when |q(c)| exceeds (|h'(c)| + |g'(c)|)r plus that
+   second-order bracket, which is smaller where h' or g' cancel;
+3. else keeps it when a Kantorovich test at the centre, with L = M'',
+   proves that a disk around it holds exactly one zero, or at depth
+   `_MAX_DEPTH`; it splits the cell otherwise.
+
+Exclusion is certified under rounding too.  The computed |q(c)| is
+lowered by gamma*M(a), a bound on the rounding error of evaluating q.
+The computed h' and g' are together within gamma*M'(a) of the exact ones;
+stage 2 allows twice that.  Each computed difference of M values carries
+gamma times the sum of its terms.  Those terms are positive, so the sum
+bounds the difference's rounding error, cancellation and the rounding of
+a and r included.
+
 Each kept cell makes one undamped Newton run, from the test's iterate
 or, at the floor, from the centre.  The run may leave its cell: where it
 lands, not where it started, decides which zero it found.  Once |q| is
@@ -13,8 +32,8 @@ Jacobian the set where |q| meets the tolerance is wider than the zero's
 certified disk, and the step moves the run toward the zero, as a rule
 into that disk.
 
-Each Newton result z is certified at itself: a Kantorovich test proves
-that D(z, r), r set by the Jacobian and the Hessian bound at z, holds
+Each Newton result z is certified at itself by the same Kantorovich
+test: it proves that D(z, r), r set by the Jacobian and M'' at z, holds
 exactly one zero, and the record reports the test's Newton iterate.  A
 later result inside a certified disk is that zero and is dropped; results
 that fail the test are not certified and merge at 1e-7*max(1, R).  Zeros
@@ -80,89 +99,92 @@ class ZeroSetReport:
     winding: Optional[int] = None
 
 
-def newton_step(p: HarmonicQuadrinomial, z: complex) -> complex:
-    """One full Newton update on the real 2x2 system, in complex form.
+def _newton_update(z: complex, v: complex, fz: complex, gz: complex) -> complex:
+    """The Newton iterate from z, given q(z) = v, h'(z) = fz and g'(z) = gz.
 
-    Solving fz*d + fzb*conj(d) = -q(z) with fz = h'(z), fzb = conj(g'(z))
-    gives d = (fzb*conj(q) - conj(fz)*q) / J where J is the Jacobian of
-    the real system.
+    Solving fz*d + fzb*conj(d) = -v with fzb = conj(gz) gives
+    d = (fzb*conj(v) - conj(fz)*v) / J where J is the Jacobian of the real
+    system.
     """
-    fz = analytic_derivative(p, z)
-    fzb = coanalytic_derivative(p, z).conjugate()
+    fzb = gz.conjugate()
     j = (fz.real**2 + fz.imag**2) - (fzb.real**2 + fzb.imag**2)
     mag = fz.real**2 + fz.imag**2 + fzb.real**2 + fzb.imag**2
     if abs(j) <= 1e-14 * max(1.0, mag):
         raise DegenerateJacobian(f"Jacobian {j:.3e} below degeneracy floor at {z!r}")
-    v = evaluate(p, z)
     return z + (fzb * v.conjugate() - fz.conjugate() * v) / j
 
 
-def _gradient_bound(p: HarmonicQuadrinomial, rho: float) -> float:
-    """Upper bound for |dq/dz| + |dq/dzbar| on |z| <= rho."""
-    return (
-        abs(p.b) * p.k * rho ** (p.k - 1)
-        + 1.0
-        + p.n * rho ** (p.n - 1)
-        + abs(p.c) * p.m * rho ** (p.m - 1)
+def newton_step(p: HarmonicQuadrinomial, z: complex) -> complex:
+    """One full Newton update on the real 2x2 system, in complex form."""
+    return _newton_update(
+        z, evaluate(p, z), analytic_derivative(p, z), coanalytic_derivative(p, z)
     )
 
 
-def _hessian_bound(p: HarmonicQuadrinomial, rho: float) -> float:
-    """Upper bound for |h''| + |g''| on |z| <= rho.
+class _Majorant:
+    """M(x) = |b|x^k + x^n + |c|x^m + x, its derivatives and the rounding
+    factor gamma, with the coefficients hoisted; see the module docstring.
 
-    It is a Lipschitz constant of the real Jacobian there, in the operator
-    norm: DF(z)d = h'(z)d + conj(g'(z) d).  rho > 0, so the degree-1
-    terms are 0 * rho**-1 = 0.
+    On |z| <= x, |h'| + |g'| <= M'(x) and |h''| + |g''| <= M''(x), the
+    last a Lipschitz constant of the real Jacobian in the operator norm,
+    since DF(z)d = h'(z)d + conj(g'(z)d).  gamma covers the complex
+    multiplications of the integer powers and the three additions:
+    gamma*M(a) bounds the rounding error of `evaluate` at |z| = a.
     """
-    return (
-        abs(p.b) * p.k * (p.k - 1) * rho ** (p.k - 2)
-        + p.n * (p.n - 1) * rho ** (p.n - 2)
-        + abs(p.c) * p.m * (p.m - 1) * rho ** (p.m - 2)
-    )
 
+    __slots__ = ("b", "c", "k", "n", "m", "db", "dc", "ddb", "ddc", "ddn", "gamma")
 
-def _rounding_bound(p: HarmonicQuadrinomial, a: float) -> float:
-    """Upper bound for the rounding error of `evaluate` at |z| = a:
-    gamma*(|b|a^k + a^n + |c|a^m + a), with gamma covering the complex
-    multiplications of the integer powers and the three additions."""
-    gamma = 4.0 * (max(p.k, p.n) + 2) * _UNIT_ROUNDOFF
-    return gamma * (abs(p.b) * a**p.k + a**p.n + abs(p.c) * a**p.m + a)
+    def __init__(self, p: HarmonicQuadrinomial):
+        self.b, self.c = abs(p.b), abs(p.c)
+        self.k, self.n, self.m = p.k, p.n, p.m
+        self.db, self.dc = self.b * p.k, self.c * p.m
+        self.ddb = self.b * p.k * (p.k - 1)
+        self.ddc = self.c * p.m * (p.m - 1)
+        self.ddn = p.n * (p.n - 1)
+        self.gamma = 4.0 * (max(p.k, p.n) + 2) * _UNIT_ROUNDOFF
 
+    def value(self, x: float) -> float:
+        return self.b * x**self.k + x**self.n + self.c * x**self.m + x
 
-def _excluded(p: HarmonicQuadrinomial, center: complex, half: float) -> bool:
-    """True when the closed cell center +- half (both axes) provably holds
-    no zero of q.
+    def slope(self, x: float) -> float:
+        """M'(x); for a degree-1 term x**0 is 1, at x = 0 too."""
+        return (
+            self.db * x ** (self.k - 1)
+            + 1.0
+            + self.n * x ** (self.n - 1)
+            + self.dc * x ** (self.m - 1)
+        )
 
-    |q| falls by at most G(rho)*diag across the cell, and the computed
-    |q(center)| can exceed the exact one by at most `_rounding_bound`.
-    """
-    diag = half * _SQRT2
-    a = abs(center)
-    rounding = _rounding_bound(p, a)
-    return abs(evaluate(p, center)) - rounding > _gradient_bound(p, a + diag) * diag
+    def curvature(self, x: float) -> float:
+        """M''(x) for x > 0, where the degree-1 terms are 0 * x**-1 = 0."""
+        return (
+            self.ddb * x ** (self.k - 2)
+            + self.ddn * x ** (self.n - 2)
+            + self.ddc * x ** (self.m - 2)
+        )
 
 
 def _kantorovich_step(
-    p: HarmonicQuadrinomial, z0: complex, r: float
+    maj: _Majorant, z0: complex, r: float, v: complex, fz: complex, gz: complex
 ) -> Optional[complex]:
     """The Newton iterate from z0 if D(z0, r) provably holds exactly one
-    zero of q, else None.
+    zero of q, else None; v, fz and gz are q, h' and g' at z0.
 
     sigma = ||h'(z0)| - |g'(z0)|| is the smallest singular value of the
-    real Jacobian and L bounds its Lipschitz constant on the disk, so the
-    simplified Newton map z - DF(z0)^-1 F(z) moves by at most
-    kappa = L*r/sigma per unit on D(z0, r).  With kappa < 1/2 and
+    real Jacobian and L = M''(|z0| + r) bounds its Lipschitz constant on
+    the disk, so the simplified Newton map z - DF(z0)^-1 F(z) moves by at
+    most kappa = L*r/sigma per unit on D(z0, r).  With kappa < 1/2 and
     eta + kappa*r < r (eta the first Newton step) it maps the disk into
     itself as a contraction: exactly one zero.  The margins absorb
     rounding in sigma and eta.  Kantorovich's h = kappa*eta/r is then at
     most about 0.2 < 1/2, so plain Newton from z0 converges to that zero.
     """
-    sigma = abs(abs(analytic_derivative(p, z0)) - abs(coanalytic_derivative(p, z0)))
-    lr = _hessian_bound(p, abs(z0) + r) * r  # kappa = lr / sigma
+    sigma = abs(abs(fz) - abs(gz))
+    lr = maj.curvature(abs(z0) + r) * r  # kappa = lr / sigma
     if not lr < 0.5 * sigma:
         return None
     try:
-        z1 = newton_step(p, z0)
+        z1 = _newton_update(z0, v, fz, gz)
     except DegenerateJacobian:
         return None
     if abs(z1 - z0) + lr / sigma * r < 0.9 * r:
@@ -170,15 +192,50 @@ def _kantorovich_step(
     return None
 
 
-def _certificate_radius(p: HarmonicQuadrinomial, z: complex) -> float:
-    """Kantorovich radius at a converged z: kappa <= 1/4 on D(z, r), so the
-    test passes there unless the Jacobian is singular (r = 0)."""
-    sigma = abs(abs(analytic_derivative(p, z)) - abs(coanalytic_derivative(p, z)))
-    return min(1.0, sigma / (4.0 * _hessian_bound(p, abs(z) + 1.0)))
+def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
+    """The quadtree's cell test for p, stages 1 to 3 of the module
+    docstring: cell(center, half) is (kept, z1) for the closed cell
+    center +- half (both axes), of half-diagonal r.
+
+    kept is False when the cell provably holds no zero; z1 is the
+    Kantorovich iterate when the disk of radius `_CERT_RADIUS`*r at the
+    centre provably holds exactly one zero, else None.
+    """
+    value, slope, gamma = maj.value, maj.slope, maj.gamma
+
+    def cell(center: complex, half: float) -> tuple[bool, Optional[complex]]:
+        v = evaluate(p, center)
+        a = abs(center)
+        r = half * _SQRT2
+        m0 = value(a)
+        m1 = value(a + r)
+        lower = abs(v) - gamma * m0  # |q(center)| is at least this
+        if lower > m1 - m0 + gamma * (m1 + m0):
+            return False, None
+        fz = analytic_derivative(p, center)
+        gz = coanalytic_derivative(p, center)
+        s0 = slope(a)
+        d0 = s0 * r
+        drop = (abs(fz) + abs(gz) + 2.0 * gamma * s0) * r + (m1 - m0 - d0)
+        if lower > drop + gamma * (m1 + m0 + d0):
+            return False, None
+        return True, _kantorovich_step(maj, center, _CERT_RADIUS * r, v, fz, gz)
+
+    return cell
+
+
+def _certificate_radius(
+    maj: _Majorant, z: complex, fz: complex, gz: complex
+) -> float:
+    """Kantorovich radius at a converged z with h'(z) = fz, g'(z) = gz:
+    kappa <= 1/4 on D(z, r), so the test passes there unless the Jacobian
+    is singular (r = 0)."""
+    sigma = abs(abs(fz) - abs(gz))
+    return min(1.0, sigma / (4.0 * maj.curvature(abs(z) + 1.0)))
 
 
 def _newton_polish(
-    p: HarmonicQuadrinomial, z: complex, escape_radius: float
+    p: HarmonicQuadrinomial, maj: _Majorant, z: complex, escape_radius: float
 ) -> Optional[complex]:
     """Undamped Newton from z to |q| <= _ACCEPT_TOL, then one step more,
     kept if it still meets the tolerance; None on a degenerate Jacobian
@@ -195,7 +252,7 @@ def _newton_polish(
         if not abs(z) <= escape_radius:  # NaN fails it too
             return None
     # Rounding alone can keep |q| above _ACCEPT_TOL at large |z|.
-    if abs(evaluate(p, z)) <= max(_ACCEPT_TOL, _rounding_bound(p, abs(z))):
+    if abs(evaluate(p, z)) <= max(_ACCEPT_TOL, maj.gamma * maj.value(abs(z))):
         return z
     return None
 
@@ -209,6 +266,8 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
     r_disk = disk.radius
     merge_radius = 1e-7 * max(1.0, r_disk)
     escape_radius = r_disk + 1.0
+    maj = _Majorant(p)
+    cell = _cell_test(p, maj)
 
     # Quadtree over the circumscribing square [-R, R]^2.  Depth-first,
     # children pushed in fixed order, so candidate order is deterministic.
@@ -216,14 +275,14 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
     stack = [(0j, r_disk, 0)]
     while stack:
         center, half, depth = stack.pop()
-        if _excluded(p, center, half):
+        kept, z1 = cell(center, half)
+        if not kept:
             continue
-        # A passing cell holds at most the one zero of its Kantorovich disk,
-        # which Newton from the test's iterate converges to.
-        z1 = _kantorovich_step(p, center, _CERT_RADIUS * half * _SQRT2)
+        # A certified cell holds at most the one zero of its Kantorovich
+        # disk, which Newton from the test's iterate converges to.
         if z1 is not None or depth >= _MAX_DEPTH:
             start = center if z1 is None else z1
-            z = _newton_polish(p, start, escape_radius)
+            z = _newton_polish(p, maj, start, escape_radius)
             if z is not None:
                 candidates.append(z)
             continue
@@ -239,8 +298,10 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
     for z in candidates:
         if any(abs(z - w) < r for w, r, _ in certified):
             continue
-        r = _certificate_radius(p, z)
-        z1 = _kantorovich_step(p, z, r) if r > 0 else None
+        fz = analytic_derivative(p, z)
+        gz = coanalytic_derivative(p, z)
+        r = _certificate_radius(maj, z, fz, gz)
+        z1 = _kantorovich_step(maj, z, r, evaluate(p, z), fz, gz) if r > 0 else None
         if z1 is not None:
             certified.append((z, r, z1))
         elif all(abs(z - w) > merge_radius for w in loose):

@@ -4,13 +4,13 @@ Cells are solved independently, one b-row per task, in this process or
 across a pool of worker processes, and always reported in row-major
 (b index, c index) order, so the CSV is byte-identical regardless of
 worker count.  ``threads`` (the CLI's ``--threads`` and
-``QUADZERO_THREADS``) is the number of worker processes asked for; a
-sweep uses at most one per CPU and one per b-row, and with one it starts
-no pool.  Workers start by the platform's default method.  Where that is
-``spawn`` (Windows, macOS) or ``forkserver`` (Linux from Python 3.14),
-each worker imports the calling script, so a script that sweeps with
-more than one worker must call ``run_sweep`` under
-``if __name__ == "__main__":``.
+``QUADZERO_THREADS``) is the number of worker processes asked for, at
+least 1 (``run_sweep`` raises ``ValueError`` below that); a sweep uses at
+most one per CPU and one per b-row, and with one it starts no pool.
+Workers start by the platform's default method.  Where that is ``spawn``
+(Windows, macOS) or ``forkserver`` (Linux from Python 3.14), each worker
+imports the calling script, so a script that sweeps with more than one
+worker must call ``run_sweep`` under ``if __name__ == "__main__":``.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ def run_sweep(
     m: int,
     threads: int = 1,
 ) -> SweepGrid:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     bs = b_axis.values()
     rows = (bs, repeat(c_axis.values()), repeat(k), repeat(n), repeat(m))
     # A forking pool starts all its workers at once: no more than can run.

@@ -15,14 +15,20 @@ from quadzero import (
 )
 from quadzero import solver
 from quadzero.errors import BoundUnavailable, DegenerateJacobian
+from quadzero.model import analytic_derivative, coanalytic_derivative
 from quadzero.solver import (
+    _Majorant,
+    _cell_test,
     _certificate_radius,
-    _excluded,
-    _gradient_bound,
     _kantorovich_step,
 )
 
 CUBIC = HarmonicQuadrinomial(b=0.0, c=0.0, k=1, n=3, m=1)  # conj(z)^3 + z
+
+
+def _jet(p, z):
+    """q, h' and g' at z, as the Kantorovich test takes them."""
+    return evaluate(p, z), analytic_derivative(p, z), coanalytic_derivative(p, z)
 
 
 class TestNewtonStep:
@@ -157,10 +163,39 @@ class TestExclusion:
         x = float((lo + hi) / 2)
         half = 2.0 * float(max(Fraction(x) - lo, hi - Fraction(x)))
         center = complex(x, 0.0)
-        diag = half * math.sqrt(2.0)
-        # Without the rounding margin the cell would be pruned.
-        assert abs(evaluate(p, center)) > _gradient_bound(p, abs(center) + diag) * diag
-        assert not _excluded(p, center, half)
+        maj = _Majorant(p)
+        v, fz, gz = _jet(p, center)
+        a, r = abs(center), half * math.sqrt(2.0)
+        drop = maj.value(a + r) - maj.value(a)  # stage 1, without rounding
+        drop2 = (abs(fz) + abs(gz)) * r + drop - maj.slope(a) * r  # stage 2
+        # Without the rounding margins either stage would prune the cell.
+        assert abs(v) > drop
+        assert abs(v) > drop2
+        kept, _ = _cell_test(p, maj)(center, half)
+        assert kept
+
+    def test_second_order_stage_prunes_what_the_first_keeps(self):
+        # Around -1-2j the terms of h' and g' partly cancel, so the drop of
+        # |q| across the cell is smaller than the majorant's first-order
+        # drop M(a+r) - M(a): stage 1 keeps the cell and stage 2 prunes it.
+        p = HarmonicQuadrinomial(b=2.0, c=3.0, k=4, n=3, m=1)
+        center, half = -1 - 2j, 0.25
+        maj = _Majorant(p)
+        a, r = abs(center), half * math.sqrt(2.0)
+        m0, m1 = maj.value(a), maj.value(a + r)
+        assert abs(evaluate(p, center)) - maj.gamma * m0 < m1 - m0
+        kept, z1 = _cell_test(p, maj)(center, half)
+        assert not kept
+        assert z1 is None
+
+    def test_cell_iterate_is_newton_step(self):
+        # The cell test's Newton iterate comes from the q, h' and g' it
+        # evaluated for exclusion, by the formula newton_step uses.
+        center = 0.7 + 0.7j  # 0.01 from the zero exp(i*pi/4) per axis
+        kept, z1 = _cell_test(CUBIC, _Majorant(CUBIC))(center, 0.01)
+        assert kept
+        assert z1 is not None
+        assert z1 == newton_step(CUBIC, center)
 
 
 class TestCertification:
@@ -309,12 +344,58 @@ def instances(draw):
 @settings(max_examples=60, deadline=None)
 def test_certified_disks_hold_one_reported_zero(p):
     report = find_zeros(p)
+    maj = _Majorant(p)
     for rec in report.zeros:
         if not rec.certified:
             continue
-        r = _certificate_radius(p, rec.location)
-        assert _kantorovich_step(p, rec.location, r) is not None
+        v, fz, gz = _jet(p, rec.location)
+        r = _certificate_radius(maj, rec.location, fz, gz)
+        assert _kantorovich_step(maj, rec.location, r, v, fz, gz) is not None
         others = [o for o in report.zeros if o is not rec]
         assert all(abs(o.location - rec.location) >= r for o in others)
     if report.bound is not None and report.bound.upper_is_proven:
         assert report.n_certified <= report.bound.upper
+
+
+unit_offset = st.floats(min_value=-1.0, max_value=1.0)
+offsets = st.lists(st.tuples(unit_offset, unit_offset), min_size=1, max_size=4)
+
+
+@given(instances(), offsets)
+@settings(max_examples=40, deadline=None)
+def test_cells_holding_a_certified_zero_are_kept(p, offsets):
+    # The certificate at a reported zero z0 (kappa <= 1/4) puts the zero
+    # within eta/(1 - kappa) of z0, eta the exact Newton step: at most the
+    # computed |z1 - z0| plus the rounding of q(z0) over sigma.  e doubles
+    # that.  Every cell that holds D(z0, e), checked in exact arithmetic,
+    # must survive both exclusion stages.
+    report = find_zeros(p)
+    maj = _Majorant(p)
+    cell = _cell_test(p, maj)
+    tested = 0
+    for rec in report.zeros:
+        if not rec.certified:
+            continue
+        z0 = rec.location
+        v, fz, gz = _jet(p, z0)
+        r = _certificate_radius(maj, z0, fz, gz)
+        z1 = _kantorovich_step(maj, z0, r, v, fz, gz)
+        assert z1 is not None
+        sigma = abs(abs(fz) - abs(gz))
+        e = 2.0 * (abs(z1 - z0) + maj.gamma * maj.value(abs(z0)) / sigma)
+        assert e < r
+        for decade in range(-16, 0):
+            half = 10.0**decade
+            for ox, oy in offsets:
+                center = z0 + complex(ox, oy) * (half - e)
+                reach = Fraction(e) - Fraction(half)
+                if (
+                    abs(Fraction(center.real) - Fraction(z0.real)) + reach > 0
+                    or abs(Fraction(center.imag) - Fraction(z0.imag)) + reach > 0
+                ):
+                    continue  # the cell does not hold D(z0, e)
+                tested += 1
+                kept, _ = cell(center, half)
+                assert kept, (z0, center, half)
+    if report.n_certified:
+        assert tested > 0

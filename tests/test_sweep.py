@@ -83,6 +83,13 @@ def test_worker_count_is_capped(monkeypatch, pool_sizes, threads, cpus, pool_siz
     assert [(cell.b, cell.c) for cell in grid.cells] == [(2, 3), (3, 3), (4, 3)]
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_fewer_than_one_worker_is_refused(pool_sizes, threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_sweep(Axis(2, 4, 3), Axis(3, 3, 1), 3, 2, 1, threads=threads)
+    assert pool_sizes == []
+
+
 def test_process_pool_returns_the_serial_reports(monkeypatch):
     # b = 1 with k = n gives unavailable cells, c = -1 a singular origin
     # (|c| = 1, m = 1), b = 2 or 3 with c = 3 regular cells.

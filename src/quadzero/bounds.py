@@ -26,6 +26,7 @@ _UNIT_ROUNDOFF = 2.0**-53
 class BoundSource(enum.Enum):
     THM31 = "Thm31"
     THM32 = "Thm32"
+    # No theorem delta; the disk comes from the majorant, as on every route.
     FALLBACK_CAUCHY = "FallbackCauchy"
     UNAVAILABLE = "Unavailable"
 
@@ -42,11 +43,14 @@ class DiskBound:
 
     delta is the non-unit positive root of the radius equation when the
     theorem route applies.  radius is +inf when source is UNAVAILABLE.
+    winding, None only when source is UNAVAILABLE, is the winding of q on
+    every circle |z| = r >= radius: the dominant term's index (Rouche).
     """
 
     radius: float
     delta: Optional[float]
     source: BoundSource
+    winding: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -76,26 +80,29 @@ def radius_polynomial(p: HarmonicQuadrinomial) -> tuple[RealPoly, BoundSource]:
     return RealPoly(tuple(coeffs)), source
 
 
-def _majorant(p: HarmonicQuadrinomial) -> Optional[RealPoly]:
-    """M(x): a*x^d minus every other |term| of q at |z| = x; None if a = 0.
+def _majorant(p: HarmonicQuadrinomial) -> Optional[tuple[RealPoly, int]]:
+    """M(x), a*x^d minus every other |term| of q at |z| = x, and the index
+    of the dominant term; None if a = 0.
 
-    a*x^d bounds the dominant term below: |b|x^k when k > n, x^n when
-    k < n or b = 0, ||b| - 1|x^k when k = n.  |q(z)| >= M(|z|).
+    a*x^d bounds the dominant term below: |b|x^k (index +k) when k > n,
+    x^n (index -n) when k < n or b = 0, ||b| - 1|x^k when k = n (index +k
+    if |b| > 1, -k if |b| < 1).  |q(z)| >= M(|z|).
     """
     bb, cc = abs(p.b), abs(p.c)
     if bb == 0.0 or p.k < p.n:
-        lead, d, rest = 1.0, p.n, ((bb, p.k), (cc, p.m), (1.0, 1))
+        lead, d, index, rest = 1.0, p.n, -p.n, ((bb, p.k), (cc, p.m), (1.0, 1))
     elif p.k > p.n:
-        lead, d, rest = bb, p.k, ((1.0, p.n), (cc, p.m), (1.0, 1))
+        lead, d, index, rest = bb, p.k, p.k, ((1.0, p.n), (cc, p.m), (1.0, 1))
     else:
         lead, d, rest = abs(bb - 1.0), p.k, ((cc, p.m), (1.0, 1))
+        index = p.k if bb > 1.0 else -p.k
     if lead == 0.0:
         return None
     coeffs = [0.0] * d + [lead]
     for coef, deg in rest:
         if coef:
             coeffs[deg] -= coef
-    return RealPoly(tuple(coeffs))
+    return RealPoly(tuple(coeffs)), index
 
 
 def radius_bound(p: HarmonicQuadrinomial) -> DiskBound:
@@ -115,17 +122,18 @@ def radius_bound(p: HarmonicQuadrinomial) -> DiskBound:
     the deflated radius equation gives |b|x^k >= C(1 + x + ... + x^(k-1))
     >= x^n + |c|x^m + x, C = max(1, |c|).  At k = 3 delta can undershoot.
     """
-    poly = _majorant(p)
-    if poly is None:
-        return DiskBound(math.inf, None, BoundSource.UNAVAILABLE)
+    majorant = _majorant(p)
+    if majorant is None:
+        return DiskBound(math.inf, None, BoundSource.UNAVAILABLE, None)
+    poly, winding = majorant
     gamma = 4.0 * (poly.degree + 2) * _UNIT_ROUNDOFF
     size = RealPoly(tuple(abs(a) for a in poly.coeffs))
     radius = first_true(lambda x: poly(x) > gamma * size(x), 1.0)
     if p.b == 0.0 or p.c == 0.0 or not p.k > p.n:
-        return DiskBound(radius, None, BoundSource.FALLBACK_CAUCHY)
+        return DiskBound(radius, None, BoundSource.FALLBACK_CAUCHY, winding)
     theorem, source = radius_polynomial(p)
     delta = positive_root_bracketed(deflate_at_one(theorem))
-    return DiskBound(radius, delta, source)
+    return DiskBound(radius, delta, source, winding)
 
 
 def count_bound(p: HarmonicQuadrinomial) -> CountBound:

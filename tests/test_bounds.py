@@ -59,6 +59,7 @@ class TestRadiusBound:
         p = HarmonicQuadrinomial(b=1.0, c=2.0, k=3, n=3, m=1)
         db = radius_bound(p)
         assert db.source is BoundSource.UNAVAILABLE
+        assert db.winding is None
 
     def test_degree_tie_bound(self):
         p = HarmonicQuadrinomial(b=3.0, c=2.0, k=3, n=3, m=1)

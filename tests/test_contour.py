@@ -53,7 +53,28 @@ class TestStability:
             assert a.winding == b.winding
 
     def test_dominance_law(self):
+        # Past the disk radius R one term dominates q, so the winding on
+        # every circle |z| >= R is that term's index: radius_bound's
+        # closed form must match the sampled winding on C(0, R) and
+        # C(0, R+1) on every branch of the dominant term.  R is the least
+        # float where the majorant is provably positive, and with real b
+        # and c the terms nearly align somewhere on C(0, R), so q can come
+        # within rounding of 0 there and the sampler may refuse that circle.
         import random
+
+        from quadzero import radius_bound
+
+        at_r = []
+
+        def closed_form(p):
+            disk = radius_bound(p)
+            try:
+                at_r.append(winding_number(p, Circle(0j, disk.radius)).winding)
+            except ZeroOnContour:
+                pass
+            else:
+                assert at_r[-1] == disk.winding
+            return disk.winding
 
         rng = random.Random(3)
         for _ in range(20):
@@ -63,19 +84,38 @@ class TestStability:
             b = rng.choice([-1, 1]) * rng.uniform(0.2, 4)
             c = rng.choice([-1, 1]) * rng.uniform(0.2, 4)
             p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
-            from quadzero import radius_bound
-
             rep = winding_number(p, Circle(0j, radius_bound(p).radius + 1.0))
             assert rep.winding == k
+            assert closed_form(p) == rep.winding
         for _ in range(10):
             n = rng.randint(2, 6)
             m = rng.randint(1, n - 1)
             c = rng.choice([-1, 1]) * rng.uniform(0.2, 4)
             p = HarmonicQuadrinomial(b=0.0, c=c, k=1, n=n, m=m)
-            from quadzero import radius_bound
-
             rep = winding_number(p, Circle(0j, radius_bound(p).radius + 1.0))
             assert rep.winding == -n
+            assert closed_form(p) == rep.winding
+        for _ in range(10):  # k < n, b != 0
+            n = rng.randint(3, 6)
+            k = rng.randint(1, n - 1)
+            m = rng.randint(1, n - 1)
+            b = rng.choice([-1, 1]) * rng.uniform(0.2, 4)
+            c = rng.choice([-1, 1]) * rng.uniform(0.2, 4)
+            p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
+            rep = winding_number(p, Circle(0j, radius_bound(p).radius + 1.0))
+            assert rep.winding == -n
+            assert closed_form(p) == rep.winding
+        for low, high, index in ((1.5, 4.0, 1), (0.1, 0.7, -1)):
+            for _ in range(5):  # k = n, |b| on either side of 1
+                k = rng.randint(2, 6)
+                m = rng.randint(1, k - 1)
+                b = rng.choice([-1, 1]) * rng.uniform(low, high)
+                c = rng.choice([-1, 1]) * rng.uniform(0.2, 4)
+                p = HarmonicQuadrinomial(b=b, c=c, k=k, n=k, m=m)
+                rep = winding_number(p, Circle(0j, radius_bound(p).radius + 1.0))
+                assert rep.winding == index * k
+                assert closed_form(p) == rep.winding
+        assert len(at_r) >= 30  # of 50 instances
 
     def test_sample_cap(self):
         import quadzero.contour as contour_mod

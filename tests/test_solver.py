@@ -12,6 +12,7 @@ from quadzero import (
     evaluate,
     find_zeros,
     newton_step,
+    radius_bound,
 )
 from quadzero import solver
 from quadzero.errors import BoundUnavailable, DegenerateJacobian
@@ -58,7 +59,7 @@ class TestFindZeros:
         assert report.n_minus == 4
         assert report.n_singular == 0
         assert report.winding_check == "passed"
-        assert report.winding == -3
+        assert report.disk.winding == -3
         expected = [0j] + [
             cmath.exp(1j * math.pi * (2 * j + 1) / 4) for j in range(4)
         ]
@@ -70,7 +71,7 @@ class TestFindZeros:
         report = find_zeros(p)
         # origin plus the six roots of z^6 = -1
         assert report.count == 7
-        assert report.winding == -5
+        assert report.disk.winding == -5
 
     def test_origin_always_returned(self):
         for p in (
@@ -197,6 +198,30 @@ class TestExclusion:
         assert z1 is not None
         assert z1 == newton_step(CUBIC, center)
 
+    def test_child_centres_within_one_ulp_of_exact(self):
+        # Child centres are rounded, so sibling cells need not tile their
+        # parent exactly.  The cell test widens its half-diagonal by
+        # ulp(|centre|), which covers a centre within that distance of its
+        # exact position parent +- h2.
+        p = HarmonicQuadrinomial(b=2.0, c=3.0, k=4, n=3, m=1)
+        level = [0j]
+        half = radius_bound(p).radius
+        moved = 0
+        for _ in range(6):
+            h2 = 0.5 * half
+            children = []
+            for center in level:
+                for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                    child = center + complex(sx * h2, sy * h2)
+                    dx = Fraction(child.real) - Fraction(center.real) - sx * Fraction(h2)
+                    dy = Fraction(child.imag) - Fraction(center.imag) - sy * Fraction(h2)
+                    assert dx * dx + dy * dy <= Fraction(math.ulp(abs(child))) ** 2
+                    moved += dx != 0 or dy != 0
+                    children.append(child)
+            level, half = children, h2
+        assert len(level) == 4**6
+        assert moved > 0
+
 
 class TestCertification:
     def test_zero_on_shared_cell_edge_reported_once(self):
@@ -315,6 +340,16 @@ class TestCertification:
         assert report.n_certified == 10
         assert report.winding_check == "passed"
         assert sum(1 for rec in report.zeros if abs(rec.location) > 1e3) == 7
+
+    def test_ledger_flags_lost_zeros_at_tinier_b(self):
+        # R = 1e10: zeros lie within 1e-16 (relative) of C(0, R+1), where
+        # a sampled winding meets q = 0 and gives up.  The dominant index
+        # needs no sampling, so a run that loses far zeros (6 of 10 are
+        # found) is flagged by the check instead of left inconclusive.
+        p = HarmonicQuadrinomial(b=1e-10, c=2.0, k=4, n=3, m=1)
+        report = find_zeros(p)
+        assert report.disk.winding == 4
+        assert report.winding_check != "inconclusive"
 
 
 signs = st.sampled_from((-1.0, 1.0))

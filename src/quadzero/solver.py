@@ -24,19 +24,24 @@ gamma times the sum of its terms.  Those terms are positive, so the sum
 bounds the difference's rounding error, cancellation and the rounding of
 a and r included.
 
-Each kept cell makes one undamped Newton run, from the test's iterate
-or, at the floor, from the centre.  The run may leave its cell: where it
-lands, not where it started, decides which zero it found.  Once |q| is
-at most `_ACCEPT_TOL` it takes one step more: near a zero with a small
-Jacobian the set where |q| meets the tolerance is wider than the zero's
-certified disk, and the step moves the run toward the zero, as a rule
-into that disk.
-
-Each Newton result z is certified at itself by the same Kantorovich
-test: it proves that D(z, r), r set by the Jacobian and M'' at z, holds
-exactly one zero, and the record reports the test's Newton iterate.  A
-later result inside a certified disk is that zero and is dropped; results
-that fail the test are not certified and merge at 1e-7*max(1, R).  Zeros
+The origin (q(0) = 0 always), then each kept cell, makes one undamped
+Newton run, from the test's iterate or, at the floor, from the centre;
+where it lands decides which zero it found.  It stops before a step not
+shorter than the last (NaN and divergence included), after a step of at
+most the unit roundoff times max(1, |z|), on a degenerate Jacobian or
+after `_NEWTON_CAP` steps.  Before each step it is dropped inside a
+certified disk and, once a step is shorter than the merge radius
+1e-7*max(1, R), within that of a kept uncertified result; at its end, at
+either.  Entering D(w, r) it would converge to the disk's zero zeta:
+r <= min(1/3, sigma/(4L)), sigma the Jacobian's least singular value at
+w and L = M''(|w| + 1) its Lipschitz bound on D(w, 3r), so
+|zeta - w| < 0.9r, sigma_zeta > 3sigma/4 and each y in the disk has
+|y - zeta| < 1.9r < sigma/(2L) < 2sigma_zeta/(3L), Newton's local
+convergence radius (the slack below 2r covers the rounding of sigma).
+A run's last point z is certified by the Kantorovich test centred at z,
+r set by the Jacobian and M'' there, and reported at the test's Newton
+iterate, or kept uncertified if |q(z)| <= `_ACCEPT_TOL`.  Runs to a
+singular zero, where Newton is only linear, merge there.  Zeros
 are classified by orientation and cross-checked against the argument
 principle, N+ - N- against `DiskBound.winding`, the proven winding on
 every circle beyond the disk: the only evidence for uncertified zeros.
@@ -62,7 +67,7 @@ from .model import (
 )
 
 _NEWTON_CAP = 100
-_ACCEPT_TOL = 1e-10  # a Newton run stops once |q| is at most this
+_ACCEPT_TOL = 1e-10  # the largest |q| of an uncertified Newton result
 _MAX_DEPTH = 12  # quadtree depth of the floor cells
 _SQRT2 = math.sqrt(2.0)
 _UNIT_ROUNDOFF = 2.0**-53
@@ -170,8 +175,9 @@ def _kantorovich_step(
     the disk, so the simplified Newton map z - DF(z0)^-1 F(z) moves by at
     most kappa = L*r/sigma per unit on D(z0, r).  With kappa < 1/2 and
     eta + kappa*r < r (eta the first Newton step) it maps the disk into
-    itself as a contraction: exactly one zero.  The margins absorb
-    rounding in sigma and eta.  Kantorovich's h = kappa*eta/r is then at
+    itself as a contraction: exactly one zero.  eta adds gamma*M(|z0|)/sigma
+    for the rounding of q(z0), whose computed value can vanish; the
+    margins absorb the rest.  Kantorovich's h = kappa*eta/r is then at
     most about 0.2 < 1/2, so plain Newton from z0 converges to that zero.
     """
     sigma = abs(abs(fz) - abs(gz))
@@ -182,7 +188,7 @@ def _kantorovich_step(
         z1 = _newton_update(z0, v, fz, gz)
     except DegenerateJacobian:
         return None
-    if abs(z1 - z0) + lr / sigma * r < 0.9 * r:
+    if abs(z1 - z0) + (maj.gamma * maj.value(abs(z0)) + lr * r) / sigma < 0.9 * r:
         return z1
     return None
 
@@ -224,32 +230,9 @@ def _certificate_radius(
 ) -> float:
     """Kantorovich radius at a converged z with h'(z) = fz, g'(z) = gz:
     kappa <= 1/4 on D(z, r), so the test passes there unless the Jacobian
-    is singular (r = 0)."""
+    is singular (r = 0).  r <= 1/3: see the module docstring."""
     sigma = abs(abs(fz) - abs(gz))
-    return min(1.0, sigma / (4.0 * maj.curvature(abs(z) + 1.0)))
-
-
-def _newton_polish(
-    p: HarmonicQuadrinomial, maj: _Majorant, z: complex, escape_radius: float
-) -> Optional[complex]:
-    """Undamped Newton from z to |q| <= _ACCEPT_TOL, then one step more,
-    kept if it still meets the tolerance; None on a degenerate Jacobian
-    before that or on leaving the escape disk."""
-    for _ in range(_NEWTON_CAP):
-        accepted = abs(evaluate(p, z)) <= _ACCEPT_TOL
-        try:
-            z1 = newton_step(p, z)
-        except DegenerateJacobian:
-            return z if accepted else None
-        if accepted:
-            return z1 if abs(evaluate(p, z1)) <= _ACCEPT_TOL else z
-        z = z1
-        if not abs(z) <= escape_radius:  # NaN fails it too
-            return None
-    # Rounding alone can keep |q| above _ACCEPT_TOL at large |z|.
-    if abs(evaluate(p, z)) <= max(_ACCEPT_TOL, maj.gamma * maj.value(abs(z))):
-        return z
-    return None
+    return min(1.0 / 3.0, sigma / (4.0 * maj.curvature(abs(z) + 1.0)))
 
 
 def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
@@ -260,13 +243,45 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         )
     r_disk = disk.radius
     merge_radius = 1e-7 * max(1.0, r_disk)
-    escape_radius = r_disk + 1.0
     maj = _Majorant(p)
     cell = _cell_test(p, maj)
+    certified = []  # (centre, radius, location) per certified zero
+    loose = []  # uncertified results, one per merge_radius
 
+    def known(z: complex, step: float) -> bool:  # the run's drop test
+        for w, r, _ in certified:
+            if abs(z - w) < r:
+                return True
+        return step < merge_radius and any(abs(z - w) <= merge_radius for w in loose)
+
+    def settle(z: complex) -> None:  # the Newton run of the module docstring
+        step = math.inf
+        for _ in range(_NEWTON_CAP):
+            if known(z, step):
+                return
+            try:
+                z1 = newton_step(p, z)
+            except DegenerateJacobian:
+                break
+            d = abs(z1 - z)
+            if not d < step:  # NaN fails it too
+                break
+            z, step = z1, d
+            if d <= _UNIT_ROUNDOFF * max(1.0, abs(z)):
+                break
+        if known(z, 0.0):
+            return
+        fz, gz = analytic_derivative(p, z), coanalytic_derivative(p, z)
+        r = _certificate_radius(maj, z, fz, gz)
+        z1 = _kantorovich_step(maj, z, r, evaluate(p, z), fz, gz) if r > 0 else None
+        if z1 is not None:
+            certified.append((z, r, z1))
+        elif abs(evaluate(p, z)) <= _ACCEPT_TOL:
+            loose.append(z)
+
+    settle(0j)  # q(0) = 0: every term has z or zbar
     # Quadtree over the circumscribing square [-R, R]^2.  Depth-first,
-    # children pushed in fixed order, so candidate order is deterministic.
-    candidates = [0j]  # q(0) = 0: every term has z or zbar
+    # children pushed in fixed order, so the run order is deterministic.
     stack = [(0j, r_disk, 0)]
     while stack:
         center, half, depth = stack.pop()
@@ -276,10 +291,7 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         # A certified cell holds at most the one zero of its Kantorovich
         # disk, which Newton from the test's iterate converges to.
         if z1 is not None or depth >= _MAX_DEPTH:
-            start = center if z1 is None else z1
-            z = _newton_polish(p, maj, start, escape_radius)
-            if z is not None:
-                candidates.append(z)
+            settle(center if z1 is None else z1)
             continue
         h2 = 0.5 * half
         d2 = depth + 1
@@ -288,19 +300,6 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         stack.append((center + complex(h2, -h2), h2, d2))
         stack.append((center + complex(-h2, -h2), h2, d2))
 
-    certified = []  # (centre, radius, location) per certified zero
-    loose = []  # uncertified results, one per merge_radius
-    for z in candidates:
-        if any(abs(z - w) < r for w, r, _ in certified):
-            continue
-        fz = analytic_derivative(p, z)
-        gz = coanalytic_derivative(p, z)
-        r = _certificate_radius(maj, z, fz, gz)
-        z1 = _kantorovich_step(maj, z, r, evaluate(p, z), fz, gz) if r > 0 else None
-        if z1 is not None:
-            certified.append((z, r, z1))
-        elif all(abs(z - w) > merge_radius for w in loose):
-            loose.append(z)
     zeros = [(z1, True) for _, _, z1 in certified] + [
         (z, False)
         for z in loose

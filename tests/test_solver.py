@@ -295,11 +295,13 @@ class TestCertification:
                 b=4.792960812136874, c=0.9998777716731656, k=8, n=3, m=1), 8),
             (HarmonicQuadrinomial(b=1.4275698133347674e-05, c=-1.0, k=1, n=2, m=1), 4),
             (HarmonicQuadrinomial(b=8.065959996400468e-05, c=-1.0, k=1, n=5, m=1), 7),
+            (HarmonicQuadrinomial(
+                b=-2.9705760447161733, c=-1.0000132504428423, k=2, n=2, m=1), 4),
         ],
         ids=[
             "b2.6-c-0.99935", "b4.8-c-1.0006", "b-3.084-c-0.99324",
             "b-4.078-c0.999994", "b3.695-c-1.000028", "b4.793-c0.999878",
-            "b1.4e-5-c-1-k1-n2", "b8.1e-5-c-1-k1-n5",
+            "b1.4e-5-c-1-k1-n2", "b8.1e-5-c-1-k1-n5", "b-2.971-c-1.0000133-k2",
         ],
     )
     def test_near_singular_close_zeros_certified_once(self, p, count):
@@ -307,9 +309,9 @@ class TestCertification:
         # other, where Newton runs from many floor cells end up to 1e-6
         # apart; each zero is certified once, by its own disk.  Near such
         # a zero |q| <= 1e-10 holds on a set wider than its certified
-        # disk, so a run that stopped at the first point there could be
-        # reported as a second zero: the counts are the dense-grid
-        # oracle's.
+        # disk (7.7e-6 against 4.2e-7 at the origin of the last case), so
+        # a run that stopped there could be reported as a second zero:
+        # the counts are the dense-grid oracle's.
         report = find_zeros(p)
         assert report.count == count
         assert report.n_certified == count
@@ -332,24 +334,59 @@ class TestCertification:
         assert calls <= 12_000
 
     def test_tiny_b_keeps_far_zeros(self):
-        # R = 1e4: near |z| = 1e4 rounding keeps |q| near 1e-4, far above
-        # the Newton stopping tolerance, for all 7 far zeros.
-        p = HarmonicQuadrinomial(b=1e-4, c=2.0, k=4, n=3, m=1)
-        report = find_zeros(p)
-        assert report.count == 10
-        assert report.n_certified == 10
-        assert report.winding_check == "passed"
-        assert sum(1 for rec in report.zeros if abs(rec.location) > 1e3) == 7
+        # R = 1/b: near |z| = R rounding keeps |q| near 1e-4 (b = 1e-4) or
+        # 4e14 (b = 1e-10), far above 1e-10, for all 7 far zeros.  At
+        # b = 1e-10 the first Newton step from a far certified cell
+        # lands 1.1 beyond R, so a run must not stop at the disk's edge.
+        for b in (1e-4, 1e-10):
+            p = HarmonicQuadrinomial(b=b, c=2.0, k=4, n=3, m=1)
+            report = find_zeros(p)
+            assert report.count == 10
+            assert report.n_certified == 10
+            assert report.winding_check == "passed"
+            far = sum(1 for rec in report.zeros if abs(rec.location) > 0.1 / b)
+            assert far == 7
 
     def test_ledger_flags_lost_zeros_at_tinier_b(self):
         # R = 1e10: zeros lie within 1e-16 (relative) of C(0, R+1), where
         # a sampled winding meets q = 0 and gives up.  The dominant index
-        # needs no sampling, so a run that loses far zeros (6 of 10 are
-        # found) is flagged by the check instead of left inconclusive.
+        # needs no sampling, so a run that lost far zeros would be flagged
+        # by the check instead of left inconclusive; with every zero found
+        # and certified it passes.
         p = HarmonicQuadrinomial(b=1e-10, c=2.0, k=4, n=3, m=1)
         report = find_zeros(p)
         assert report.disk.winding == 4
         assert report.winding_check != "inconclusive"
+        p = HarmonicQuadrinomial(b=1e-10, c=0.5, k=6, n=5, m=2)
+        report = find_zeros(p)
+        assert report.disk.winding == 6
+        assert report.count == report.n_certified == 18
+        assert report.winding_check == "passed"
+
+    @pytest.mark.parametrize(
+        "b, c, k, n, count",
+        [
+            (2.0, 1.0, 3, 3, 5),
+            (1.0, 1.0, 4, 2, 6),
+            (1.5, 1.0, 3, 2, 5),
+            (2.0, -1.0, 3, 2, 4),
+            (2.5, -1.0, 3, 3, 3),
+            (0.5, 1.0, 4, 2, 6),
+        ],
+    )
+    def test_singular_origin_reported_once(self, b, c, k, n, count):
+        # |c| = 1 with m = 1: the origin is a singular zero, where Newton
+        # converges only linearly and |q| <= 1e-10 holds up to 3e-4 away,
+        # so a run that stopped at that tolerance would report another
+        # piece of it.  The counts are the dense-grid oracle's; every
+        # other zero is certified.
+        p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=1)
+        report = find_zeros(p)
+        assert report.count == count
+        assert report.n_certified == count - 1
+        loose = [rec for rec in report.zeros if not rec.certified]
+        assert len(loose) == 1
+        assert abs(loose[0].location) <= 1e-7 * max(1.0, report.disk.radius)
 
 
 signs = st.sampled_from((-1.0, 1.0))

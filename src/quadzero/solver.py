@@ -24,27 +24,27 @@ gamma times the sum of its terms.  Those terms are positive, so the sum
 bounds the difference's rounding error, cancellation and the rounding of
 a and r included.
 
-The origin (q(0) = 0 always), then each kept cell, makes one undamped
-Newton run, from the test's iterate or, at the floor, from the centre;
-where it lands decides which zero it found.  It stops before a step not
-shorter than the last (NaN and divergence included), after a step of at
-most the unit roundoff times max(1, |z|), on a degenerate Jacobian or
-after `_NEWTON_CAP` steps.  Before each step it is dropped inside a
-certified disk and, once a step is shorter than the merge radius
-1e-7*max(1, R), within that of a kept uncertified result; at its end, at
-either.  Entering D(w, r) it would converge to the disk's zero zeta:
-r <= min(1/3, sigma/(4L)), sigma the Jacobian's least singular value at
-w and L = M''(|w| + 1) its Lipschitz bound on D(w, 3r), so
-|zeta - w| < 0.9r, sigma_zeta > 3sigma/4 and each y in the disk has
-|y - zeta| < 1.9r < sigma/(2L) < 2sigma_zeta/(3L), Newton's local
-convergence radius (the slack below 2r covers the rounding of sigma).
-A run's last point z is certified by the Kantorovich test centred at z,
-r set by the Jacobian and M'' there, and reported at the test's Newton
-iterate, or kept uncertified if |q(z)| <= `_ACCEPT_TOL`.  Runs to a
-singular zero, where Newton is only linear, merge there.  Zeros
-are classified by orientation and cross-checked against the argument
-principle, N+ - N- against `DiskBound.winding`, the proven winding on
-every circle beyond the disk: the only evidence for uncertified zeros.
+The origin (q(0) = 0 exactly, so its run starts from a last step of 0
+and stays), then each kept cell, makes one undamped Newton run, from the
+test's iterate or, at the floor, from the centre.  It stops before a step
+not shorter than the last (NaN and divergence included), after a step of
+at most the unit roundoff times max(1, |z|), on a degenerate Jacobian or
+after `_NEWTON_CAP` steps.  It is dropped, before each step and at its
+end, inside the disk of any zero found.  Entering a certified D(w, r) it
+would converge to its zero zeta: r <= min(1/3, sigma/(4L)), sigma the
+Jacobian's least singular value at w and L = M''(|w| + 1) its Lipschitz
+bound on D(w, 3r), so |zeta - w| < 0.9r, sigma_zeta > 3sigma/4 and each y
+in the disk has |y - zeta| < 1.9r < sigma/(2L) < 2sigma_zeta/(3L),
+Newton's local convergence radius (the slack covers sigma's rounding).
+A run's last point z is certified by the Kantorovich test centred at z
+and reported at the test's Newton iterate.  The test lowers sigma by
+gamma*M'(|z|), the rounding of h' and g', so a pass proves the sign of
+|h'| - |g'| at z, and kappa < 1/2 keeps the least singular value above
+sigma/2 on the disk: J has that sign, the orientation, at the zero and at
+the iterate.  Else z is kept as a singular zero, its disk the merge radius
+1e-7*max(1, R), only if its run settled: a last step at most that radius
+and |q(z)| <= `_ACCEPT_TOL`.  N+ - N- is checked against the proven
+winding `DiskBound.winding`; a singular zero makes that inconclusive.
 """
 
 from __future__ import annotations
@@ -56,18 +56,18 @@ from typing import Optional
 from .bounds import BoundSource, CountBound, DiskBound, count_bound, radius_bound
 from .contour import winding_number  # noqa: F401  perfbench/run.py traces it here
 from .errors import BoundUnavailable, DegenerateJacobian, HypothesisViolation
+from .model import classify_point  # noqa: F401  perfbench/run.py traces it here
 from .model import (
     HarmonicQuadrinomial,
     OrientationClass,
     analytic_derivative,
-    classify_point,
     coanalytic_derivative,
     evaluate,
     jacobian,
 )
 
 _NEWTON_CAP = 100
-_ACCEPT_TOL = 1e-10  # the largest |q| of an uncertified Newton result
+_ACCEPT_TOL = 1e-10  # the largest |q| where a settled run is kept uncertified
 _MAX_DEPTH = 12  # quadtree depth of the floor cells
 _SQRT2 = math.sqrt(2.0)
 _UNIT_ROUNDOFF = 2.0**-53
@@ -83,7 +83,7 @@ class ZeroRecord:
     residual: float
     jacobian: float
     orientation: OrientationClass
-    certified: bool  # a Kantorovich disk centred at the zero holds only it
+    certified: bool  # a Kantorovich disk holds only it and proves its orientation
 
 
 @dataclass(frozen=True)
@@ -170,9 +170,9 @@ def _kantorovich_step(
     """The Newton iterate from z0 if D(z0, r) provably holds exactly one
     zero of q, else None; v, fz and gz are q, h' and g' at z0.
 
-    sigma = ||h'(z0)| - |g'(z0)|| is the smallest singular value of the
-    real Jacobian and L = M''(|z0| + r) bounds its Lipschitz constant on
-    the disk, so the simplified Newton map z - DF(z0)^-1 F(z) moves by at
+    sigma = ||h'(z0)| - |g'(z0)|| - gamma*M'(|z0|) is, under rounding, at
+    most the real Jacobian's smallest singular value and L = M''(|z0| + r)
+    bounds its Lipschitz constant on the disk, so the simplified Newton map z - DF(z0)^-1 F(z) moves by at
     most kappa = L*r/sigma per unit on D(z0, r).  With kappa < 1/2 and
     eta + kappa*r < r (eta the first Newton step) it maps the disk into
     itself as a contraction: exactly one zero.  eta adds gamma*M(|z0|)/sigma
@@ -180,7 +180,7 @@ def _kantorovich_step(
     margins absorb the rest.  Kantorovich's h = kappa*eta/r is then at
     most about 0.2 < 1/2, so plain Newton from z0 converges to that zero.
     """
-    sigma = abs(abs(fz) - abs(gz))
+    sigma = abs(abs(fz) - abs(gz)) - maj.gamma * maj.slope(abs(z0))
     lr = maj.curvature(abs(z0) + r) * r  # kappa = lr / sigma
     if not lr < 0.5 * sigma:
         return None
@@ -230,7 +230,7 @@ def _certificate_radius(
 ) -> float:
     """Kantorovich radius at a converged z with h'(z) = fz, g'(z) = gz:
     kappa <= 1/4 on D(z, r), so the test passes there unless the Jacobian
-    is singular (r = 0).  r <= 1/3: see the module docstring."""
+    is singular within rounding.  r <= 1/3: see the module docstring."""
     sigma = abs(abs(fz) - abs(gz))
     return min(1.0 / 3.0, sigma / (4.0 * maj.curvature(abs(z) + 1.0)))
 
@@ -245,19 +245,18 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
     merge_radius = 1e-7 * max(1.0, r_disk)
     maj = _Majorant(p)
     cell = _cell_test(p, maj)
-    certified = []  # (centre, radius, location) per certified zero
-    loose = []  # uncertified results, one per merge_radius
+    singular = OrientationClass.SINGULAR
+    found = []  # (centre, radius, location, orientation) per found zero
 
-    def known(z: complex, step: float) -> bool:  # the run's drop test
-        for w, r, _ in certified:
+    def known(z: complex) -> bool:  # the run's drop test
+        for w, r, _, _ in found:
             if abs(z - w) < r:
                 return True
-        return step < merge_radius and any(abs(z - w) <= merge_radius for w in loose)
+        return False
 
-    def settle(z: complex) -> None:  # the Newton run of the module docstring
-        step = math.inf
+    def settle(z: complex, step: float) -> None:  # the module docstring's run
         for _ in range(_NEWTON_CAP):
-            if known(z, step):
+            if known(z):
                 return
             try:
                 z1 = newton_step(p, z)
@@ -269,17 +268,20 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
             z, step = z1, d
             if d <= _UNIT_ROUNDOFF * max(1.0, abs(z)):
                 break
-        if known(z, 0.0):
+        if known(z):
             return
         fz, gz = analytic_derivative(p, z), coanalytic_derivative(p, z)
         r = _certificate_radius(maj, z, fz, gz)
         z1 = _kantorovich_step(maj, z, r, evaluate(p, z), fz, gz) if r > 0 else None
         if z1 is not None:
-            certified.append((z, r, z1))
-        elif abs(evaluate(p, z)) <= _ACCEPT_TOL:
-            loose.append(z)
+            if abs(fz) > abs(gz):
+                found.append((z, r, z1, OrientationClass.SENSE_PRESERVING))
+            else:
+                found.append((z, r, z1, OrientationClass.SENSE_REVERSING))
+        elif step <= merge_radius and abs(evaluate(p, z)) <= _ACCEPT_TOL:
+            found.append((z, merge_radius, z, singular))
 
-    settle(0j)  # q(0) = 0: every term has z or zbar
+    settle(0j, 0.0)  # q(0) = 0: every term has z or zbar
     # Quadtree over the circumscribing square [-R, R]^2.  Depth-first,
     # children pushed in fixed order, so the run order is deterministic.
     stack = [(0j, r_disk, 0)]
@@ -291,7 +293,7 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         # A certified cell holds at most the one zero of its Kantorovich
         # disk, which Newton from the test's iterate converges to.
         if z1 is not None or depth >= _MAX_DEPTH:
-            settle(center if z1 is None else z1)
+            settle(center if z1 is None else z1, math.inf)
             continue
         h2 = 0.5 * half
         d2 = depth + 1
@@ -300,20 +302,17 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         stack.append((center + complex(h2, -h2), h2, d2))
         stack.append((center + complex(-h2, -h2), h2, d2))
 
-    zeros = [(z1, True) for _, _, z1 in certified] + [
-        (z, False)
-        for z in loose
-        if not any(abs(z - w) < r for w, r, _ in certified)
-    ]
+    disks = [(w, r) for w, r, _, o in found if o is not singular]
     records = [
         ZeroRecord(
             location=z,
             residual=abs(evaluate(p, z)),
             jacobian=jacobian(p, z),
-            orientation=classify_point(p, z),
-            certified=cert,
+            orientation=o,
+            certified=o is not singular,
         )
-        for z, cert in zeros
+        for w, _, z, o in found
+        if o is not singular or not any(abs(w - c) < r for c, r in disks)
     ]
     records.sort(key=lambda r: (r.location.real, r.location.imag))
 

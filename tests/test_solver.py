@@ -126,6 +126,14 @@ class TestOrientationBookkeeping:
         assert report.n_singular >= 1
         assert report.winding_check == "inconclusive"
 
+    def test_double_zero_marks_inconclusive(self):
+        # a double zero at 1, J(1) = 0: no certificate proves the
+        # orientation of the point where its run stopped
+        p = HarmonicQuadrinomial(b=0.0, c=-2.0, k=4, n=3, m=2)
+        report = find_zeros(p)
+        assert report.n_singular >= 1
+        assert report.winding_check == "inconclusive"
+
     def test_orientation_matches_jacobian_sign(self):
         p = HarmonicQuadrinomial(b=2.0, c=3.0, k=4, n=3, m=1)
         for rec in find_zeros(p).zeros:
@@ -372,14 +380,18 @@ class TestCertification:
             (2.0, -1.0, 3, 2, 4),
             (2.5, -1.0, 3, 3, 3),
             (0.5, 1.0, 4, 2, 6),
+            (2.5078960234123966, -1.0, 5, 5, 5),
+            (-2.3294154425619276, 1.0, 5, 4, 7),
+            (-3.0817953258295665, -1.0, 7, 7, 9),
         ],
     )
     def test_singular_origin_reported_once(self, b, c, k, n, count):
         # |c| = 1 with m = 1: the origin is a singular zero, where Newton
         # converges only linearly and |q| <= 1e-10 holds up to 3e-4 away,
         # so a run that stopped at that tolerance would report another
-        # piece of it.  The counts are the dense-grid oracle's; every
-        # other zero is certified.
+        # piece of it; at k = n >= 4 runs stall on a plateau of such
+        # points.  The counts are the certified zeros plus the origin,
+        # which is the dense-grid oracle's count for the first six.
         p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=1)
         report = find_zeros(p)
         assert report.count == count
@@ -418,8 +430,11 @@ def test_certified_disks_hold_one_reported_zero(p):
     report = find_zeros(p)
     maj = _Majorant(p)
     for rec in report.zeros:
+        assert rec.certified == (rec.orientation is not OrientationClass.SINGULAR)
         if not rec.certified:
             continue
+        preserving = rec.orientation is OrientationClass.SENSE_PRESERVING
+        assert rec.jacobian > 0 if preserving else rec.jacobian < 0
         v, fz, gz = _jet(p, rec.location)
         r = _certificate_radius(maj, rec.location, fz, gz)
         assert _kantorovich_step(maj, rec.location, r, v, fz, gz) is not None
@@ -427,6 +442,8 @@ def test_certified_disks_hold_one_reported_zero(p):
         assert all(abs(o.location - rec.location) >= r for o in others)
     if report.bound is not None and report.bound.upper_is_proven:
         assert report.n_certified <= report.bound.upper
+    if report.winding_check == "passed":
+        assert report.n_certified == report.count
 
 
 unit_offset = st.floats(min_value=-1.0, max_value=1.0)

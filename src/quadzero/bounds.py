@@ -17,10 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import HypothesisViolation
-from .model import HarmonicQuadrinomial
+from .model import _UNIT_ROUNDOFF, HarmonicQuadrinomial
 from .realroots import RealPoly, deflate_at_one, first_true, positive_root_bracketed
-
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 class BoundSource(enum.Enum):

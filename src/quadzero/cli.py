@@ -184,7 +184,7 @@ def cmd_classify(ns: argparse.Namespace) -> int:
         {
             "q": {"re": q.real, "im": q.imag},
             "jacobian": jacobian(p, z),
-            "orientation": classify_point(p, z, ns.singular_tol).value,
+            "orientation": classify_point(p, z).value,
             "dilatation_abs": omega_abs,
         }
     )
@@ -329,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_quad_flags(sp)
     sp.add_argument("--re", type=_finite, required=True)
     sp.add_argument("--im", type=_finite, default=0.0)
-    sp.add_argument("--singular-tol", dest="singular_tol", type=_finite, default=1e-12)
 
     sp = new("winding", cmd_winding, "winding number along a contour (JSON)")
     _add_quad_flags(sp)

@@ -4,6 +4,15 @@ q decomposes as h(z) + conj(g(z)) with analytic part h(z) = b*z^k + z and
 co-analytic part g(z) = z^n + c*z^m.  All pointwise analysis (Jacobian,
 dilatation, orientation) derives from the two Wirtinger derivatives
 h'(z) = b*k*z^(k-1) + 1 and g'(z) = n*z^(n-1) + c*m*z^(m-1).
+
+Rounding (Higham, Accuracy and Stability of Numerical Algorithms, 5.1):
+with M(x) = |b|x^k + x^n + |c|x^m + x, the computed q(z) is within
+gamma*M(|z|) of q(z), the computed h'(z) and g'(z) together within
+gamma*M'(|z|), and a computed difference of M values, cancellation and
+rounded arguments included, within gamma times the sum of its positive
+terms.  So ||h'| - |g'|| - gamma*M'(|z|), `_Majorant.margin`, is positive
+only where the sign of |h'| - |g'|, the orientation, is proven; both
+`classify_point` and the solver's certificate read it.
 """
 
 from __future__ import annotations
@@ -13,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import PoleAtCriticalPoint
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class OrientationClass(enum.Enum):
@@ -89,25 +100,60 @@ def dilatation(p: HarmonicQuadrinomial, z: complex) -> complex:
     return coanalytic_derivative(p, z) / hp
 
 
-def classify_point(
-    p: HarmonicQuadrinomial, z: complex, tol: float = 1e-12
-) -> OrientationClass:
-    """Orientation of q at z from the sign of the Jacobian.
+class _Majorant:
+    """M(x) = |b|x^k + x^n + |c|x^m + x, its derivatives and the rounding
+    factor gamma, with the coefficients hoisted; see the module docstring.
+    gamma covers the complex multiplications of the integer powers and the
+    three additions.
 
-    The cutoff is tol * max(1, |h'|^2 + |g'|^2): J scales like the squared
-    derivative magnitude, so an absolute cutoff alone misclassifies far
-    from the origin.
+    On |z| <= x, |h'| + |g'| <= M'(x) and |h''| + |g''| <= M''(x), the
+    last a Lipschitz constant of the real Jacobian in the operator norm,
+    since DF(z)d = h'(z)d + conj(g'(z)d).
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+
+    __slots__ = ("b", "c", "k", "n", "m", "db", "dc", "ddb", "ddc", "ddn", "gamma")
+
+    def __init__(self, p: HarmonicQuadrinomial):
+        self.b, self.c = abs(p.b), abs(p.c)
+        self.k, self.n, self.m = p.k, p.n, p.m
+        self.db, self.dc = self.b * p.k, self.c * p.m
+        self.ddb = self.b * p.k * (p.k - 1)
+        self.ddc = self.c * p.m * (p.m - 1)
+        self.ddn = p.n * (p.n - 1)
+        self.gamma = 4.0 * (max(p.k, p.n) + 2) * _UNIT_ROUNDOFF
+
+    def value(self, x: float) -> float:
+        return self.b * x**self.k + x**self.n + self.c * x**self.m + x
+
+    def slope(self, x: float) -> float:
+        """M'(x); for a degree-1 term x**0 is 1, at x = 0 too."""
+        return (
+            self.db * x ** (self.k - 1)
+            + 1.0
+            + self.n * x ** (self.n - 1)
+            + self.dc * x ** (self.m - 1)
+        )
+
+    def curvature(self, x: float) -> float:
+        """M''(x) for x > 0, where the degree-1 terms are 0 * x**-1 = 0."""
+        return (
+            self.ddb * x ** (self.k - 2)
+            + self.ddn * x ** (self.n - 2)
+            + self.ddc * x ** (self.m - 2)
+        )
+
+    def margin(self, z: complex, hp: complex, gp: complex) -> float:
+        """||h'| - |g'|| - gamma*M'(|z|), h'(z) = hp and g'(z) = gp."""
+        return abs(abs(hp) - abs(gp)) - self.gamma * self.slope(abs(z))
+
+
+def classify_point(p: HarmonicQuadrinomial, z: complex) -> OrientationClass:
+    """The sign of |h'| - |g'|, that of the Jacobian, at z, or SINGULAR
+    where `_Majorant.margin` is not positive and rounding hides it."""
     hp = analytic_derivative(p, z)
     gp = coanalytic_derivative(p, z)
-    h2 = hp.real * hp.real + hp.imag * hp.imag
-    g2 = gp.real * gp.real + gp.imag * gp.imag
-    cut = tol * max(1.0, h2 + g2)
-    j = h2 - g2
-    if j > cut:
+    if not _Majorant(p).margin(z, hp, gp) > 0:  # NaN, from overflow, too
+        return OrientationClass.SINGULAR
+    if abs(hp) > abs(gp):
         return OrientationClass.SENSE_PRESERVING
-    if j < -cut:
-        return OrientationClass.SENSE_REVERSING
-    return OrientationClass.SINGULAR
+    return OrientationClass.SENSE_REVERSING

@@ -16,13 +16,9 @@ at most once each and
    proves that a disk around it holds exactly one zero, or at depth
    `_MAX_DEPTH`; it splits the cell otherwise.
 
-Exclusion is certified under rounding too.  The computed |q(c)| is
-lowered by gamma*M(a), a bound on the rounding error of evaluating q.
-The computed h' and g' are together within gamma*M'(a) of the exact ones;
-stage 2 allows twice that.  Each computed difference of M values carries
-gamma times the sum of its terms.  Those terms are positive, so the sum
-bounds the difference's rounding error, cancellation and the rounding of
-a and r included.
+Exclusion is certified under rounding too (`model`'s rounding bounds):
+|q(c)| is lowered by gamma*M(a), stage 2 allows 2*gamma*M'(a) for h' and
+g', and each difference of M values carries gamma*(sum of its terms).
 
 The origin (q(0) = 0 exactly, so its run starts from a last step of 0
 and stays), then each kept cell, makes one undamped Newton run, from the
@@ -37,8 +33,8 @@ bound on D(w, 3r), so |zeta - w| < 0.9r, sigma_zeta > 3sigma/4 and each y
 in the disk has |y - zeta| < 1.9r < sigma/(2L) < 2sigma_zeta/(3L),
 Newton's local convergence radius (the slack covers sigma's rounding).
 A run's last point z is certified by the Kantorovich test centred at z
-and reported at the test's Newton iterate.  The test lowers sigma by
-gamma*M'(|z|), the rounding of h' and g', so a pass proves the sign of
+and reported at the test's Newton iterate.  The test's sigma is the
+margin that `classify_point` reads, so a pass proves the sign of
 |h'| - |g'| at z, and kappa < 1/2 keeps the least singular value above
 sigma/2 on the disk: J has that sign, the orientation, at the zero and at
 the iterate.  Else z is kept as a singular zero, its disk the merge radius
@@ -56,11 +52,13 @@ from typing import Optional
 from .bounds import BoundSource, CountBound, DiskBound, count_bound, radius_bound
 from .contour import winding_number  # noqa: F401  perfbench/run.py traces it here
 from .errors import BoundUnavailable, DegenerateJacobian, HypothesisViolation
-from .model import classify_point  # noqa: F401  perfbench/run.py traces it here
 from .model import (
+    _UNIT_ROUNDOFF,
     HarmonicQuadrinomial,
     OrientationClass,
+    _Majorant,
     analytic_derivative,
+    classify_point,
     coanalytic_derivative,
     evaluate,
     jacobian,
@@ -70,7 +68,6 @@ _NEWTON_CAP = 100
 _ACCEPT_TOL = 1e-10  # the largest |q| where a settled run is kept uncertified
 _MAX_DEPTH = 12  # quadtree depth of the floor cells
 _SQRT2 = math.sqrt(2.0)
-_UNIT_ROUNDOFF = 2.0**-53
 # Radius of the cell's Kantorovich disk as a multiple of its half-diagonal.
 # It must exceed 1: a passing cell is not split, so the disk has to cover
 # the closed cell, corners included, to hold all of the cell's zeros.
@@ -83,7 +80,11 @@ class ZeroRecord:
     residual: float
     jacobian: float
     orientation: OrientationClass
-    certified: bool  # a Kantorovich disk holds only it and proves its orientation
+
+    @property
+    def certified(self) -> bool:
+        """A Kantorovich disk holds only it and proves its orientation."""
+        return self.orientation is not OrientationClass.SINGULAR
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,13 @@ class ZeroSetReport:
     n_plus: int
     n_minus: int
     n_singular: int
-    n_certified: int
     bound: Optional[CountBound]
     disk: DiskBound
     winding_check: str  # "passed" | "failed" | "inconclusive"
+
+    @property
+    def n_certified(self) -> int:
+        return self.count - self.n_singular
 
 
 def _newton_update(z: complex, v: complex, fz: complex, gz: complex) -> complex:
@@ -121,66 +125,24 @@ def newton_step(p: HarmonicQuadrinomial, z: complex) -> complex:
     )
 
 
-class _Majorant:
-    """M(x) = |b|x^k + x^n + |c|x^m + x, its derivatives and the rounding
-    factor gamma, with the coefficients hoisted; see the module docstring.
-
-    On |z| <= x, |h'| + |g'| <= M'(x) and |h''| + |g''| <= M''(x), the
-    last a Lipschitz constant of the real Jacobian in the operator norm,
-    since DF(z)d = h'(z)d + conj(g'(z)d).  gamma covers the complex
-    multiplications of the integer powers and the three additions:
-    gamma*M(a) bounds the rounding error of `evaluate` at |z| = a.
-    """
-
-    __slots__ = ("b", "c", "k", "n", "m", "db", "dc", "ddb", "ddc", "ddn", "gamma")
-
-    def __init__(self, p: HarmonicQuadrinomial):
-        self.b, self.c = abs(p.b), abs(p.c)
-        self.k, self.n, self.m = p.k, p.n, p.m
-        self.db, self.dc = self.b * p.k, self.c * p.m
-        self.ddb = self.b * p.k * (p.k - 1)
-        self.ddc = self.c * p.m * (p.m - 1)
-        self.ddn = p.n * (p.n - 1)
-        self.gamma = 4.0 * (max(p.k, p.n) + 2) * _UNIT_ROUNDOFF
-
-    def value(self, x: float) -> float:
-        return self.b * x**self.k + x**self.n + self.c * x**self.m + x
-
-    def slope(self, x: float) -> float:
-        """M'(x); for a degree-1 term x**0 is 1, at x = 0 too."""
-        return (
-            self.db * x ** (self.k - 1)
-            + 1.0
-            + self.n * x ** (self.n - 1)
-            + self.dc * x ** (self.m - 1)
-        )
-
-    def curvature(self, x: float) -> float:
-        """M''(x) for x > 0, where the degree-1 terms are 0 * x**-1 = 0."""
-        return (
-            self.ddb * x ** (self.k - 2)
-            + self.ddn * x ** (self.n - 2)
-            + self.ddc * x ** (self.m - 2)
-        )
-
-
 def _kantorovich_step(
     maj: _Majorant, z0: complex, r: float, v: complex, fz: complex, gz: complex
 ) -> Optional[complex]:
     """The Newton iterate from z0 if D(z0, r) provably holds exactly one
     zero of q, else None; v, fz and gz are q, h' and g' at z0.
 
-    sigma = ||h'(z0)| - |g'(z0)|| - gamma*M'(|z0|) is, under rounding, at
-    most the real Jacobian's smallest singular value and L = M''(|z0| + r)
-    bounds its Lipschitz constant on the disk, so the simplified Newton map z - DF(z0)^-1 F(z) moves by at
-    most kappa = L*r/sigma per unit on D(z0, r).  With kappa < 1/2 and
+    sigma = ||h'(z0)| - |g'(z0)|| - gamma*M'(|z0|), `_Majorant.margin`, is
+    under rounding at most the real Jacobian's smallest singular value and
+    L = M''(|z0| + r) bounds its Lipschitz constant on the disk, so the
+    simplified Newton map z - DF(z0)^-1 F(z) moves by at most
+    kappa = L*r/sigma per unit on D(z0, r).  With kappa < 1/2 and
     eta + kappa*r < r (eta the first Newton step) it maps the disk into
     itself as a contraction: exactly one zero.  eta adds gamma*M(|z0|)/sigma
     for the rounding of q(z0), whose computed value can vanish; the
     margins absorb the rest.  Kantorovich's h = kappa*eta/r is then at
     most about 0.2 < 1/2, so plain Newton from z0 converges to that zero.
     """
-    sigma = abs(abs(fz) - abs(gz)) - maj.gamma * maj.slope(abs(z0))
+    sigma = maj.margin(z0, fz, gz)
     lr = maj.curvature(abs(z0) + r) * r  # kappa = lr / sigma
     if not lr < 0.5 * sigma:
         return None
@@ -273,11 +235,8 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         fz, gz = analytic_derivative(p, z), coanalytic_derivative(p, z)
         r = _certificate_radius(maj, z, fz, gz)
         z1 = _kantorovich_step(maj, z, r, evaluate(p, z), fz, gz) if r > 0 else None
-        if z1 is not None:
-            if abs(fz) > abs(gz):
-                found.append((z, r, z1, OrientationClass.SENSE_PRESERVING))
-            else:
-                found.append((z, r, z1, OrientationClass.SENSE_REVERSING))
+        if z1 is not None:  # sigma > 0: classify_point's margin is positive
+            found.append((z, r, z1, classify_point(p, z)))
         elif step <= merge_radius and abs(evaluate(p, z)) <= _ACCEPT_TOL:
             found.append((z, merge_radius, z, singular))
 
@@ -309,7 +268,6 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
             residual=abs(evaluate(p, z)),
             jacobian=jacobian(p, z),
             orientation=o,
-            certified=o is not singular,
         )
         for w, _, z, o in found
         if o is not singular or not any(abs(w - c) < r for c, r in disks)
@@ -343,7 +301,6 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         n_plus=n_plus,
         n_minus=n_minus,
         n_singular=n_singular,
-        n_certified=sum(1 for r in records if r.certified),
         bound=bound,
         disk=disk,
         winding_check=winding_check,

@@ -154,6 +154,26 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["orientation"] == "sense-reversing"
 
+    @pytest.mark.parametrize(
+        "params", ["2,1.0000000000001,3,3,1", "0.5,1.0000000000001,4,2,1"]
+    )
+    def test_agrees_with_certified_zeros(self, capsys, params):
+        # |c| just above 1 with m = 1: J(0) = 1 - c^2 is about -2e-13, which
+        # the certificate proves negative.  classify reads the same
+        # rounding bound, so it gives each certified zero its orientation.
+        flags = [f"--{name}={v}" for name, v in zip("bcknm", params.split(","))]
+        code, out, _ = run(capsys, ["zeros", *flags, "--format", "json"])
+        assert code == 0
+        certified = [z for z in json.loads(out)["zeros"] if z["certified"]]
+        assert any(z["re"] == z["im"] == 0.0 for z in certified)
+        for z in certified:
+            code, out, _ = run(
+                capsys,
+                ["classify", *flags, f"--re={z['re']!r}", f"--im={z['im']!r}"],
+            )
+            assert code == 0
+            assert json.loads(out)["orientation"] == z["orientation"]
+
 
 class TestWinding:
     def test_circle(self, capsys):
@@ -233,7 +253,9 @@ class TestConfigFile:
         assert code == 2
         assert "key=value" in err
 
-    @pytest.mark.parametrize("key", ["max_depth", "accept-tol", "b_rnage", "config"])
+    @pytest.mark.parametrize(
+        "key", ["max_depth", "accept-tol", "b_rnage", "config", "singular_tol"]
+    )
     def test_unknown_key_exits_2(self, capsys, tmp_path, key):
         cfgfile = tmp_path / "quad.cfg"
         cfgfile.write_text(f"b = 0.5\nc = 2\nk = 4\nn = 2\nm = 1\n{key} = 3\n")
@@ -273,7 +295,7 @@ class TestConfigFile:
             ("zeros", {"b": "2", "c": "3", "k": "4", "n": "3", "m": "1",
                        "format": "json"}),
             ("classify", {"b": "0", "c": "0", "k": "1", "n": "3", "m": "1",
-                          "re": "0.1", "im": "-0.2", "singular_tol": "1e-9"}),
+                          "re": "0.1", "im": "-0.2"}),
             ("winding", {"b": "0", "c": "0", "k": "1", "n": "3", "m": "1",
                          "radius": "0.5", "center_re": "0.9",
                          "center_im": "-0.1"}),
@@ -426,8 +448,6 @@ def test_overflow_exits_3(capsys, argv):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["classify", "--b", "2", "--c", "3", "--k", "4", "--n", "3", "--m", "1",
-          "--re", "0", "--singular-tol", "nan"], "--singular-tol"),
         (["classify", *QUINTET, "--re", "nan"], "--re"),
         (["critical-circle", "--b", "2", "--c", "nan", "--k", "3"], "--c"),
         (["winding", *QUINTET, "--radius", "inf"], "--radius"),
@@ -436,8 +456,7 @@ def test_overflow_exits_3(capsys, argv):
         (["sweep", "--b-range", "0:inf:2", "--c-range", "2:2:1",
           "--k", "4", "--n", "3", "--m", "1"], "--b-range"),
     ],
-    ids=["singular-tol", "re", "critical-circle", "winding", "circle-image",
-         "rect", "b-range"],
+    ids=["re", "critical-circle", "winding", "circle-image", "rect", "b-range"],
 )
 def test_non_finite_number_exits_2(capsys, argv, flag):
     code, out, err = run(capsys, argv)

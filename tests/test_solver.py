@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from quadzero import (
     HarmonicQuadrinomial,
     OrientationClass,
+    classify_point,
     evaluate,
     find_zeros,
     newton_step,
@@ -30,6 +32,52 @@ CUBIC = HarmonicQuadrinomial(b=0.0, c=0.0, k=1, n=3, m=1)  # conj(z)^3 + z
 def _jet(p, z):
     """q, h' and g' at z, as the Kantorovich test takes them."""
     return evaluate(p, z), analytic_derivative(p, z), coanalytic_derivative(p, z)
+
+
+def _sqrt_above(x):
+    """A rational just above sqrt(x) for a rational x >= 0, within 2^-200."""
+    n = math.isqrt(x.numerator * (1 << 400) // x.denominator)
+    return Fraction(n + 1, 1 << 200)
+
+
+def _abs_above(w):
+    """A rational just above |w| for a complex w of rational parts."""
+    return _sqrt_above(w[0] * w[0] + w[1] * w[1])
+
+
+def _exact_stage_bounds(p, center, half):
+    """Rational upper bounds on M(a) and on the drops of |q| across the
+    closed cell center +- half that stages 1 and 2 of the cell test bound:
+    D1 = M(a + r) - M(a) and D2 = (|h'| + |g'|)r + M(a + r) - M(a) - M'(a)r
+    at the centre, a = |center| and r = half*sqrt(2).  D1 and D2 grow with
+    a and r, so bounds above a and r bound them."""
+
+    def power(w, e):
+        out = (Fraction(1), Fraction(0))
+        for _ in range(e):
+            out = (out[0] * w[0] - out[1] * w[1], out[0] * w[1] + out[1] * w[0])
+        return out
+
+    def term(coef, w, e):  # coef * w^e
+        x, y = power(w, e)
+        return coef * x, coef * y
+
+    b, c, k, n, m = Fraction(p.b), Fraction(p.c), p.k, p.n, p.m
+    z = (Fraction(center.real), Fraction(center.imag))
+    hp = term(b * k, z, k - 1)
+    hp = (hp[0] + 1, hp[1])
+    gp = [u + v for u, v in zip(term(Fraction(n), z, n - 1), term(c * m, z, m - 1))]
+    a = _abs_above(z)
+    r = _sqrt_above(2 * Fraction(half) ** 2)
+    bb, cc = abs(b), abs(c)
+
+    def big_m(x):
+        return bb * x**k + x**n + cc * x**m + x
+
+    slope = bb * k * a ** (k - 1) + n * a ** (n - 1) + cc * m * a ** (m - 1) + 1
+    d1 = big_m(a + r) - big_m(a)
+    d2 = (_abs_above(hp) + _abs_above(gp)) * r + d1 - slope * r
+    return big_m(a), d1, d2
 
 
 class TestNewtonStep:
@@ -229,6 +277,69 @@ class TestExclusion:
             level, half = children, h2
         assert len(level) == 4**6
         assert moved > 0
+
+
+    @pytest.mark.parametrize(
+        "b, c, k, n, m",
+        [
+            (0.0, 0.0, 1, 3, 1),
+            (2.0, 3.0, 4, 3, 1),
+            (-1.051, -0.158, 5, 2, 1),
+            (1.4, -2.2, 5, 3, 2),
+            (0.5, 1.0, 4, 2, 1),
+        ],
+    )
+    def test_stage_bounds_cover_the_exact_drops(self, monkeypatch, b, c, k, n, m):
+        # The cell test is fed chosen values v of q at the centre; t is the
+        # least |v| at which it drops the cell.  Dropping at t is sound when
+        # t less the rounding bound gamma*M(a) of q, that is every |q| the
+        # computed t can stand for, exceeds the exact drop of |q| across
+        # the cell, computed in rational arithmetic.  Stage 1 alone (h' and
+        # g' infinite, so stage 2 drops nothing) must beat D1, both stages
+        # together min(D1, D2).  Cells of many sizes around certified zeros.
+        p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
+        zeros = [rec.location for rec in find_zeros(p).zeros if rec.certified]
+        assert zeros
+        maj = _Majorant(p)
+        gamma = Fraction(maj.gamma)
+        fed = {"v": 0.0, "derivative": None}
+        monkeypatch.setattr(solver, "evaluate", lambda p, z: complex(fed["v"]))
+        for name in ("analytic_derivative", "coanalytic_derivative"):
+            real = getattr(solver, name)
+            monkeypatch.setattr(
+                solver, name,
+                lambda p, z, real=real: fed["derivative"] or real(p, z),
+            )
+        cell = _cell_test(p, maj)
+
+        def dropped_at(i):  # non-negative floats order as their bit patterns
+            fed["v"] = struct.unpack("<d", struct.pack("<q", i))[0]
+            return not cell(center, half)[0]
+
+        def least_dropped():
+            lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1e300))[0]
+            assert not dropped_at(lo) and dropped_at(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if dropped_at(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            dropped_at(hi)
+            return Fraction(fed["v"])
+
+        for z0 in zeros:
+            for decade in range(-14, 0):
+                half = 10.0**decade
+                for ox, oy in ((0.0, 0.0), (0.3, -0.7), (-0.9, 0.2)):
+                    center = z0 + complex(ox, oy) * half
+                    m0, d1, d2 = _exact_stage_bounds(p, center, half)
+                    fed["derivative"] = complex(math.inf)
+                    t1 = least_dropped()
+                    fed["derivative"] = None
+                    t = least_dropped()
+                    assert t1 - gamma * m0 > d1, (z0, center, half)
+                    assert t - gamma * m0 > min(d1, d2), (z0, center, half)
 
 
 class TestCertification:
@@ -435,6 +546,7 @@ def test_certified_disks_hold_one_reported_zero(p):
             continue
         preserving = rec.orientation is OrientationClass.SENSE_PRESERVING
         assert rec.jacobian > 0 if preserving else rec.jacobian < 0
+        assert classify_point(p, rec.location) is rec.orientation
         v, fz, gz = _jet(p, rec.location)
         r = _certificate_radius(maj, rec.location, fz, gz)
         assert _kantorovich_step(maj, rec.location, r, v, fz, gz) is not None

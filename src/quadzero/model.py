@@ -12,7 +12,8 @@ gamma*M'(|z|), and a computed difference of M values, cancellation and
 rounded arguments included, within gamma times the sum of its positive
 terms.  So ||h'| - |g'|| - gamma*M'(|z|), `_Majorant.margin`, is positive
 only where the sign of |h'| - |g'|, the orientation, is proven; both
-`classify_point` and the solver's certificate read it.
+`classify_point` and the solver's certificate read it, through
+`_Majorant.orientation`.
 """
 
 from __future__ import annotations
@@ -146,14 +147,19 @@ class _Majorant:
         """||h'| - |g'|| - gamma*M'(|z|), h'(z) = hp and g'(z) = gp."""
         return abs(abs(hp) - abs(gp)) - self.gamma * self.slope(abs(z))
 
+    def orientation(self, z: complex, hp: complex, gp: complex) -> OrientationClass:
+        """The sign of |h'| - |g'|, that of the Jacobian, at z, given
+        h'(z) = hp and g'(z) = gp, or SINGULAR where `margin` is not
+        positive and rounding hides it."""
+        if not self.margin(z, hp, gp) > 0:  # NaN, from overflow, too
+            return OrientationClass.SINGULAR
+        if abs(hp) > abs(gp):
+            return OrientationClass.SENSE_PRESERVING
+        return OrientationClass.SENSE_REVERSING
+
 
 def classify_point(p: HarmonicQuadrinomial, z: complex) -> OrientationClass:
-    """The sign of |h'| - |g'|, that of the Jacobian, at z, or SINGULAR
-    where `_Majorant.margin` is not positive and rounding hides it."""
-    hp = analytic_derivative(p, z)
-    gp = coanalytic_derivative(p, z)
-    if not _Majorant(p).margin(z, hp, gp) > 0:  # NaN, from overflow, too
-        return OrientationClass.SINGULAR
-    if abs(hp) > abs(gp):
-        return OrientationClass.SENSE_PRESERVING
-    return OrientationClass.SENSE_REVERSING
+    """`_Majorant.orientation` at z: the sign of |h'| - |g'|, or SINGULAR."""
+    return _Majorant(p).orientation(
+        z, analytic_derivative(p, z), coanalytic_derivative(p, z)
+    )

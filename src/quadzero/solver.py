@@ -1,7 +1,11 @@
 """Locates all zeros of q inside its bounding disk.
 
-Strategy: circumscribe the disk D(0, R) with a square and subdivide it as
-a quadtree.  Every cell test rests on one majorant of q,
+Strategy: b and c are real, so q(conj z) = conj q(z), exactly and, for q,
+h' and g' as computed, bitwise; a disk that holds exactly one zero zeta
+mirrors to one that holds exactly conj zeta, with the same orientation.
+So only the upper half of the square circumscribing D(0, R),
+[-R, R] x [0, R], is subdivided as a quadtree; the real axis is an edge of
+every cell.  Every cell test rests on one majorant of q,
 M(x) = |b|x^k + x^n + |c|x^m + x, built once per instance.  For a cell
 with centre c, a = |c| and half-diagonal r, binomial expansion of each
 term gives |q(c + d) - q(c)| <= M(a + r) - M(a) for |d| <= r, and bounds
@@ -26,12 +30,14 @@ test's iterate or, at the floor, from the centre.  It stops before a step
 not shorter than the last (NaN and divergence included), after a step of
 at most the unit roundoff times max(1, |z|), on a degenerate Jacobian or
 after `_NEWTON_CAP` steps.  It is dropped, before each step and at its
-end, inside the disk of any zero found.  Entering a certified D(w, r) it
-would converge to its zero zeta: r <= min(1/3, sigma/(4L)), sigma the
-Jacobian's least singular value at w and L = M''(|w| + 1) its Lipschitz
-bound on D(w, 3r), so |zeta - w| < 0.9r, sigma_zeta > 3sigma/4 and each y
-in the disk has |y - zeta| < 1.9r < sigma/(2L) < 2sigma_zeta/(3L),
-Newton's local convergence radius (the slack covers sigma's rounding).
+end, when it or its mirror image lies inside the disk of any zero found
+(each kept with its centre folded into the upper half).  Entering a
+certified D(w, r) it would converge to its zero zeta:
+r <= min(1/3, sigma/(4L)), sigma the Jacobian's least singular value at w
+and L = M''(|w| + 1) its Lipschitz bound on D(w, 3r), so |zeta - w| < 0.9r,
+sigma_zeta > 3sigma/4 and each y in the disk has
+|y - zeta| < 1.9r < sigma/(2L) < 2sigma_zeta/(3L), Newton's local
+convergence radius (the slack covers sigma's rounding).
 A run's last point z is certified by the Kantorovich test centred at z
 and reported at the test's Newton iterate.  The test's sigma is the
 margin that `classify_point` reads, so a pass proves the sign of
@@ -39,7 +45,18 @@ margin that `classify_point` reads, so a pass proves the sign of
 sigma/2 on the disk: J has that sign, the orientation, at the zero and at
 the iterate.  Else z is kept as a singular zero, its disk the merge radius
 1e-7*max(1, R), only if its run settled: a last step at most that radius
-and |q(z)| <= `_ACCEPT_TOL`.  N+ - N- is checked against the proven
+and |q(z)| <= `_ACCEPT_TOL`.
+
+Each found zero, centre w and radius r, is reported with its mirror image
+(`_mirror`).  A certified zeta lies within 0.9r of w: if |Im w| <= 0.05r,
+conj zeta lies in D(w, r) too, so zeta is real and is reported once, at
+the real part of the iterate, which is still in the disk; if
+|Im w| >= 0.9r, zeta is not real and the pair is reported.  Between the
+two, the Kantorovich test at Re w with radius r + |Im w|, a
+disk that covers D(w, r) and is its own mirror, proves zeta real when it
+passes; else zeta is reported once, uncertified.  An uncertified zero is
+its own mirror, reported once at its real part, when |Im w| < r, and is
+mirrored otherwise.  N+ - N- is checked against the proven
 winding `DiskBound.winding`; a singular zero makes that inconclusive.
 """
 
@@ -58,7 +75,7 @@ from .model import (
     OrientationClass,
     _Majorant,
     analytic_derivative,
-    classify_point,
+    classify_point,  # noqa: F401  perfbench/run.py traces it here
     coanalytic_derivative,
     evaluate,
     jacobian,
@@ -197,6 +214,32 @@ def _certificate_radius(
     return min(1.0 / 3.0, sigma / (4.0 * maj.curvature(abs(z) + 1.0)))
 
 
+def _mirror(
+    p: HarmonicQuadrinomial,
+    maj: _Majorant,
+    w: complex,
+    r: float,
+    z1: complex,
+    o: OrientationClass,
+) -> list[tuple[complex, OrientationClass]]:
+    """The reported zeros, (location, orientation), that a found zero
+    (centre w, disk radius r, location z1, orientation o) and its mirror
+    image stand for; see the module docstring.  A zero that is its own
+    mirror is reported once, on the real axis."""
+    y = abs(w.imag)
+    if o is not OrientationClass.SINGULAR:
+        if y >= 0.9 * r:  # |zeta - w| < 0.9r: zeta is not real
+            return [(z1, o), (z1.conjugate(), o)]
+        if y > 0.05 * r:  # D(Re w, r + y) covers D(w, r) and is its own mirror
+            x = complex(w.real, 0.0)
+            fz, gz = analytic_derivative(p, x), coanalytic_derivative(p, x)
+            if _kantorovich_step(maj, x, r + y, evaluate(p, x), fz, gz) is None:
+                o = OrientationClass.SINGULAR  # zeta may or may not be real
+    elif y >= r:
+        return [(z1, o), (z1.conjugate(), o)]
+    return [(complex(z1.real, 0.0), o)]
+
+
 def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
     disk = radius_bound(p)
     if disk.source is BoundSource.UNAVAILABLE:
@@ -208,9 +251,12 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
     maj = _Majorant(p)
     cell = _cell_test(p, maj)
     singular = OrientationClass.SINGULAR
-    found = []  # (centre, radius, location, orientation) per found zero
+    # (centre, radius, location, orientation) per found zero, each with its
+    # centre in the closed upper half-plane; its mirror image is implied.
+    found = []
 
-    def known(z: complex) -> bool:  # the run's drop test
+    def known(z: complex) -> bool:  # the run's drop test, z or conj(z)
+        z = complex(z.real, abs(z.imag))  # the nearer of the two to any w
         for w, r, _, _ in found:
             if abs(z - w) < r:
                 return True
@@ -232,18 +278,23 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
                 break
         if known(z):
             return
+        if z.imag < 0:  # its mirror image is as good a result: keep it folded
+            z = z.conjugate()
         fz, gz = analytic_derivative(p, z), coanalytic_derivative(p, z)
         r = _certificate_radius(maj, z, fz, gz)
         z1 = _kantorovich_step(maj, z, r, evaluate(p, z), fz, gz) if r > 0 else None
-        if z1 is not None:  # sigma > 0: classify_point's margin is positive
-            found.append((z, r, z1, classify_point(p, z)))
+        if z1 is not None:  # sigma > 0: the margin is positive
+            found.append((z, r, z1, maj.orientation(z, fz, gz)))
         elif step <= merge_radius and abs(evaluate(p, z)) <= _ACCEPT_TOL:
             found.append((z, merge_radius, z, singular))
 
     settle(0j, 0.0)  # q(0) = 0: every term has z or zbar
-    # Quadtree over the circumscribing square [-R, R]^2.  Depth-first,
-    # children pushed in fixed order, so the run order is deterministic.
-    stack = [(0j, r_disk, 0)]
+    # Quadtree over [-R, R] x [0, R], the upper half of the circumscribing
+    # square, whose two root cells are that square's upper children; the
+    # real axis is an edge of every cell.  Depth-first, children pushed in
+    # fixed order, so the run order is deterministic.
+    h = 0.5 * r_disk
+    stack = [(complex(h, h), h, 1), (complex(-h, h), h, 1)]
     while stack:
         center, half, depth = stack.pop()
         kept, z1 = cell(center, half)
@@ -261,6 +312,8 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         stack.append((center + complex(h2, -h2), h2, d2))
         stack.append((center + complex(-h2, -h2), h2, d2))
 
+    # Every centre is in the upper half, so no mirrored disk is nearer to
+    # one than the disk itself.
     disks = [(w, r) for w, r, _, o in found if o is not singular]
     records = [
         ZeroRecord(
@@ -269,8 +322,9 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
             jacobian=jacobian(p, z),
             orientation=o,
         )
-        for w, _, z, o in found
-        if o is not singular or not any(abs(w - c) < r for c, r in disks)
+        for w, r, z1, kind in found
+        if kind is not singular or not any(abs(w - c) < d for c, d in disks)
+        for z, o in _mirror(p, maj, w, r, z1, kind)
     ]
     records.sort(key=lambda r: (r.location.real, r.location.imag))
 

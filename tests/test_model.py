@@ -133,14 +133,34 @@ finite_coeff = st.floats(
 points = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
 
 
-@given(b=finite_coeff, c=finite_coeff, z=points)
-@settings(max_examples=200, deadline=None)
-def test_conjugation_symmetry(b, c, z):
-    # real b, c make q commute with conjugation
-    p = HarmonicQuadrinomial(b=b, c=c, k=3, n=4, m=2)
-    lhs = evaluate(p, z.conjugate())
-    rhs = evaluate(p, z).conjugate()
-    assert lhs == rhs
+@st.composite
+def degrees(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    m = draw(st.integers(min_value=1, max_value=n - 1))
+    return draw(st.integers(min_value=1, max_value=9)), n, m
+
+
+# |z| from 1e-8 to 1e8, at any argument
+wide_points = st.builds(
+    lambda e, t: 10.0**e * cmath.exp(1j * t),
+    st.floats(min_value=-8, max_value=8),
+    st.floats(min_value=-math.pi, max_value=math.pi),
+)
+
+
+@given(b=finite_coeff, c=finite_coeff, kmn=degrees(), z=wide_points)
+@settings(max_examples=400, deadline=None)
+def test_conjugation_symmetry(b, c, kmn, z):
+    # Real b, c make q commute with conjugation, and h' and g' too, and
+    # bitwise so in floating point: the solver reports the mirror image of
+    # each zero it finds with the conjugate of its location, and the same
+    # residual, Jacobian and certificate.
+    p = HarmonicQuadrinomial(b, c, *kmn)
+    zb = z.conjugate()
+    assert evaluate(p, zb) == evaluate(p, z).conjugate()
+    assert analytic_derivative(p, zb) == analytic_derivative(p, z).conjugate()
+    assert coanalytic_derivative(p, zb) == coanalytic_derivative(p, z).conjugate()
+    assert jacobian(p, zb) == jacobian(p, z)
 
 
 @given(b=finite_coeff, c=finite_coeff, z=points)

@@ -80,6 +80,29 @@ def _exact_stage_bounds(p, center, half):
     return big_m(a), d1, d2
 
 
+signs = st.sampled_from((-1.0, 1.0))
+near_unit = st.floats(min_value=-1e-3, max_value=1e-3).map(lambda e: 1.0 + e)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=n - 1))
+    # k = n + 1 (and b = 0) are where Theorem 3.3's bound is proven.
+    k = draw(st.one_of(st.just(n + 1), st.integers(min_value=1, max_value=6)))
+    b = draw(signs) * draw(
+        st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=5.0))
+    )
+    # The |b| -> 1 cliff at k = n is slow; the cliff tests cover it.
+    assume(k != n or abs(abs(b) - 1.0) > 0.2)
+    c = draw(signs) * draw(
+        st.one_of(
+            st.floats(min_value=0.1, max_value=5.0), st.just(1.0), near_unit
+        )
+    )
+    return HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
+
+
 class TestNewtonStep:
     def test_quadratic_convergence_to_origin(self):
         z = 0.1 + 0.1j
@@ -136,12 +159,46 @@ class TestFindZeros:
         for rec in report.zeros:
             assert abs(evaluate(p, rec.location)) <= 1e-10
 
-    def test_zero_set_conjugation_symmetric(self):
-        p = HarmonicQuadrinomial(b=1.4, c=-2.2, k=5, n=3, m=2)
+    @given(instances())
+    @settings(max_examples=40, deadline=None)
+    def test_zero_set_conjugation_symmetric(self, p):
+        # Real b and c: q(conj z) = conj q(z).  The solver finds zeros in
+        # the upper half-plane and mirrors them, so every reported zero
+        # has its exact conjugate in the set, with the same orientation,
+        # certificate, residual and Jacobian.
         report = find_zeros(p)
-        locs = [rec.location for rec in report.zeros]
-        for z in locs:
-            assert min(abs(z.conjugate() - w) for w in locs) < 1e-7
+        by_location = {rec.location: rec for rec in report.zeros}
+        assert len(by_location) == report.count
+        for rec in report.zeros:
+            twin = by_location[rec.location.conjugate()]
+            assert twin.orientation is rec.orientation
+            assert twin.certified == rec.certified
+            assert twin.residual == rec.residual
+            assert twin.jacobian == rec.jacobian
+
+    def test_cells_tile_the_upper_half_plane(self, monkeypatch):
+        # Only cells of [-R, R] x [0, R] are tested; the lower half's
+        # zeros are the mirror images of the upper half's.
+        p = HarmonicQuadrinomial(b=1.4, c=-2.2, k=5, n=3, m=2)
+        tested = []
+        real = solver._cell_test
+
+        def recording(p, maj):
+            cell = real(p, maj)
+
+            def wrapped(center, half):
+                tested.append((center, half))
+                return cell(center, half)
+
+            return wrapped
+
+        monkeypatch.setattr(solver, "_cell_test", recording)
+        report = find_zeros(p)
+        h = 0.5 * report.disk.radius
+        roots = [(complex(-h, h), h), (complex(h, h), h)]  # in the order tested
+        assert [t for t in tested if t[1] == h] == roots
+        assert all(center.imag >= half for center, half in tested)
+        assert any(rec.location.imag < 0 for rec in report.zeros)
 
     def test_counts_are_consistent(self):
         p = HarmonicQuadrinomial(b=2.0, c=3.0, k=2, n=2, m=1)
@@ -342,6 +399,53 @@ class TestExclusion:
                     assert t - gamma * m0 > min(d1, d2), (z0, center, half)
 
 
+class TestMirror:
+    # solver._mirror on synthetic found zeros (centre w, radius r, location
+    # z1, orientation o) of CUBIC, whose zeros are 0 and exp(i*pi/4)*i^j.
+    PLUS = OrientationClass.SENSE_PRESERVING
+    MINUS = OrientationClass.SENSE_REVERSING
+    SINGULAR = OrientationClass.SINGULAR
+
+    def mirror(self, w, r, z1, o):
+        return solver._mirror(CUBIC, _Majorant(CUBIC), w, r, z1, o)
+
+    def test_disk_near_the_axis_holds_a_real_zero(self):
+        # |Im w| <= 0.05r: the zero's mirror lies in the same disk, so the
+        # zero is real; counted once, on the axis.
+        z1 = complex(1e-17, 3e-18)
+        got = self.mirror(0.04e-2j, 1e-2, z1, self.PLUS)
+        assert got == [(complex(1e-17, 0.0), self.PLUS)]
+
+    def test_disk_far_from_the_axis_holds_a_pair(self):
+        # |Im w| >= 0.9r: the zero is not real, and its mirror is another.
+        z1 = cmath.exp(1j * math.pi / 4)
+        got = self.mirror(z1 + 1e-9, 1e-2, z1, self.MINUS)
+        assert got == [(z1, self.MINUS), (z1.conjugate(), self.MINUS)]
+        w = complex(0.2, 0.9 * 1e-2)  # the band's edge
+        assert len(self.mirror(w, 1e-2, w, self.MINUS)) == 2
+
+    def test_undecided_disk_proven_real_by_a_wider_test(self):
+        # 0.05r < |Im w| < 0.9r: the Kantorovich test at Re w = 0 passes
+        # with radius r + |Im w|, a disk that is its own mirror.
+        got = self.mirror(0.3e-2j, 1e-2, complex(0.0, 1e-18), self.PLUS)
+        assert got == [(0j, self.PLUS)]
+
+    def test_undecided_disk_falls_back_to_singular(self):
+        # q(0.5) = 0.625: the test at Re w fails, so whether the zero is
+        # real is unknown; reported once, uncertified.
+        got = self.mirror(complex(0.5, 0.03), 0.1, complex(0.5, 0.02), self.PLUS)
+        assert got == [(complex(0.5, 0.0), self.SINGULAR)]
+
+    def test_singular_zero_is_its_own_mirror_within_its_disk(self):
+        rho = 1e-7
+        z = complex(1.0, 0.5e-7)
+        assert self.mirror(z, rho, z, self.SINGULAR) == [(1 + 0j, self.SINGULAR)]
+        z = complex(1.0, 1e-7)
+        assert self.mirror(z, rho, z, self.SINGULAR) == [
+            (z, self.SINGULAR), (z.conjugate(), self.SINGULAR)
+        ]
+
+
 class TestCertification:
     def test_zero_on_shared_cell_edge_reported_once(self):
         # The real axis is a cell edge at every depth; this zero sits on it
@@ -510,29 +614,6 @@ class TestCertification:
         loose = [rec for rec in report.zeros if not rec.certified]
         assert len(loose) == 1
         assert abs(loose[0].location) <= 1e-7 * max(1.0, report.disk.radius)
-
-
-signs = st.sampled_from((-1.0, 1.0))
-near_unit = st.floats(min_value=-1e-3, max_value=1e-3).map(lambda e: 1.0 + e)
-
-
-@st.composite
-def instances(draw):
-    n = draw(st.integers(min_value=2, max_value=5))
-    m = draw(st.integers(min_value=1, max_value=n - 1))
-    # k = n + 1 (and b = 0) are where Theorem 3.3's bound is proven.
-    k = draw(st.one_of(st.just(n + 1), st.integers(min_value=1, max_value=6)))
-    b = draw(signs) * draw(
-        st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=5.0))
-    )
-    # The |b| -> 1 cliff at k = n is slow; the cliff tests cover it.
-    assume(k != n or abs(abs(b) - 1.0) > 0.2)
-    c = draw(signs) * draw(
-        st.one_of(
-            st.floats(min_value=0.1, max_value=5.0), st.just(1.0), near_unit
-        )
-    )
-    return HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
 
 
 @given(instances())

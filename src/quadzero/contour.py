@@ -1,10 +1,38 @@
-"""Total argument change (winding number) of q along closed contours.
+"""Winding number of q along closed contours, proven piece by piece.
 
-Samples the contour, unwraps principal-branch argument increments, and
-adaptively bisects any segment whose increment exceeds pi/2 — a 4x safety
-margin over the pi aliasing limit, so branch cuts cannot be skipped
-silently.  The accumulated angle must land within 0.25 * 2*pi of an
-integer multiple or the computation is rejected.
+A contour is a closed curve point(t), 0 <= t <= 1, traced counterclockwise
+at the constant speed `length`: every exact point of the piece [ta, tb]
+lies within length*(tb - ta) of the exact point(ta).  The computed
+point(t) is within 6u*length + u*|point(t)| of the exact one, u the unit
+roundoff.
+
+`winding_number` splits [0, 1] into eighths and tests each piece with
+stage 1 of the solver's cell test, on `model`'s majorant M and rounding
+factor gamma.  For the piece from the computed point za, with a = |za|,
+s = length*(tb - ta) + gamma*(length + a) and m0, m1 = M(a), M(a + s):
+gamma >= 16u (n >= 2) and tb - ta <= 1/8, so the disk D(za, s) holds the
+exact piece and the computed end point zb, rounding included.  If the
+computed |q(za)| minus gamma*m0 exceeds m1 - m0 + gamma*(m1 + m0), q maps
+that disk into a disk around q(za) that excludes 0: the piece passes and
+adds the principal argument of q(zb)/q(za), both computed, to the total.
+A piece that fails is bisected.  When no float lies strictly between its
+ends, q cannot be told from 0 on or next to the contour: ZeroOnContour.
+Past `_SAMPLE_CAP` evaluations of q: SampleCapExceeded.
+
+Why the total is exact:
+- each piece's disk holds its exact piece, both its ends and no zero, so
+  the exact contour and the polygon through the computed samples wind
+  alike around 0 under q;
+- the exact increment of arg q along a passing piece is below pi/2 in
+  size, as q stays in a disk around q(za) that excludes 0;
+- every sample starts a passing piece, whose test makes the computed
+  |q(za)| exceed 3*gamma*M(a), three times its error; so the angle error
+  of every computed value is below arcsin(1/3) < pi/6;
+- so each computed quotient's angle is the exact increment plus two such
+  errors, below 5*pi/6 in size, and no principal value wraps past pi;
+- round the closed contour each sample's error enters once with each
+  sign and cancels: the total is 2*pi times the winding number up to the
+  float error of the sum, far below pi.
 """
 
 from __future__ import annotations
@@ -12,14 +40,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
-from .errors import NonIntegerWinding, SampleCapExceeded, ZeroOnContour
-from .model import HarmonicQuadrinomial, evaluate
+from .errors import SampleCapExceeded, ZeroOnContour
+from .model import HarmonicQuadrinomial, _Majorant, evaluate
 
-_MAX_STEP = 0.5 * math.pi
 _SAMPLE_CAP = 2**20
-_ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -30,6 +56,12 @@ class Circle:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("circle radius must be positive")
+        if not (cmath.isfinite(self.center) and math.isfinite(self.length)):
+            raise ValueError("circle center and circumference must be finite")
+
+    @property
+    def length(self) -> float:
+        return 2.0 * math.pi * self.radius
 
     def point(self, t: float) -> complex:
         return self.center + self.radius * cmath.exp(2j * math.pi * t)
@@ -45,12 +77,17 @@ class Rectangle:
     def __post_init__(self):
         if not (self.hi.real > self.lo.real and self.hi.imag > self.lo.imag):
             raise ValueError("rectangle must be nondegenerate with lo < hi")
+        if not math.isfinite(self.length):
+            raise ValueError("rectangle corners and perimeter must be finite")
+
+    @property
+    def length(self) -> float:
+        return 2.0 * ((self.hi.real - self.lo.real) + (self.hi.imag - self.lo.imag))
 
     def point(self, t: float) -> complex:
         w = self.hi.real - self.lo.real
         h = self.hi.imag - self.lo.imag
-        per = 2.0 * (w + h)
-        s = (t % 1.0) * per
+        s = (t % 1.0) * self.length
         if s < w:
             return complex(self.lo.real + s, self.lo.imag)
         s -= w
@@ -71,88 +108,52 @@ class WindingReport:
     winding: int
     min_modulus: float
     samples_used: int
-    refined: bool
+    refined: bool  # some eighth of the contour was bisected
 
 
-def winding_number(
-    f: Union[HarmonicQuadrinomial, Callable[[complex], complex]],
-    contour: Contour,
-    initial_samples: int = 256,
-) -> WindingReport:
-    """Winding number of f along the (counterclockwise) contour.
+def winding_number(p: HarmonicQuadrinomial, contour: Contour) -> WindingReport:
+    """Winding number of q along the contour, counterclockwise, proven as
+    the module docstring sets out.
 
-    f may be a HarmonicQuadrinomial or any callable z -> complex.  Fails
-    with ZeroOnContour if |f| gets within 1e-9 of zero relative to the
-    largest |f| seen, with SampleCapExceeded past 2^20 samples, and with
-    NonIntegerWinding if the total angle is not close to a full multiple
-    of 2*pi.
+    Raises ZeroOnContour where a piece fails down to adjacent floats,
+    SampleCapExceeded past `_SAMPLE_CAP` evaluations of q, and
+    OverflowError where q or M overflows.
     """
-    if isinstance(f, HarmonicQuadrinomial):
-        p = f
-        f = lambda z: evaluate(p, z)  # noqa: E731
-        # enough initial samples that a full turn of the leading term spans
-        # many segments; guards against increment aliasing
-        initial_samples = max(initial_samples, 64 * max(p.k, p.n))
-    if initial_samples < 8:
-        raise ValueError("need at least 8 initial samples")
-
-    n0 = initial_samples
-    ts = [j / n0 for j in range(n0)]
-    vals = [f(contour.point(t)) for t in ts]
-    samples = n0
-    min_mod = min(abs(v) for v in vals)
-    max_mod = max(abs(v) for v in vals)
-    refined = False
-
-    def check_zero(v: complex):
-        nonlocal min_mod, max_mod
-        a = abs(v)
-        min_mod = min(min_mod, a)
-        max_mod = max(max_mod, a)
-        if a <= _ZERO_TOL * max_mod:
-            raise ZeroOnContour(
-                f"|f| = {a:.3e} on the contour (scale {max_mod:.3e})"
-            )
-
-    for v in vals:
-        check_zero(v)
-
+    maj = _Majorant(p)
+    value, gamma = maj.value, maj.gamma
+    length = contour.length
+    zs = [contour.point(j / 8) for j in range(8)]
+    vs = [evaluate(p, z) for z in zs]
+    samples = len(vs)
+    min_mod = min(abs(v) for v in vs)
+    # Depth-first, leftmost piece first; the last piece ends at the first
+    # sample, so every sample starts a piece.
+    stack = [(j / 8, zs[j], vs[j], (j + 1) / 8, vs[(j + 1) % 8]) for j in range(8)]
+    stack.reverse()
     total = 0.0
-    for j in range(n0):
-        t0, v0 = ts[j], vals[j]
-        t1 = ts[j + 1] if j + 1 < n0 else 1.0
-        v1 = vals[j + 1] if j + 1 < n0 else vals[0]
-        # Depth-first bisection of one segment, leftmost piece first.
-        stack = [(t0, v0, t1, v1)]
-        while stack:
-            a, va, b, vb = stack.pop()
-            d = cmath.phase(vb / va)
-            if abs(d) <= _MAX_STEP:
-                total += d
-                continue
-            if samples >= _SAMPLE_CAP:
-                raise SampleCapExceeded(
-                    f"adaptive refinement exceeded {_SAMPLE_CAP} samples"
-                )
-            tm = 0.5 * (a + b)
-            vm = f(contour.point(tm))
-            samples += 1
-            refined = True
-            check_zero(vm)
-            stack.append((tm, vm, b, vb))
-            stack.append((a, va, tm, vm))
-
-    # Re-check against the final scale: early samples were only compared
-    # against the running maximum.
-    if min_mod <= _ZERO_TOL * max_mod:
-        raise ZeroOnContour(
-            f"|f| = {min_mod:.3e} on the contour (scale {max_mod:.3e})"
-        )
-
-    w = total / (2.0 * math.pi)
-    n = round(w)
-    if abs(w - n) > 0.25:
-        raise NonIntegerWinding(
-            f"accumulated argument {w:.6f} turns is not close to an integer"
-        )
-    return WindingReport(int(n), min_mod, samples, refined)
+    while stack:
+        ta, za, va, tb, vb = stack.pop()
+        a = abs(za)
+        m0 = value(a)
+        m1 = value(a + (tb - ta) * length + gamma * (length + a))
+        if abs(va) - gamma * m0 > m1 - m0 + gamma * (m1 + m0):
+            total += cmath.phase(vb / va)
+            continue
+        if not math.isfinite(m1):
+            raise OverflowError(f"the majorant of q overflows near z = {za!r}")
+        tm = 0.5 * (ta + tb)
+        if not ta < tm < tb:
+            raise ZeroOnContour(
+                f"q cannot be told from 0 on the contour near z = {za!r}"
+            )
+        if samples >= _SAMPLE_CAP:
+            raise SampleCapExceeded(
+                f"adaptive refinement exceeded {_SAMPLE_CAP} samples"
+            )
+        zm = contour.point(tm)
+        vm = evaluate(p, zm)
+        samples += 1
+        min_mod = min(min_mod, abs(vm))
+        stack.append((tm, zm, vm, tb, vb))
+        stack.append((ta, za, va, tm, vm))
+    return WindingReport(round(total / (2.0 * math.pi)), min_mod, samples, samples > 8)

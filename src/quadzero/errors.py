@@ -53,10 +53,6 @@ class SampleCapExceeded(NumericalError):
     pass
 
 
-class NonIntegerWinding(NumericalError):
-    pass
-
-
 class DegenerateJacobian(NumericalError):
     pass
 

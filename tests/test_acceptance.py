@@ -118,8 +118,8 @@ def test_criterion_3_closed_form_zero_set():
 
 
 def test_criterion_4_argument_principle(solved_batch, solved_b0_batch):
-    # The winding is sampled here, independently of the report, whose
-    # winding check compares against the dominant term's index.
+    # The winding is proven here on the contour, independently of the
+    # report, whose winding check compares against the dominant term's index.
     checked = 0
     ok = True
     cases = [(p, report, p.k) for p, report in solved_batch]

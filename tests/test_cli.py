@@ -188,6 +188,12 @@ class TestWinding:
         assert code == 0
         assert json.loads(out)["winding"] == -3
 
+    def test_zeros_next_to_the_contour(self, capsys):
+        # 1e-10 outside the four unimodular zeros: proven, not refused
+        code, out, _ = run(capsys, ["winding", *QUINTET, "--radius", "1.0000000001"])
+        assert code == 0
+        assert json.loads(out)["winding"] == -3
+
     def test_zero_on_contour_exits_3(self, capsys):
         code, _, err = run(capsys, ["winding", *QUINTET, "--radius", "1"])
         assert code == 3

@@ -6,7 +6,19 @@ across a pool of worker processes, and always reported in row-major
 worker count.  ``threads`` (the CLI's ``--threads`` and
 ``QUADZERO_THREADS``) is the number of worker processes asked for, at
 least 1 (``run_sweep`` raises ``ValueError`` below that); a sweep uses at
-most one per CPU and one per b-row, and with one it starts no pool.
+most one per CPU, one per b-row and one per ``_MIN_CELLS_PER_WORKER``
+cells, and with one it starts no pool.
+
+A pool must earn its start-up.  On a 2-vCPU Linux VM (Python 3.11,
+``k=3 n=2 m=1``, about 2 ms a cell) an empty 2-worker pool costs 13-16 ms
+under fork and 110-180 ms under forkserver, its server included, and a
+forked worker's first row runs up to twice as slow as in this process.
+Two workers then match one at about 100 cells under fork in a process
+that has solved before (about 20 in a fresh one) and at about 150 under
+forkserver; at 400 cells they take 0.55-0.7 of the serial time.  Hence
+48 cells a worker: a 16-cell grid runs in this process and a 100-cell
+one on two workers.
+
 Workers start by the platform's default method.  Where that is ``spawn``
 (Windows, macOS) or ``forkserver`` (Linux from Python 3.14), each worker
 imports the calling script, so a script that sweeps with more than one
@@ -23,6 +35,10 @@ from typing import Optional
 from .errors import BoundUnavailable
 from .model import HarmonicQuadrinomial
 from .solver import ZeroSetReport, find_zeros
+
+# One worker per this many cells at most; the module docstring gives the
+# break-even it comes from.
+_MIN_CELLS_PER_WORKER = 48
 
 
 @dataclass(frozen=True)
@@ -85,10 +101,12 @@ def run_sweep(
 ) -> SweepGrid:
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    bs = b_axis.values()
-    rows = (bs, repeat(c_axis.values()), repeat(k), repeat(n), repeat(m))
-    # A forking pool starts all its workers at once: no more than can run.
-    workers = min(threads, len(bs), os.cpu_count() or 1)
+    bs, cs = b_axis.values(), c_axis.values()
+    rows = (bs, repeat(cs), repeat(k), repeat(n), repeat(m))
+    # A forking pool starts all its workers at once: no more than can run,
+    # and none that would cost more to start than its share of the cells.
+    workers = min(threads, len(bs), os.cpu_count() or 1,
+                  len(bs) * len(cs) // _MIN_CELLS_PER_WORKER)
     if workers <= 1:
         solved = list(map(_solve_row, *rows))
     else:
@@ -96,11 +114,10 @@ def run_sweep(
         # half again to the CLI's import time.
         from concurrent.futures import ProcessPoolExecutor
 
-        # The default start method, fork on Linux up to Python 3.13, starts
-        # a worker in about a millisecond; a spawned worker takes longer to
-        # start than a 16-cell sweep takes to solve.  One row per task
-        # (map's default chunksize), handed out as workers free up; map
-        # returns the rows in grid order.
+        # The default start method is fork on Linux up to Python 3.13 and
+        # forkserver from 3.14; the module docstring gives what each
+        # costs.  One row per task (map's default chunksize), handed out
+        # as workers free up; map returns the rows in grid order.
         with ProcessPoolExecutor(max_workers=workers) as pool:
             solved = list(pool.map(_solve_row, *rows))
     cells = tuple(cell for row in solved for cell in row)

@@ -2,6 +2,7 @@ import concurrent.futures
 
 import pytest
 
+from quadzero import sweep
 from quadzero.cli import main
 from quadzero.sweep import SWEEP_HEADER, Axis, run_sweep, sweep_csv_lines
 
@@ -68,19 +69,35 @@ def pool_sizes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "threads, cpus, pool_size",
+    "threads, cpus, min_cells, b_steps, c_steps, pool_size",
     [
-        (10_000, 64, 3),  # one worker per b-row at most
-        (8, 2, 2),  # one worker per CPU at most
-        (8, None, None),  # CPU count unknown: no pool
-        (1, 64, None),
+        # A 3-cell grid at one cell per worker, so the other caps decide:
+        # one worker per b-row at most, one per CPU at most, and no pool
+        # when the CPU count is unknown.
+        pytest.param(10_000, 64, 1, 3, 1, 3, id="10000-64-3"),
+        pytest.param(8, 2, 1, 3, 1, 2, id="8-2-2"),
+        pytest.param(8, None, 1, 3, 1, None, id="8-None-None"),
+        pytest.param(1, 64, 1, 3, 1, None, id="1-64-None"),
+        # One worker per _MIN_CELLS_PER_WORKER cells at most: none below
+        # one share, two for exactly two shares (the constant is even).
+        pytest.param(8, 64, None, 4, (sweep._MIN_CELLS_PER_WORKER - 1) // 4, None,
+                     id="8-64-None-below-one-share"),
+        pytest.param(8, 64, None, 4, sweep._MIN_CELLS_PER_WORKER // 2, 2,
+                     id="8-64-2-two-shares"),
     ],
 )
-def test_worker_count_is_capped(monkeypatch, pool_sizes, threads, cpus, pool_size):
+def test_worker_count_is_capped(
+    monkeypatch, pool_sizes, threads, cpus, min_cells, b_steps, c_steps, pool_size
+):
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
-    grid = run_sweep(Axis(2, 4, 3), Axis(3, 3, 1), 3, 2, 1, threads=threads)
+    if min_cells is not None:
+        monkeypatch.setattr(sweep, "_MIN_CELLS_PER_WORKER", min_cells)
+    b_axis, c_axis = Axis(2, 4, b_steps), Axis(3, 4, c_steps)
+    grid = run_sweep(b_axis, c_axis, 3, 2, 1, threads=threads)
     assert pool_sizes == ([] if pool_size is None else [pool_size])
-    assert [(cell.b, cell.c) for cell in grid.cells] == [(2, 3), (3, 3), (4, 3)]
+    assert [(cell.b, cell.c) for cell in grid.cells] == [
+        (b, c) for b in b_axis.values() for c in c_axis.values()
+    ]
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -93,7 +110,9 @@ def test_fewer_than_one_worker_is_refused(pool_sizes, threads):
 def test_process_pool_returns_the_serial_reports(monkeypatch):
     # b = 1 with k = n gives unavailable cells, c = -1 a singular origin
     # (|c| = 1, m = 1), b = 2 or 3 with c = 3 regular cells.
-    monkeypatch.setattr("os.cpu_count", lambda: 2)  # a real pool on any host
+    # A real pool on any host, for all six cells.
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep, "_MIN_CELLS_PER_WORKER", 1)
     args = (Axis(1, 3, 3), Axis(-1, 3, 2), 3, 3, 1)
     serial = run_sweep(*args, threads=1)
     pooled = run_sweep(*args, threads=2)
@@ -106,6 +125,7 @@ def test_process_pool_returns_the_serial_reports(monkeypatch):
 
 def test_invalid_degrees_fail_alike_in_workers(capsys, monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep, "_MIN_CELLS_PER_WORKER", 1)
     results = []
     for threads in ("1", "2"):
         code = main(["sweep", "--b-range", "1:2:2", "--c-range", "2:3:2",
@@ -116,3 +136,17 @@ def test_invalid_degrees_fail_alike_in_workers(capsys, monkeypatch):
     assert code == 2
     assert captured.out == ""
     assert "need n > m >= 1" in captured.err
+
+
+def test_small_cli_sweep_runs_in_process(capsys, monkeypatch, pool_sizes):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    outputs = []
+    for threads in ("1", "2"):
+        code = main(["sweep", "--b-range", "0.5:3:4", "--c-range=-2:2:4",
+                     "--k", "3", "--n", "2", "--m", "1", "--threads", threads])
+        outputs.append((code, capsys.readouterr()))
+    assert pool_sizes == []
+    assert outputs[0] == outputs[1]
+    code, captured = outputs[0]
+    assert code == 0
+    assert len(captured.out.splitlines()) == 1 + 16

@@ -19,6 +19,11 @@ from .errors import BEqualsOne, BZero, HypothesisViolation
 from .model import HarmonicQuadrinomial, dilatation, evaluate
 from .solver import ZeroSetReport, find_zeros
 
+_ON_TOL = 1e-9  # largest | |omega| - 1 | accepted on the critical circle
+_OFF_TOL = 1e-6  # | |omega| - 1 | must exceed this at 1.1x the radius
+_EQ_TOL = 1e-12  # relative band where the b = 0 inequality reads "eq"
+_CENSUS_BAND = 1e-6  # | |z| - radius | at most this counts as on the circle
+
 
 @dataclass(frozen=True)
 class CriticalCircle:
@@ -79,13 +84,7 @@ def pure_imaginary_rays(k: int) -> list[float]:
     return [(0.5 * math.pi + j * math.pi) / (k - 1) for j in range(2 * k - 2)]
 
 
-def verify_theorem_34(
-    b: float,
-    c: float,
-    k: int,
-    tol: float = 1e-9,
-    off_tol: float = 1e-6,
-) -> CriticalCircleReport:
+def verify_theorem_34(b: float, c: float, k: int) -> CriticalCircleReport:
     """Check |omega| = 1 on every ray-circle intersection, and != 1 at 1.1x.
 
     The converse spot-check samples only ray points: the equivalence is
@@ -112,7 +111,7 @@ def verify_theorem_34(
         checks=tuple(checks),
         max_on_deviation=max_on,
         min_off_deviation=min_off,
-        passed=(max_on <= tol and min_off > off_tol),
+        passed=(max_on <= _ON_TOL and min_off > _OFF_TOL),
     )
 
 
@@ -136,9 +135,7 @@ def univalence_radius(b: float, k: int) -> tuple[float, list[complex]]:
     return radius, points
 
 
-def b0_orientation_inequality(
-    c: float, n: int, m: int, z: complex, tol: float = 1e-12
-) -> str:
+def b0_orientation_inequality(c: float, n: int, m: int, z: complex) -> str:
     """Compare 2 Re z^(n-m) against the printed b = 0 threshold expression.
 
     Implements the source formula verbatim, including the |z|^(2(n-1))
@@ -158,9 +155,9 @@ def b0_orientation_inequality(
         - c * m / n
     )
     scale = max(1.0, abs(lhs), abs(rhs))
-    if lhs < rhs - tol * scale:
+    if lhs < rhs - _EQ_TOL * scale:
         return "lt"
-    if lhs > rhs + tol * scale:
+    if lhs > rhs + _EQ_TOL * scale:
         return "gt"
     return "eq"
 
@@ -180,9 +177,7 @@ def circle_image(
 
 
 def modular_root_census(
-    p: HarmonicQuadrinomial,
-    band: float = 1e-6,
-    report: Optional[ZeroSetReport] = None,
+    p: HarmonicQuadrinomial, report: Optional[ZeroSetReport] = None
 ) -> tuple[int, int, int]:
     """(on-circle, inside, outside) partition of the zeros of q by the
     critical circle; exploratory output for the open root-census question.
@@ -202,7 +197,7 @@ def modular_root_census(
     on = inside = outside = 0
     for rec in report.zeros:
         d = abs(rec.location) - circle.radius
-        if abs(d) <= band:
+        if abs(d) <= _CENSUS_BAND:
             on += 1
         elif d < 0:
             inside += 1

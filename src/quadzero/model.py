@@ -92,9 +92,9 @@ def jacobian(p: HarmonicQuadrinomial, z: complex) -> float:
 def dilatation(p: HarmonicQuadrinomial, z: complex) -> complex:
     """omega(z) = g'(z)/h'(z); raises PoleAtCriticalPoint when h'(z) ~ 0."""
     hp = analytic_derivative(p, z)
-    # Scale-aware zero test: |h'| is compared to the size of its own terms.
+    # h' is zero within the rounding bound of its own terms (`_Majorant`).
     scale = 1.0 + abs(p.b) * p.k * abs(z) ** (p.k - 1)
-    if abs(hp) < 1e-14 * scale:
+    if abs(hp) <= _Majorant(p).gamma * scale:
         raise PoleAtCriticalPoint(
             f"analytic derivative vanishes at z = {z!r} (|h'| = {abs(hp):.3e})"
         )

@@ -33,9 +33,9 @@ after `_NEWTON_CAP` steps.  It is dropped, before each step and at its
 end, when it or its mirror image lies inside the disk of any zero found
 (each kept with its centre folded into the upper half).  Entering a
 certified D(w, r) it would converge to its zero zeta:
-r <= min(1/3, sigma/(4L)), sigma the Jacobian's least singular value at w
-and L = M''(|w| + 1) its Lipschitz bound on D(w, 3r), so |zeta - w| < 0.9r,
-sigma_zeta > 3sigma/4 and each y in the disk has
+r <= min(s/3, sigma/(4L)), s = max(1, |w|), sigma the Jacobian's least
+singular value at w and L = M''(|w| + s) its Lipschitz bound on D(w, 3r),
+so |zeta - w| < 0.9r, sigma_zeta > 3sigma/4 and each y in the disk has
 |y - zeta| < 1.9r < sigma/(2L) < 2sigma_zeta/(3L), Newton's local
 convergence radius (the slack covers sigma's rounding).
 A run's last point z is certified by the Kantorovich test centred at z
@@ -43,9 +43,9 @@ and reported at the test's Newton iterate.  The test's sigma is the
 margin that `classify_point` reads, so a pass proves the sign of
 |h'| - |g'| at z, and kappa < 1/2 keeps the least singular value above
 sigma/2 on the disk: J has that sign, the orientation, at the zero and at
-the iterate.  Else z is kept as a singular zero, its disk the merge radius
-1e-7*max(1, R), only if its run settled: a last step at most that radius
-and |q(z)| <= `_ACCEPT_TOL`.
+the iterate.  Else z is kept as a singular zero, its disk of radius
+1e-7*max(1, |z|), only if its run settled: a last step at most that radius
+and |q(z)| <= 4*gamma*M(|z|), four times the rounding bound of q(z).
 
 Each found zero, centre w and radius r, is reported with its mirror image
 (`_mirror`).  A certified zeta lies within 0.9r of w: if |Im w| <= 0.05r,
@@ -56,8 +56,7 @@ two, the Kantorovich test at Re w with radius r + |Im w|, a
 disk that covers D(w, r) and is its own mirror, proves zeta real when it
 passes; else zeta is reported once, uncertified.  An uncertified zero is
 its own mirror, reported once at its real part, when |Im w| < r, and is
-mirrored otherwise.  N+ - N- is checked against the proven
-winding `DiskBound.winding`; a singular zero makes that inconclusive.
+mirrored otherwise.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ from .model import (
 )
 
 _NEWTON_CAP = 100
-_ACCEPT_TOL = 1e-10  # the largest |q| where a settled run is kept uncertified
 _MAX_DEPTH = 12  # quadtree depth of the floor cells
 _SQRT2 = math.sqrt(2.0)
 # Radius of the cell's Kantorovich disk as a multiple of its half-diagonal.
@@ -125,7 +123,8 @@ def _newton_update(z: complex, v: complex, fz: complex, gz: complex) -> complex:
 
     Solving fz*d + fzb*conj(d) = -v with fzb = conj(gz) gives
     d = (fzb*conj(v) - conj(fz)*v) / J where J is the Jacobian of the real
-    system.
+    system.  |J| <= 1e-14*max(1, mag) is taken as rounding noise: refusing
+    only J == 0 shatters -3.0817953258295665,-1,7,7,1 into 115 zeros, not 9.
     """
     fzb = gz.conjugate()
     j = (fz.real**2 + fz.imag**2) - (fzb.real**2 + fzb.imag**2)
@@ -209,9 +208,11 @@ def _certificate_radius(
 ) -> float:
     """Kantorovich radius at a converged z with h'(z) = fz, g'(z) = gz:
     kappa <= 1/4 on D(z, r), so the test passes there unless the Jacobian
-    is singular within rounding.  r <= 1/3: see the module docstring."""
+    is singular within rounding.  r <= s/3, s = max(1, |z|): see the module
+    docstring."""
     sigma = abs(abs(fz) - abs(gz))
-    return min(1.0 / 3.0, sigma / (4.0 * maj.curvature(abs(z) + 1.0)))
+    s = max(1.0, abs(z))
+    return min(s / 3.0, sigma / (4.0 * maj.curvature(abs(z) + s)))
 
 
 def _mirror(
@@ -241,13 +242,19 @@ def _mirror(
 
 
 def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
+    """Every zero of q found in the disk `radius_bound(p)`, sorted by real,
+    then imaginary part; raises `BoundUnavailable` where that has no disk.
+
+    Each zero is certified, its orientation proven, or else singular.
+    `winding_check` compares N+ - N- with the proven winding of q on the
+    disk, `DiskBound.winding`: "passed" if equal, "failed" if not (a zero
+    lost or counted twice), "inconclusive" if a zero is singular, unsigned.
+    """
     disk = radius_bound(p)
     if disk.source is BoundSource.UNAVAILABLE:
         raise BoundUnavailable(
             "no zero-inclusion disk available (k = n with |b| = 1)"
         )
-    r_disk = disk.radius
-    merge_radius = 1e-7 * max(1.0, r_disk)
     maj = _Majorant(p)
     cell = _cell_test(p, maj)
     singular = OrientationClass.SINGULAR
@@ -282,18 +289,20 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
             z = z.conjugate()
         fz, gz = analytic_derivative(p, z), coanalytic_derivative(p, z)
         r = _certificate_radius(maj, z, fz, gz)
-        z1 = _kantorovich_step(maj, z, r, evaluate(p, z), fz, gz) if r > 0 else None
+        v = evaluate(p, z)
+        z1 = _kantorovich_step(maj, z, r, v, fz, gz) if r > 0 else None
+        rho = 1e-7 * max(1.0, abs(z))  # an uncertified zero's disk
         if z1 is not None:  # sigma > 0: the margin is positive
             found.append((z, r, z1, maj.orientation(z, fz, gz)))
-        elif step <= merge_radius and abs(evaluate(p, z)) <= _ACCEPT_TOL:
-            found.append((z, merge_radius, z, singular))
+        elif step <= rho and abs(v) <= 4.0 * maj.gamma * maj.value(abs(z)):
+            found.append((z, rho, z, singular))
 
     settle(0j, 0.0)  # q(0) = 0: every term has z or zbar
     # Quadtree over [-R, R] x [0, R], the upper half of the circumscribing
     # square, whose two root cells are that square's upper children; the
     # real axis is an edge of every cell.  Depth-first, children pushed in
     # fixed order, so the run order is deterministic.
-    h = 0.5 * r_disk
+    h = 0.5 * disk.radius
     stack = [(complex(h, h), h, 1), (complex(-h, h), h, 1)]
     while stack:
         center, half, depth = stack.pop()
@@ -328,16 +337,12 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
     ]
     records.sort(key=lambda r: (r.location.real, r.location.imag))
 
-    n_plus = sum(
-        1 for r in records if r.orientation is OrientationClass.SENSE_PRESERVING
-    )
-    n_minus = sum(
-        1 for r in records if r.orientation is OrientationClass.SENSE_REVERSING
-    )
+    kinds = [r.orientation for r in records]
+    n_plus = kinds.count(OrientationClass.SENSE_PRESERVING)
+    n_minus = kinds.count(OrientationClass.SENSE_REVERSING)
     n_singular = len(records) - n_plus - n_minus
 
     if n_singular > 0:
-        # Argument-principle hypothesis (no singular zeros) is violated.
         winding_check = "inconclusive"
     elif n_plus - n_minus == disk.winding:
         winding_check = "passed"

@@ -11,6 +11,7 @@ from typing import Iterable, Optional
 
 from .model import OrientationClass
 
+_SIZE = 640  # width and height of the plot, in pixels
 _COLORS = {
     OrientationClass.SENSE_PRESERVING: "#1f77b4",
     OrientationClass.SENSE_REVERSING: "#d62728",
@@ -22,7 +23,6 @@ def render_zero_plot(
     zeros: Iterable[tuple[complex, OrientationClass]],
     bounding_radius: Optional[float] = None,
     critical_radii: Iterable[float] = (),
-    size: int = 640,
 ) -> str:
     zeros = list(zeros)
     critical_radii = [r for r in critical_radii if r > 0]
@@ -33,7 +33,7 @@ def render_zero_plot(
         + [1.0]
     )
     extent *= 1.1
-    half = size / 2.0
+    half = _SIZE / 2.0
     scale = half / extent
 
     def sx(x: float) -> float:
@@ -44,12 +44,12 @@ def render_zero_plot(
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'width="{_SIZE}" height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
         # axes
-        f'<line x1="0" y1="{half}" x2="{size}" y2="{half}" '
+        f'<line x1="0" y1="{half}" x2="{_SIZE}" y2="{half}" '
         f'stroke="#cccccc" stroke-width="1"/>',
-        f'<line x1="{half}" y1="0" x2="{half}" y2="{size}" '
+        f'<line x1="{half}" y1="0" x2="{half}" y2="{_SIZE}" '
         f'stroke="#cccccc" stroke-width="1"/>',
     ]
     if bounding_radius is not None and math.isfinite(bounding_radius):

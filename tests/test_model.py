@@ -111,6 +111,14 @@ class TestDilatation:
         with pytest.raises(PoleAtCriticalPoint):
             dilatation(p, -0.5 + 0j)  # h' = 2z + 1 vanishes
 
+    def test_pole_test_reads_the_rounding_bound(self):
+        # gamma = 20u and |b|k|z| + 1 = 2 here, so h' is zero within its
+        # rounding bound 4.4e-15: |h'| = 6e-15 proves h'(z) != 0, 4e-15 not.
+        p = HarmonicQuadrinomial(b=1.0, c=0.0, k=2, n=3, m=1)
+        assert abs(dilatation(p, complex(-0.5 + 3e-15))) > 1e14
+        with pytest.raises(PoleAtCriticalPoint):
+            dilatation(p, complex(-0.5 + 2e-15))
+
 
 class TestClassifyPoint:
     def test_sense_preserving_at_origin(self):

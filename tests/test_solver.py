@@ -90,8 +90,13 @@ def instances(draw):
     m = draw(st.integers(min_value=1, max_value=n - 1))
     # k = n + 1 (and b = 0) are where Theorem 3.3's bound is proven.
     k = draw(st.one_of(st.just(n + 1), st.integers(min_value=1, max_value=6)))
+    # Tiny |b| puts far zeros near R = 1/|b|, up to 1e16.
     b = draw(signs) * draw(
-        st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=5.0))
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.1, max_value=5.0),
+            st.floats(min_value=-16.0, max_value=-4.0).map(lambda e: 10.0**e),
+        )
     )
     # The |b| -> 1 cliff at k = n is slow; the cliff tests cover it.
     assume(k != n or abs(abs(b) - 1.0) > 0.2)
@@ -587,6 +592,28 @@ class TestCertification:
         assert report.winding_check == "passed"
 
     @pytest.mark.parametrize(
+        "b, c, k, n, m, count, certified",
+        [(b, 2.0, 4, 3, 1, 10, 8) for b in (1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 1e-16)]
+        + [(b, 0.5, 6, 5, 2, 12, 12) for b in (1e-14, 1e-15, 1e-16)]
+        + [(b, -3.0, 5, 2, 1, 10, 8) for b in (1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15)],
+    )
+    def test_tiny_b_zeros_settle_at_their_own_scale(
+        self, b, c, k, n, m, count, certified
+    ):
+        # R = 1/|b|, up to 1e16.  An uncertified zero's disk and the keep
+        # gate read |z|, not R: a disk of radius 1e-7*R at the origin would
+        # swallow the zeros near it, and a far zero's |q| lies far above any
+        # absolute gate.  Not all zeros are found yet: 2,4,3,1 has all 10
+        # with its near-singular pair near +-i uncertified, but 0.5,6,5,2
+        # loses the 6 of its 18 zeros near the origin, which lie inside
+        # floor cells of width R/4096, and -3,5,2,1 one of its 11.
+        p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
+        report = find_zeros(p)
+        assert report.count == count
+        assert report.n_certified == certified
+        assert not any(0 < abs(rec.location) < 1e-3 for rec in report.zeros)
+
+    @pytest.mark.parametrize(
         "b, c, k, n, count",
         [
             (2.0, 1.0, 3, 3, 5),
@@ -650,7 +677,8 @@ def test_cells_holding_a_certified_zero_are_kept(p, offsets):
     # within eta/(1 - kappa) of z0, eta the exact Newton step: at most the
     # computed |z1 - z0| plus the rounding of q(z0) over sigma.  e doubles
     # that.  Every cell that holds D(z0, e), checked in exact arithmetic,
-    # must survive both exclusion stages.
+    # must survive both exclusion stages; cell sizes are taken relative to
+    # the zero's scale max(1, |z0|), which reaches 1e16 at tiny |b|.
     report = find_zeros(p)
     maj = _Majorant(p)
     cell = _cell_test(p, maj)
@@ -667,7 +695,7 @@ def test_cells_holding_a_certified_zero_are_kept(p, offsets):
         e = 2.0 * (abs(z1 - z0) + maj.gamma * maj.value(abs(z0)) / sigma)
         assert e < r
         for decade in range(-16, 0):
-            half = 10.0**decade
+            half = 10.0**decade * max(1.0, abs(z0))
             for ox, oy in offsets:
                 center = z0 + complex(ox, oy) * (half - e)
                 reach = Fraction(e) - Fraction(half)

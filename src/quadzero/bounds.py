@@ -1,12 +1,12 @@
 """Zero-inclusion disks and zero-count bounds for the quadrinomial family.
 
 One route gives the disk for every instance: the triangle inequality
-leaves a majorant with one sign change, and the disk's radius is the
-least float >= 1 at which that majorant is provably positive under
+leaves a minorant with one sign change, and the disk's radius is the
+least float >= 1 at which that minorant is provably positive under
 rounding.  k = n with |b| = 1 has none (unavailable).
 Where b, c != 0 and k > n the paper's radius equation |b|x^(k+1) -
 (|b|+|c|)x^k + |c| = 0 (|c| replaced by 1 when |c| <= 1), deflated at
-x = 1, gives delta; for k >= 4 the majorant's root is never larger.
+x = 1, gives delta; for k >= 4 the minorant's root is never larger.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .realroots import RealPoly, deflate_at_one, first_true, positive_root_brack
 class BoundSource(enum.Enum):
     THM31 = "Thm31"
     THM32 = "Thm32"
-    # No theorem delta; the disk comes from the majorant, as on every route.
+    # No theorem delta; the disk comes from the minorant, as on every route.
     FALLBACK_CAUCHY = "FallbackCauchy"
     UNAVAILABLE = "Unavailable"
 
@@ -78,13 +78,13 @@ def radius_polynomial(p: HarmonicQuadrinomial) -> tuple[RealPoly, BoundSource]:
     return RealPoly(tuple(coeffs)), source
 
 
-def _majorant(p: HarmonicQuadrinomial) -> Optional[tuple[RealPoly, int]]:
-    """M(x), a*x^d minus every other |term| of q at |z| = x, and the index
+def _minorant(p: HarmonicQuadrinomial) -> Optional[tuple[RealPoly, int]]:
+    """P(x), a*x^d minus every other |term| of q at |z| = x, and the index
     of the dominant term; None if a = 0.
 
     a*x^d bounds the dominant term below: |b|x^k (index +k) when k > n,
     x^n (index -n) when k < n or b = 0, ||b| - 1|x^k when k = n (index +k
-    if |b| > 1, -k if |b| < 1).  |q(z)| >= M(|z|).
+    if |b| > 1, -k if |b| < 1).  |q(z)| >= P(|z|).
     """
     bb, cc = abs(p.b), abs(p.c)
     if bb == 0.0 or p.k < p.n:
@@ -104,15 +104,15 @@ def _majorant(p: HarmonicQuadrinomial) -> Optional[tuple[RealPoly, int]]:
 
 
 def radius_bound(p: HarmonicQuadrinomial) -> DiskBound:
-    """The disk of the majorant M of `_majorant`; UNAVAILABLE if it has none.
+    """The disk of the minorant P of `_minorant`; UNAVAILABLE if it has none.
 
-    M's only positive coefficient is its leading one, so M is negative
+    P's only positive coefficient is its leading one, so P is negative
     below its one positive root rho and positive above it: every zero has
-    |z| <= rho.  R is the least float >= 1 at which M(R) > gamma*sum
+    |z| <= rho.  R is the least float >= 1 at which P(R) > gamma*sum
     |a_i| R^i in floating point; gamma*sum |a_i| R^i bounds the rounding
     of the coefficients and of Horner's rule (Higham, Accuracy and
-    Stability of Numerical Algorithms, section 5.1), so M(R) > 0 holds
-    exactly.  M - gamma*sum |a_i| x^i has one sign change too, so the test
+    Stability of Numerical Algorithms, section 5.1), so P(R) > 0 holds
+    exactly.  P - gamma*sum |a_i| x^i has one sign change too, so the test
     switches once, and `first_true` finds where.
 
     delta is the paper's root (Theorems 3.1/3.2: b, c != 0, k > n).  For
@@ -120,10 +120,10 @@ def radius_bound(p: HarmonicQuadrinomial) -> DiskBound:
     the deflated radius equation gives |b|x^k >= C(1 + x + ... + x^(k-1))
     >= x^n + |c|x^m + x, C = max(1, |c|).  At k = 3 delta can undershoot.
     """
-    majorant = _majorant(p)
-    if majorant is None:
+    minorant = _minorant(p)
+    if minorant is None:
         return DiskBound(math.inf, None, BoundSource.UNAVAILABLE, None)
-    poly, winding = majorant
+    poly, winding = minorant
     gamma = 4.0 * (poly.degree + 2) * _UNIT_ROUNDOFF
     size = RealPoly(tuple(abs(a) for a in poly.coeffs))
     radius = first_true(lambda x: poly(x) > gamma * size(x), 1.0)

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from typing import Optional
 
 from .bounds import BoundSource, radius_bound
 from .contour import Circle, Rectangle, winding_number
@@ -98,20 +97,32 @@ def _quadrinomial(ns: argparse.Namespace) -> HarmonicQuadrinomial:
     return HarmonicQuadrinomial(b=ns.b, c=ns.c, k=ns.k, n=ns.n, m=ns.m)
 
 
-def _svg_critical_radius(
-    b: float, c: float, k: int, n: int, m: int
-) -> Optional[float]:
-    """Radius of the critical circle to draw in a zero plot, or None.
+def _write_svg(path: str, k: int, n: int, m: int, cells) -> None:
+    """Write one zero plot of `cells`, (b, c, report) triples, to `path`.
 
-    The circle (Theorem 3.4) belongs to the n = k, m = 1 family only.
+    A cell without a report (no inclusion disk) adds nothing.  Theorem
+    3.4's critical circle belongs to the n = k, m = 1 family, where
+    n > m gives k >= 2 and a report rules out |b| = 1, so
+    `critical_radius` accepts every cell that reaches it.
     """
-    if n != k or m != 1:
-        return None
-    try:
-        cc = critical_radius(b, c, k)
-    except (QuadzeroError, ValueError):
-        return None
-    return cc.radius if cc.exists else None
+    zeros, radii, crit = [], [], set()
+    for b, c, report in cells:
+        if report is None:
+            continue
+        zeros.extend((rec.location, rec.orientation) for rec in report.zeros)
+        radii.append(report.disk.radius)
+        if n == k and m == 1:
+            cc = critical_radius(b, c, k)
+            if cc.exists:
+                crit.add(round(cc.radius, 12))
+    with open(path, "w") as fh:
+        fh.write(
+            render_zero_plot(
+                zeros,
+                bounding_radius=max(radii, default=None),
+                critical_radii=sorted(crit),
+            )
+        )
 
 
 def cmd_radius(ns: argparse.Namespace) -> int:
@@ -141,15 +152,7 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
     report = find_zeros(p)
     # The SVG goes first: an unwritable path exits 2 before any stdout.
     if ns.svg:
-        crit = _svg_critical_radius(p.b, p.c, p.k, p.n, p.m)
-        with open(ns.svg, "w") as fh:
-            fh.write(
-                render_zero_plot(
-                    [(rec.location, rec.orientation) for rec in report.zeros],
-                    bounding_radius=report.disk.radius,
-                    critical_radii=[] if crit is None else [crit],
-                )
-            )
+        _write_svg(ns.svg, p.k, p.n, p.m, [(p.b, p.c, report)])
     zeros = [_zero_fields(rec) for rec in report.zeros]
     if ns.format == "csv":
         print(ZEROS_HEADER)
@@ -232,27 +235,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         ns.b_range, ns.c_range, k=ns.k, n=ns.n, m=ns.m, threads=ns.threads
     )
     if ns.svg:  # before stdout, as in cmd_zeros
-        zeros = []
-        radii = []
-        crit = set()
-        for cell in grid.cells:
-            if cell.report is None:
-                continue
-            zeros.extend(
-                (rec.location, rec.orientation) for rec in cell.report.zeros
-            )
-            radii.append(cell.report.disk.radius)
-            r = _svg_critical_radius(cell.b, cell.c, grid.k, grid.n, grid.m)
-            if r is not None:
-                crit.add(round(r, 12))
-        with open(ns.svg, "w") as fh:
-            fh.write(
-                render_zero_plot(
-                    zeros,
-                    bounding_radius=max(radii) if radii else None,
-                    critical_radii=sorted(crit),
-                )
-            )
+        cells = [(cell.b, cell.c, cell.report) for cell in grid.cells]
+        _write_svg(ns.svg, grid.k, grid.n, grid.m, cells)
     for line in sweep_csv_lines(grid):
         print(line)
     return 0
@@ -354,12 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="lo:hi:steps",
         )
     _add_quad_flags(sp, "knm")
-    # A string default goes through its type only when --threads is absent.
     sp.add_argument(
         "--threads",
         type=_positive_int,
-        default=os.environ.get("QUADZERO_THREADS") or os.cpu_count() or 1,
-        help="worker processes (default: $QUADZERO_THREADS, else the CPU count)",
+        default=os.cpu_count() or 1,
+        help="worker processes (default: the CPU count)",
     )
     sp.add_argument("--svg", help="write a zero-plot SVG to this path")
 

@@ -3,11 +3,11 @@
 Cells are solved independently, one b-row per task, in this process or
 across a pool of worker processes, and always reported in row-major
 (b index, c index) order, so the CSV is byte-identical regardless of
-worker count.  ``threads`` (the CLI's ``--threads`` and
-``QUADZERO_THREADS``) is the number of worker processes asked for, at
-least 1 (``run_sweep`` raises ``ValueError`` below that); a sweep uses at
-most one per CPU, one per b-row and one per ``_MIN_CELLS_PER_WORKER``
-cells, and with one it starts no pool.
+worker count.  ``threads`` (the CLI's ``--threads``) is the number of
+worker processes asked for, at least 1 (``run_sweep`` raises
+``ValueError`` below that); a sweep uses at most one per CPU, one per
+b-row and one per ``_MIN_CELLS_PER_WORKER`` cells, and with one it
+starts no pool.
 
 A pool must earn its start-up.  On a 2-vCPU Linux VM (Python 3.11,
 ``k=3 n=2 m=1``, about 2 ms a cell) an empty 2-worker pool costs 13-16 ms
@@ -157,7 +157,8 @@ def _csv_fields(cell: SweepCell) -> tuple:
         proven,
         r.disk.radius,
         r.winding_check,
-        upper is not None and r.count > upper,
+        # Only certified zeros beyond a proven bound refute it.
+        bool(proven) and r.n_certified > upper,
     )
 
 

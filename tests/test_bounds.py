@@ -100,7 +100,7 @@ class TestRadiusBound:
             radius_polynomial(p)
 
 
-def _exact_majorant(p, x):
+def _exact_minorant(p, x):
     """A lower bound on |q(z)| at |z| = x, in exact rational arithmetic."""
     b, c = abs(Fraction(p.b)), abs(Fraction(p.c))
     rest = c * x**p.m + x
@@ -131,14 +131,14 @@ def instances(draw):
 @given(instances())
 @settings(max_examples=300, deadline=None)
 def test_majorant_positive_at_radius(p):
-    # The majorant has one positive root and is negative below it, so
+    # The minorant has one positive root and is negative below it, so
     # being positive at R puts every zero strictly inside the disk.
     disk = radius_bound(p)
     if disk.source is BoundSource.UNAVAILABLE:
         assert p.k == p.n and abs(p.b) == 1.0
         return
     assert disk.radius >= 1.0
-    assert _exact_majorant(p, Fraction(disk.radius)) > 0
+    assert _exact_minorant(p, Fraction(disk.radius)) > 0
 
 
 @given(

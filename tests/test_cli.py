@@ -355,6 +355,42 @@ class TestSweep:
         # n != k: no cell has a critical circle to draw.
         assert "stroke-dasharray" not in svg.read_text()
 
+    def test_svg_critical_circles_of_the_cells(self, capsys, tmp_path):
+        # The b = 1 cells have no disk and draw nothing; at c = 1 the
+        # circle degenerates to 0, so only (2, 3) draws one.
+        svg = tmp_path / "sweep.svg"
+        code, _, _ = run(
+            capsys,
+            ["sweep", "--b-range", "1:2:2", "--c-range", "1:3:2",
+             "--k", "3", "--n", "3", "--m", "1", "--threads", "1", "--svg", str(svg)],
+        )
+        assert code == 0
+        assert svg.read_text().count("stroke-dasharray") == 1
+
+    @pytest.mark.parametrize("b, c, k, n, m", [(2, 3, 3, 3, 1), (0.5, 2, 4, 2, 1)])
+    def test_one_cell_svg_is_the_zeros_svg(self, capsys, tmp_path, b, c, k, n, m):
+        degrees = ["--k", str(k), "--n", str(n), "--m", str(m)]
+        zeros_svg, sweep_svg = tmp_path / "zeros.svg", tmp_path / "sweep.svg"
+        run(capsys, ["zeros", "--b", str(b), "--c", str(c), *degrees,
+                     "--svg", str(zeros_svg)])
+        run(capsys, ["sweep", "--b-range", f"{b}:{b}:1", f"--c-range={c}:{c}:1",
+                     *degrees, "--svg", str(sweep_svg)])
+        assert sweep_svg.read_text() == zeros_svg.read_text()
+
+    def test_violation_needs_certified_zeros_beyond_a_proven_bound(self, capsys):
+        # 15 zeros against the proven bound 3n - 2 = 13, but 11 of them are
+        # singular and uncertified, so the bound is not refuted.
+        code, out, _ = run(
+            capsys,
+            ["sweep", "--b-range", "0:0:1", "--c-range=-2:-2:1",
+             "--k", "1", "--n", "5", "--m", "2", "--threads", "1"],
+        )
+        assert code == 0
+        row = dict(zip(SWEEP_HEADER.split(","), out.splitlines()[1].split(",")))
+        assert row["bound_proven"] == "true"
+        assert int(row["count"]) > int(row["bound_upper"]) == 13
+        assert row["violation"] == "false"
+
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(
             capsys,
@@ -376,47 +412,12 @@ class TestSweep:
         assert err.startswith("quadzero: ") and len(err.splitlines()) == 1
         assert "No such file or directory" in err
 
-    def test_env_thread_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("QUADZERO_THREADS", "1")
-        code, out, _ = run(
-            capsys,
-            ["sweep", "--b-range", "1:2:2", "--c-range", "2:3:2",
-             "--k", "4", "--n", "2", "--m", "1"],
-        )
-        assert code == 0
-        assert len(out.strip().splitlines()) == 5
-
     @pytest.mark.parametrize(
-        "threads, code", [(["--threads", "1"], 0), ([], 2)], ids=["flag", "no-flag"]
+        "threads",
+        [["--threads", "0"], ["--threads", "-2"]],
+        ids=["flag-0", "flag-negative"],
     )
-    def test_bad_env_threads_read_only_without_flag(
-        self, capsys, monkeypatch, threads, code
-    ):
-        monkeypatch.setenv("QUADZERO_THREADS", "abc")
-        got, out, err = run(
-            capsys,
-            ["sweep", "--b-range", "1:2:2", "--c-range", "2:3:2",
-             "--k", "4", "--n", "2", "--m", "1", *threads],
-        )
-        assert got == code
-        if code == 0:
-            assert len(out.strip().splitlines()) == 5
-        else:
-            assert out == ""
-            assert "--threads" in err and "'abc'" in err
-
-    @pytest.mark.parametrize(
-        "threads, env",
-        [(["--threads", "0"], None), (["--threads", "-2"], None), ([], "0")],
-        ids=["flag-0", "flag-negative", "env-0"],
-    )
-    def test_threads_below_one_is_usage_error(
-        self, capsys, monkeypatch, threads, env
-    ):
-        if env is None:
-            monkeypatch.delenv("QUADZERO_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("QUADZERO_THREADS", env)
+    def test_threads_below_one_is_usage_error(self, capsys, threads):
         code, out, err = run(
             capsys,
             ["sweep", "--b-range", "1:2:2", "--c-range", "2:3:2",

@@ -42,7 +42,8 @@ def test_rows_come_from_cell_reports(grid):
         assert row["bound_proven"] == str(r.bound.upper_is_proven).lower()
         assert float(row["radius"]) == r.disk.radius
         assert row["winding_check"] == r.winding_check == cell.winding_check
-        assert row["violation"] == str(r.count > r.bound.upper).lower()
+        violation = r.bound.upper_is_proven and r.n_certified > r.bound.upper
+        assert row["violation"] == str(violation).lower()
 
 
 @pytest.fixture

@@ -9,20 +9,38 @@ every cell.  Every cell test rests on one majorant of q,
 M(x) = |b|x^k + x^n + |c|x^m + x, built once per instance.  For a cell
 with centre c, a = |c| and half-diagonal r, binomial expansion of each
 term gives |q(c + d) - q(c)| <= M(a + r) - M(a) for |d| <= r, and bounds
-the part beyond the linear terms h'(c)d + conj(g'(c)d) by
+the part beyond the linear term A(d) = h'(c)d + conj(g'(c)d) by
 M(a + r) - M(a) - M'(a)r.  The test evaluates q, h' and g' at the centre
 at most once each and
 
 1. drops the cell when |q(c)| exceeds M(a + r) - M(a): no derivative;
-2. else drops it when |q(c)| exceeds (|h'(c)| + |g'(c)|)r plus that
-   second-order bracket, which is smaller where h' or g' cancel;
+2. else drops it when |q(c)| exceeds the largest |A(d)| over the square
+   cell plus that second-order bracket;
 3. else keeps it when a Kantorovich test at the centre, with L = M'',
    proves that a disk around it holds exactly one zero, or at depth
    `_MAX_DEPTH`; it splits the cell otherwise.
 
+Stage 2 reads the square, not the disk |d| <= r around it, where |A|
+reaches (|h'| + |g'|)r.  |A| is convex and A(-d) = -A(d), so over the square
+|Re d|, |Im d| <= e its maximum sits at the corner e(1 + i) or e(1 - i).
+|A(d)|^2 = (|h'|^2 + |g'|^2)|d|^2 + 2 Re(h'g'd^2), and d^2 = +-2ie^2 at
+those corners, so the maximum is e*G with
+G = sqrt(2(|h'|^2 + |g'|^2 + 2|Im(h'g')|)), `_corner_gain`.  It never
+exceeds (|h'| + |g'|)r and is sqrt(2) smaller where h'g' is real, as
+near the singular origin of |c| = 1, m = 1, where h' ~ 1 and g' ~ c.  The
+cell is taken with e = half + ulp(a)/2, which the disk of radius r still
+covers.
+
 Exclusion is certified under rounding too (`model`'s rounding bounds):
-|q(c)| is lowered by gamma*M(a), stage 2 allows 2*gamma*M'(a) for h' and
-g', and each difference of M values carries gamma*(sum of its terms).
+|q(c)| is lowered by gamma*M(a), stage 2 allows 2*gamma*M'(a)r for h'
+and g', and each difference of M values carries gamma*(sum of its terms).
+Of that allowance, gamma*M'(a)r covers the rounding of h' and g', which
+moves A(d) by at most gamma*M'(a)|d|.  The rest covers the computed G:
+every term under its root is non-negative and the computed Im(h'g') is
+off by at most 2u|h'||g'| <= u(|h'|^2 + |g'|^2), so e*G comes out within
+about 8u of exact, at most 8u(|h'| + |g'|)r <= 8u*M'(a)r, and
+gamma >= 16u.  Squares that underflow move G by under 2^-510, far below
+gamma*M'(a) >= gamma.
 
 The origin (q(0) = 0 exactly, so its run starts from a last step of 0
 and stays), then each kept cell, makes one undamped Newton run, from the
@@ -171,10 +189,25 @@ def _kantorovich_step(
     return None
 
 
+def _corner_gain(hp: complex, gp: complex) -> float:
+    """sqrt(2(|h'|^2 + |g'|^2 + 2|Im(h'g')|)) for h' = hp and g' = gp: the
+    largest |h'd + conj(g'd)| over the square |Re d|, |Im d| <= 1, reached
+    at the corner 1 + i or 1 - i (module docstring)."""
+    u, w = abs(hp), abs(gp)
+    return math.sqrt(2.0 * (u * u + w * w + 2.0 * abs((hp * gp).imag)))
+
+
 def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
     """The quadtree's cell test for p, stages 1 to 3 of the module
     docstring: cell(center, half) is (kept, z1) for the closed cell
     center +- half (both axes), of half-diagonal r.
+
+    The centre may lie ulp(a)/2 off its exact place per axis, so stages 1
+    and 3 take r = half*sqrt(2) + ulp(a) and stage 2 the square of
+    half-width e = half + ulp(a)/2, whose corners lie within r.  Stage 2
+    bounds the linear term by its value e*`_corner_gain` at the worse
+    corner, e(1 + i) or e(1 - i), and allows 2*gamma*M'(a)r for the
+    rounding of h', g' and that value (module docstring).
 
     kept is False when the cell provably holds no zero; z1 is the
     Kantorovich iterate when the disk of radius `_CERT_RADIUS`*r at the
@@ -195,7 +228,8 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
         gz = coanalytic_derivative(p, center)
         s0 = slope(a)
         d0 = s0 * r
-        drop = (abs(fz) + abs(gz) + 2.0 * gamma * s0) * r + (m1 - m0 - d0)
+        e = half + 0.5 * math.ulp(a)  # the square the cell is sure to lie in
+        drop = e * _corner_gain(fz, gz) + 2.0 * gamma * s0 * r + (m1 - m0 - d0)
         if lower > drop + gamma * (m1 + m0 + d0):
             return False, None
         return True, _kantorovich_step(maj, center, _CERT_RADIUS * r, v, fz, gz)

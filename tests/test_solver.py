@@ -22,6 +22,7 @@ from quadzero.model import analytic_derivative, coanalytic_derivative
 from quadzero.solver import (
     _Majorant,
     _cell_test,
+    _corner_gain,
     _certificate_radius,
     _kantorovich_step,
 )
@@ -48,9 +49,11 @@ def _abs_above(w):
 def _exact_stage_bounds(p, center, half):
     """Rational upper bounds on M(a) and on the drops of |q| across the
     closed cell center +- half that stages 1 and 2 of the cell test bound:
-    D1 = M(a + r) - M(a) and D2 = (|h'| + |g'|)r + M(a + r) - M(a) - M'(a)r
-    at the centre, a = |center| and r = half*sqrt(2).  D1 and D2 grow with
-    a and r, so bounds above a and r bound them."""
+    D1 = M(a + r) - M(a) and D2 = max |A(d)| + M(a + r) - M(a) - M'(a)r
+    at the centre, a = |center| and r = half*sqrt(2), where
+    A(d) = h'd + conj(g'd) is the linear part and its maximum over the
+    cell is the larger of its values at the corners d = half*(1 +- i).
+    The bracket grows with a and r, so bounds above a and r bound it."""
 
     def power(w, e):
         out = (Fraction(1), Fraction(0))
@@ -74,9 +77,16 @@ def _exact_stage_bounds(p, center, half):
     def big_m(x):
         return bb * x**k + x**n + cc * x**m + x
 
+    def linear(d):  # A(d) = h'd + conj(g'd)
+        u, v = hp[0] * d[0] - hp[1] * d[1], hp[0] * d[1] + hp[1] * d[0]
+        x, y = gp[0] * d[0] - gp[1] * d[1], gp[0] * d[1] + gp[1] * d[0]
+        return u + x, v - y
+
+    e = Fraction(half)
+    corner = max(_abs_above(linear((e, e))), _abs_above(linear((e, -e))))
     slope = bb * k * a ** (k - 1) + n * a ** (n - 1) + cc * m * a ** (m - 1) + 1
     d1 = big_m(a + r) - big_m(a)
-    d2 = (_abs_above(hp) + _abs_above(gp)) * r + d1 - slope * r
+    d2 = corner + d1 - slope * r
     return big_m(a), d1, d2
 
 
@@ -316,6 +326,57 @@ class TestExclusion:
         assert z1 is not None
         assert z1 == newton_step(CUBIC, center)
 
+    @pytest.mark.parametrize(
+        "b, c, depth, ix, iy",
+        [
+            (2.0, 1.0, 12, 1, 67),  # left edge on the imaginary axis
+            (2.5, -1.0, 7, -11, 1),  # lower edge on the real axis
+        ],
+    )
+    def test_corner_stage_prunes_beside_the_singular_origin(
+        self, b, c, depth, ix, iy
+    ):
+        # |c| = 1, m = 1, k = n = 3: h' and g' are near 1 and c at the
+        # origin, so A(d) = h'd + conj(g'd) is near 2 Re d (c = 1) or
+        # 2i Im d (c = -1), and q stays small along the imaginary or the
+        # real axis.  There the largest |A| over the disk of the cell,
+        # (|h'| + |g'|)r, is sqrt(2) times that over the square cell, and
+        # stage 2 drops a cell that the disk's bound keeps even without
+        # its rounding margins.
+        p = HarmonicQuadrinomial(b=b, c=c, k=3, n=3, m=1)
+        maj = _Majorant(p)
+        half = radius_bound(p).radius / 2**depth
+        center = complex(ix * half, iy * half)
+        v, fz, gz = _jet(p, center)
+        a, r = abs(center), half * math.sqrt(2.0)
+        bracket = maj.value(a + r) - maj.value(a) - maj.slope(a) * r
+        assert abs(v) < (abs(fz) + abs(gz)) * r + bracket
+        kept, z1 = _cell_test(p, maj)(center, half)
+        assert not kept
+        assert z1 is None
+
+    def test_corner_stage_halves_the_cells_at_a_singular_origin(
+        self, monkeypatch
+    ):
+        # 2,1,3,3,1 took 2 010 cell tests under the disk's bound.
+        calls = 0
+        real = solver._cell_test
+
+        def counting(p, maj):
+            cell = real(p, maj)
+
+            def counted(center, half):
+                nonlocal calls
+                calls += 1
+                return cell(center, half)
+
+            return counted
+
+        monkeypatch.setattr(solver, "_cell_test", counting)
+        report = find_zeros(HarmonicQuadrinomial(b=2.0, c=1.0, k=3, n=3, m=1))
+        assert report.count == 5
+        assert calls <= 1_100
+
     def test_child_centres_within_one_ulp_of_exact(self):
         # Child centres are rounded, so sibling cells need not tile their
         # parent exactly.  The cell test widens its half-diagonal by
@@ -349,6 +410,7 @@ class TestExclusion:
             (-1.051, -0.158, 5, 2, 1),
             (1.4, -2.2, 5, 3, 2),
             (0.5, 1.0, 4, 2, 1),
+            (4.768367665318943, -1.0014553254194767, 4, 3, 1),
         ],
     )
     def test_stage_bounds_cover_the_exact_drops(self, monkeypatch, b, c, k, n, m):
@@ -358,7 +420,9 @@ class TestExclusion:
         # computed t can stand for, exceeds the exact drop of |q| across
         # the cell, computed in rational arithmetic.  Stage 1 alone (h' and
         # g' infinite, so stage 2 drops nothing) must beat D1, both stages
-        # together min(D1, D2).  Cells of many sizes around certified zeros.
+        # together min(D1, D2).  Cells of many sizes around certified zeros,
+        # and one beside each whose lower edge lies on the real axis, as the
+        # quadtree's do; the last case is near-singular (|c| near 1, m = 1).
         p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
         zeros = [rec.location for rec in find_zeros(p).zeros if rec.certified]
         assert zeros
@@ -393,8 +457,12 @@ class TestExclusion:
         for z0 in zeros:
             for decade in range(-14, 0):
                 half = 10.0**decade
-                for ox, oy in ((0.0, 0.0), (0.3, -0.7), (-0.9, 0.2)):
-                    center = z0 + complex(ox, oy) * half
+                centers = [
+                    z0 + complex(ox, oy) * half
+                    for ox, oy in ((0.0, 0.0), (0.3, -0.7), (-0.9, 0.2))
+                ]
+                centers.append(complex(z0.real + 0.4 * half, half))
+                for center in centers:
                     m0, d1, d2 = _exact_stage_bounds(p, center, half)
                     fed["derivative"] = complex(math.inf)
                     t1 = least_dropped()
@@ -643,6 +711,36 @@ class TestCertification:
         assert abs(loose[0].location) <= 1e-7 * max(1.0, report.disk.radius)
 
 
+parts = st.floats(min_value=-1e3, max_value=1e3)
+unit_offset = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@given(parts, parts, parts, parts, unit_offset, unit_offset)
+def test_corner_gain_is_the_largest_linear_term_on_the_square(
+    hx, hy, gx, gy, dx, dy
+):
+    # In rational arithmetic: |A(d)|^2 for A(d) = h'd + conj(g'd) at the
+    # corners 1 +- i and at a d in the square |Re d|, |Im d| <= 1.  The
+    # computed gain is the larger corner value and bounds the rest, within
+    # its rounding (a few u, against 2^-48, about 32u, and the underflow
+    # of squares below 2^-1022), and never exceeds the disk's
+    # (|h'| + |g'|)*sqrt(2).
+    hx, hy, gx, gy = map(Fraction, (hx, hy, gx, gy))
+
+    def a_squared(x, y):
+        re = hx * x - hy * y + gx * x - gy * y
+        im = hx * y + hy * x - gx * y - gy * x
+        return re * re + im * im
+
+    gain = Fraction(_corner_gain(complex(hx, hy), complex(gx, gy))) ** 2
+    tol, tiny = Fraction(1, 2**48), Fraction(1, 2**1000)
+    exact = max(a_squared(1, 1), a_squared(1, -1))
+    assert abs(gain - exact) <= tol * exact + tiny
+    assert a_squared(Fraction(dx), Fraction(dy)) <= (1 + tol) * gain + tiny
+    disk = abs(complex(hx, hy)) + abs(complex(gx, gy))
+    assert gain <= (1 + tol) * 2 * Fraction(disk) ** 2 + tiny
+
+
 @given(instances())
 @settings(max_examples=60, deadline=None)
 def test_certified_disks_hold_one_reported_zero(p):
@@ -666,7 +764,6 @@ def test_certified_disks_hold_one_reported_zero(p):
         assert report.n_certified == report.count
 
 
-unit_offset = st.floats(min_value=-1.0, max_value=1.0)
 offsets = st.lists(st.tuples(unit_offset, unit_offset), min_size=1, max_size=4)
 
 

@@ -166,6 +166,8 @@ def circle_image(
     p: HarmonicQuadrinomial, circle_radius: float, samples: int
 ) -> list[complex]:
     """q on the circle of the given radius: a closed polyline for plotting."""
+    if not circle_radius > 0:
+        raise ValueError("circle radius must be positive")
     if samples < 16:
         raise ValueError("need at least 16 samples")
     pts = [

@@ -3,9 +3,12 @@
 Strategy: b and c are real, so q(conj z) = conj q(z), exactly and, for q,
 h' and g' as computed, bitwise; a disk that holds exactly one zero zeta
 mirrors to one that holds exactly conj zeta, with the same orientation.
-So only the upper half of the square circumscribing D(0, R),
-[-R, R] x [0, R], is subdivided as a quadtree; the real axis is an edge of
-every cell.  Every cell test rests on one majorant of q,
+So only the upper half of a square circumscribing D(0, R),
+[-R', R'] x [0, R'], is subdivided as a quadtree; the real axis is an edge
+of every cell.  R' is the least float >= R whose significand fits in
+53 - `_MAX_DEPTH` bits, so every centre down to the floor, an odd multiple
+of R'/2^`_MAX_DEPTH` at most R' in size, and every half-width is an exact
+float: the cells tile exactly.  Every cell test rests on one majorant of q,
 M(x) = |b|x^k + x^n + |c|x^m + x, built once per instance.  For a cell
 with centre c, a = |c| and half-diagonal r, binomial expansion of each
 term gives |q(c + d) - q(c)| <= M(a + r) - M(a) for |d| <= r, and bounds
@@ -21,15 +24,14 @@ at most once each and
    `_MAX_DEPTH`; it splits the cell otherwise.
 
 Stage 2 reads the square, not the disk |d| <= r around it, where |A|
-reaches (|h'| + |g'|)r.  |A| is convex and A(-d) = -A(d), so over the square
-|Re d|, |Im d| <= e its maximum sits at the corner e(1 + i) or e(1 - i).
+reaches (|h'| + |g'|)r.  |A| is convex and A(-d) = -A(d), so over the cell,
+|Re d|, |Im d| <= e for half-width e, its maximum sits at the corner
+e(1 + i) or e(1 - i).
 |A(d)|^2 = (|h'|^2 + |g'|^2)|d|^2 + 2 Re(h'g'd^2), and d^2 = +-2ie^2 at
 those corners, so the maximum is e*G with
 G = sqrt(2(|h'|^2 + |g'|^2 + 2|Im(h'g')|)), `_corner_gain`.  It never
 exceeds (|h'| + |g'|)r and is sqrt(2) smaller where h'g' is real, as
-near the singular origin of |c| = 1, m = 1, where h' ~ 1 and g' ~ c.  The
-cell is taken with e = half + ulp(a)/2, which the disk of radius r still
-covers.
+near the singular origin of |c| = 1, m = 1, where h' ~ 1 and g' ~ c.
 
 Exclusion is certified under rounding too (`model`'s rounding bounds):
 |q(c)| is lowered by gamma*M(a), stage 2 allows 2*gamma*M'(a)r for h'
@@ -51,11 +53,12 @@ after `_NEWTON_CAP` steps.  It is dropped, before each step and at its
 end, when it or its mirror image lies inside the disk of any zero found
 (each kept with its centre folded into the upper half).  Entering a
 certified D(w, r) it would converge to its zero zeta:
-r <= min(s/3, sigma/(4L)), s = max(1, |w|), sigma the Jacobian's least
-singular value at w and L = M''(|w| + s) its Lipschitz bound on D(w, 3r),
-so |zeta - w| < 0.9r, sigma_zeta > 3sigma/4 and each y in the disk has
+r <= min(s/3, sigma/(4L)), s = max(1, |w|), sigma = `_Majorant.margin`
+at w, at most the Jacobian's least singular value there, and
+L = M''(|w| + s) its Lipschitz bound on D(w, 3r), so |zeta - w| < 0.9r,
+sigma_zeta > 3sigma/4 and each y in the disk has
 |y - zeta| < 1.9r < sigma/(2L) < 2sigma_zeta/(3L), Newton's local
-convergence radius (the slack covers sigma's rounding).
+convergence radius.
 A run's last point z is certified by the Kantorovich test centred at z
 and reported at the test's Newton iterate.  The test's sigma is the
 margin that `classify_point` reads, so a pass proves the sign of
@@ -100,7 +103,7 @@ from .model import (
 
 _NEWTON_CAP = 100
 _MAX_DEPTH = 12  # quadtree depth of the floor cells
-_SQRT2 = math.sqrt(2.0)
+_SQRT2 = math.nextafter(math.sqrt(2.0), math.inf)  # half*_SQRT2 >= half*sqrt(2)
 # Radius of the cell's Kantorovich disk as a multiple of its half-diagonal.
 # It must exceed 1: a passing cell is not split, so the disk has to cover
 # the closed cell, corners included, to hold all of the cell's zeros.
@@ -200,14 +203,14 @@ def _corner_gain(hp: complex, gp: complex) -> float:
 def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
     """The quadtree's cell test for p, stages 1 to 3 of the module
     docstring: cell(center, half) is (kept, z1) for the closed cell
-    center +- half (both axes), of half-diagonal r.
+    center +- half (both axes), of half-diagonal r, which the quadtree
+    gives as exact floats.
 
-    The centre may lie ulp(a)/2 off its exact place per axis, so stages 1
-    and 3 take r = half*sqrt(2) + ulp(a) and stage 2 the square of
-    half-width e = half + ulp(a)/2, whose corners lie within r.  Stage 2
-    bounds the linear term by its value e*`_corner_gain` at the worse
-    corner, e(1 + i) or e(1 - i), and allows 2*gamma*M'(a)r for the
-    rounding of h', g' and that value (module docstring).
+    Stages 1 and 3 take r = half*`_SQRT2`, at least half*sqrt(2) after
+    rounding.  Stage 2 bounds the linear term by its value
+    half*`_corner_gain` at the worse corner, half*(1 + i) or
+    half*(1 - i), and allows 2*gamma*M'(a)r for the rounding of h', g'
+    and that value (module docstring).
 
     kept is False when the cell provably holds no zero; z1 is the
     Kantorovich iterate when the disk of radius `_CERT_RADIUS`*r at the
@@ -218,7 +221,7 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
     def cell(center: complex, half: float) -> tuple[bool, Optional[complex]]:
         v = evaluate(p, center)
         a = abs(center)
-        r = half * _SQRT2 + math.ulp(a)  # center may be ulp(a)/2 off per axis
+        r = half * _SQRT2
         m0 = value(a)
         m1 = value(a + r)
         lower = abs(v) - gamma * m0  # |q(center)| is at least this
@@ -228,8 +231,7 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
         gz = coanalytic_derivative(p, center)
         s0 = slope(a)
         d0 = s0 * r
-        e = half + 0.5 * math.ulp(a)  # the square the cell is sure to lie in
-        drop = e * _corner_gain(fz, gz) + 2.0 * gamma * s0 * r + (m1 - m0 - d0)
+        drop = half * _corner_gain(fz, gz) + 2.0 * gamma * s0 * r + (m1 - m0 - d0)
         if lower > drop + gamma * (m1 + m0 + d0):
             return False, None
         return True, _kantorovich_step(maj, center, _CERT_RADIUS * r, v, fz, gz)
@@ -241,10 +243,11 @@ def _certificate_radius(
     maj: _Majorant, z: complex, fz: complex, gz: complex
 ) -> float:
     """Kantorovich radius at a converged z with h'(z) = fz, g'(z) = gz:
-    kappa <= 1/4 on D(z, r), so the test passes there unless the Jacobian
-    is singular within rounding.  r <= s/3, s = max(1, |z|): see the module
-    docstring."""
-    sigma = abs(abs(fz) - abs(gz))
+    kappa <= 1/4 on D(z, r) with sigma = `_Majorant.margin`, so the test
+    passes there unless the Jacobian is singular within rounding; then
+    sigma and r are not positive.  r <= s/3, s = max(1, |z|): see the
+    module docstring."""
+    sigma = maj.margin(z, fz, gz)
     s = max(1.0, abs(z))
     return min(s / 3.0, sigma / (4.0 * maj.curvature(abs(z) + s)))
 
@@ -332,11 +335,14 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
             found.append((z, rho, z, singular))
 
     settle(0j, 0.0)  # q(0) = 0: every term has z or zbar
-    # Quadtree over [-R, R] x [0, R], the upper half of the circumscribing
-    # square, whose two root cells are that square's upper children; the
-    # real axis is an edge of every cell.  Depth-first, children pushed in
-    # fixed order, so the run order is deterministic.
-    h = 0.5 * disk.radius
+    # Quadtree over [-R', R'] x [0, R'], the upper half of a square that
+    # circumscribes the disk, whose two root cells are that square's upper
+    # children; the real axis is an edge of every cell.  R' (module
+    # docstring) keeps every centre and half-width exact.  Depth-first,
+    # children pushed in fixed order, so the run order is deterministic.
+    frac, exp = math.frexp(disk.radius)
+    bits = 53 - _MAX_DEPTH
+    h = math.ldexp(math.ceil(math.ldexp(frac, bits)), exp - bits - 1)  # R'/2
     stack = [(complex(h, h), h, 1), (complex(-h, h), h, 1)]
     while stack:
         center, half, depth = stack.pop()

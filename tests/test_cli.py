@@ -236,6 +236,16 @@ class TestCircleImage:
         assert len(lines) == 66
         assert lines[1] == lines[-1]
 
+    @pytest.mark.parametrize("radius", ["0", "-1"])
+    def test_radius_not_positive_exits_2(self, capsys, radius):
+        code, out, err = run(
+            capsys,
+            ["circle-image", *QUINTET, f"--radius={radius}", "--samples", "16"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "circle radius must be positive" in err
+
 
 class TestConfigFile:
     def test_flags_override_config(self, capsys, tmp_path):

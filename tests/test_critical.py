@@ -169,10 +169,13 @@ class TestCircleImage:
         near_zero = sum(1 for w in pts[:-1] if abs(w) < 5e-3)
         assert near_zero >= 4  # the four unimodular zeros
 
-    def test_radius_zero_maps_to_origin(self):
+    def test_radius_not_positive_is_refused(self):
+        # A circle of radius 0 or less has no image to draw, as in
+        # contour.Circle.
         p = HarmonicQuadrinomial(b=1.0, c=1.0, k=3, n=2, m=1)
-        pts = circle_image(p, 0.0, 16)
-        assert all(w == 0j for w in pts)
+        for radius in (0.0, -1.0):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                circle_image(p, radius, 16)
 
     def test_minimum_samples(self):
         p = HarmonicQuadrinomial(b=1.0, c=1.0, k=3, n=2, m=1)

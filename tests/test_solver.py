@@ -192,7 +192,7 @@ class TestFindZeros:
             assert twin.jacobian == rec.jacobian
 
     def test_cells_tile_the_upper_half_plane(self, monkeypatch):
-        # Only cells of [-R, R] x [0, R] are tested; the lower half's
+        # Only cells of [-R', R'] x [0, R'] are tested; the lower half's
         # zeros are the mirror images of the upper half's.
         p = HarmonicQuadrinomial(b=1.4, c=-2.2, k=5, n=3, m=2)
         tested = []
@@ -209,7 +209,13 @@ class TestFindZeros:
 
         monkeypatch.setattr(solver, "_cell_test", recording)
         report = find_zeros(p)
-        h = 0.5 * report.disk.radius
+        # The root half-width is R'/2, R' the least float >= R whose
+        # significand fits in 53 - _MAX_DEPTH bits.
+        radius = Fraction(report.disk.radius)
+        unit = Fraction(2) ** (math.frexp(report.disk.radius)[1] - 53 + solver._MAX_DEPTH)
+        h = max(half for _, half in tested)
+        assert (2 * Fraction(h) / unit).denominator == 1
+        assert radius < 2 * Fraction(h) < radius + unit  # R' is rounded up here
         roots = [(complex(-h, h), h), (complex(h, h), h)]  # in the order tested
         assert [t for t in tested if t[1] == h] == roots
         assert all(center.imag >= half for center, half in tested)
@@ -253,6 +259,17 @@ class TestOrientationBookkeeping:
         report = find_zeros(p)
         assert report.n_singular >= 1
         assert report.winding_check == "inconclusive"
+
+    @pytest.mark.parametrize(
+        "b", [-0.3225352274058966, -0.3225352175058966, -0.3225342275058966]
+    )
+    def test_no_confident_wrong_count_past_a_fold(self, b):
+        # At b0 = -0.3225352275058966 a +- pair of zeros is born: 5 zeros
+        # below b0, 7 above.  Just above it, the newborn pair sits too
+        # close together to tell apart; the answer may lose it or leave it
+        # uncertified, but then the check must not pass.
+        report = find_zeros(HarmonicQuadrinomial(b=b, c=1.6144435975470686, k=3, n=2, m=1))
+        assert report.winding_check != "passed" or report.count == 7
 
     def test_orientation_matches_jacobian_sign(self):
         p = HarmonicQuadrinomial(b=2.0, c=3.0, k=4, n=3, m=1)
@@ -377,30 +394,55 @@ class TestExclusion:
         assert report.count == 5
         assert calls <= 1_100
 
-    def test_child_centres_within_one_ulp_of_exact(self):
-        # Child centres are rounded, so sibling cells need not tile their
-        # parent exactly.  The cell test widens its half-diagonal by
-        # ulp(|centre|), which covers a centre within that distance of its
-        # exact position parent +- h2.
-        p = HarmonicQuadrinomial(b=2.0, c=3.0, k=4, n=3, m=1)
-        level = [0j]
-        half = radius_bound(p).radius
-        moved = 0
-        for _ in range(6):
-            h2 = 0.5 * half
-            children = []
-            for center in level:
-                for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
-                    child = center + complex(sx * h2, sy * h2)
-                    dx = Fraction(child.real) - Fraction(center.real) - sx * Fraction(h2)
-                    dy = Fraction(child.imag) - Fraction(center.imag) - sy * Fraction(h2)
-                    assert dx * dx + dy * dy <= Fraction(math.ulp(abs(child))) ** 2
-                    moved += dx != 0 or dy != 0
-                    children.append(child)
-            level, half = children, h2
-        assert len(level) == 4**6
-        assert moved > 0
+    @pytest.mark.parametrize(
+        "p",
+        [
+            HarmonicQuadrinomial(b=2.0, c=1.0, k=3, n=3, m=1),  # singular origin
+            HarmonicQuadrinomial(b=1e-16, c=2.0, k=4, n=3, m=1),  # R near 1e16
+        ],
+        ids=["singular-origin", "tiny-b"],
+    )
+    def test_tested_cells_are_exact_quarters(self, monkeypatch, p):
+        # The cell test takes its cell as given, with no slack for rounded
+        # centres, so every (center, half) the solver tests must be exact:
+        # each cell below the roots is, in rational arithmetic, a quarter
+        # of a tested cell whose four quarters are all tested, and the two
+        # roots tile [-R', R'] x [0, R'].  By induction the tested cells
+        # tile their parents exactly, down to the floor, which both
+        # instances reach.
+        tested = []
+        real = solver._cell_test
 
+        def recording(p, maj):
+            cell = real(p, maj)
+
+            def wrapped(center, half):
+                tested.append(
+                    (Fraction(center.real), Fraction(center.imag), Fraction(half))
+                )
+                return cell(center, half)
+
+            return wrapped
+
+        monkeypatch.setattr(solver, "_cell_test", recording)
+        find_zeros(p)
+        h = max(half for _, _, half in tested)
+        assert [t for t in tested if t[2] == h] == [(-h, h, h), (h, h, h)]
+        cells = set(tested)
+        assert len(cells) == len(tested)
+        quarters = {}
+        for x, y, half in cells:
+            if half == h:
+                continue
+            parents = [
+                (x + sx * half, y + sy * half, 2 * half)
+                for sx in (-1, 1) for sy in (-1, 1)
+            ]
+            parent = [t for t in parents if t in cells]
+            assert len(parent) == 1, (x, y, half)
+            quarters[parent[0]] = quarters.get(parent[0], 0) + 1
+        assert set(quarters.values()) == {4}
+        assert max(2 * h / half for _, _, half in tested) == 2**solver._MAX_DEPTH
 
     @pytest.mark.parametrize(
         "b, c, k, n, m",
@@ -550,6 +592,18 @@ class TestCertification:
         assert origin.location == 0j
         assert not origin.certified
         assert report.n_certified < report.count
+
+    def test_no_certificate_radius_where_the_orientation_is_unproven(self):
+        # CUBIC's Jacobian 1 - 9|z|^4 vanishes on |z| = 1/sqrt(3).  Just
+        # past it the computed ||h'| - |g'|| is 2.2e-16, but the margin,
+        # lowered by the rounding bound of h' and g', is -4.2e-15: the
+        # radius reads the margin, so it is not positive where
+        # classify_point calls the point singular.
+        z = complex(math.nextafter(math.sqrt(1 / 3), 1.0), 0.0)
+        _, fz, gz = _jet(CUBIC, z)
+        assert abs(abs(fz) - abs(gz)) > 0
+        assert classify_point(CUBIC, z) is OrientationClass.SINGULAR
+        assert _certificate_radius(_Majorant(CUBIC), z, fz, gz) <= 0
 
     def test_near_unit_b_cliff(self):
         # k = n with |b| -> 1: the disk radius is 17.32 here.
@@ -788,7 +842,7 @@ def test_cells_holding_a_certified_zero_are_kept(p, offsets):
         r = _certificate_radius(maj, z0, fz, gz)
         z1 = _kantorovich_step(maj, z0, r, v, fz, gz)
         assert z1 is not None
-        sigma = abs(abs(fz) - abs(gz))
+        sigma = maj.margin(z0, fz, gz)
         e = 2.0 * (abs(z1 - z0) + maj.gamma * maj.value(abs(z0)) / sigma)
         assert e < r
         for decade in range(-16, 0):

@@ -6,22 +6,25 @@ mirrors to one that holds exactly conj zeta, with the same orientation.
 So only the upper half of a square circumscribing D(0, R),
 [-R', R'] x [0, R'], is subdivided as a quadtree; the real axis is an edge
 of every cell.  R' is the least float >= R whose significand fits in
-53 - `_MAX_DEPTH` bits, so every centre down to the floor, an odd multiple
-of R'/2^`_MAX_DEPTH` at most R' in size, and every half-width is an exact
-float: the cells tile exactly.  Every cell test rests on one majorant of q,
-M(x) = |b|x^k + x^n + |c|x^m + x, built once per instance.  For a cell
-with centre c, a = |c| and half-diagonal r, binomial expansion of each
-term gives |q(c + d) - q(c)| <= M(a + r) - M(a) for |d| <= r, and bounds
-the part beyond the linear term A(d) = h'(c)d + conj(g'(c)d) by
+53 - `_MAX_DEPTH` bits, so every centre down to the deepest split, an odd
+multiple of R'/2^`_MAX_DEPTH` at most R' in size, and every half-width is
+an exact float: the cells tile exactly.  Every cell test rests on one
+majorant of q, M(x) = |b|x^k + x^n + |c|x^m + x, built once per instance.
+For a cell with centre c, a = |c| and half-diagonal r, binomial expansion
+of each term gives |q(c + d) - q(c)| <= M(a + r) - M(a) for |d| <= r, and
+bounds the part beyond the linear term A(d) = h'(c)d + conj(g'(c)d) by
 M(a + r) - M(a) - M'(a)r.  The test evaluates q, h' and g' at the centre
 at most once each and
 
 1. drops the cell when |q(c)| exceeds M(a + r) - M(a): no derivative;
 2. else drops it when |q(c)| exceeds the largest |A(d)| over the square
    cell plus that second-order bracket;
-3. else keeps it when a Kantorovich test at the centre, with L = M'',
+3. else, where the margin sigma at the centre is positive, drops it when
+   the Newton update from the centre leaves the cell by more than a
+   bound on how far the update can be from a zero's offset;
+4. else keeps it when a Kantorovich test at the centre, with L = M'',
    proves that a disk around it holds exactly one zero, or at depth
-   `_MAX_DEPTH`; it splits the cell otherwise.
+   `_FLOOR_DEPTH`; it splits the cell otherwise.
 
 Stage 2 reads the square, not the disk |d| <= r around it, where |A|
 reaches (|h'| + |g'|)r.  |A| is convex and A(-d) = -A(d), so over the cell,
@@ -44,21 +47,56 @@ about 8u of exact, at most 8u(|h'| + |g'|)r <= 8u*M'(a)r, and
 gamma >= 16u.  Squares that underflow move G by under 2^-510, far below
 gamma*M'(a) >= gamma.
 
+Stage 3 is the exclusion half of the interval Newton, or Krawczyk,
+operator (Krawczyk, Computing 4, 1969; Neumaier, Interval Methods for
+Systems of Equations, 1990).  Let v, h' and g' be the computed values at
+c, Ac(d) = h'd + conj(g'd) and A the exact linear term.  A zero c + d of
+the cell has q(c) + A(d) + R(d) = 0, |R(d)| at most the bracket, so
+d = d^ + Ac^-1(v - q(c) - R(d) + (Ac - A)d) with d^ = -Ac^-1(v), the exact
+Newton update from the computed values.  Ac's least singular value
+delta = ||h'| - |g'|| is at least sigma = `_Majorant.margin`, so
+|d - d^| <= (bracket + gamma*M(a) + gamma*M'(a)r)/sigma, and the cell is
+dropped when max(|Re d*|, |Im d*|) > e + rho for the computed update d*,
+rho that bound with stage 2's allowances and the rounding of d*.  Stage 4
+reuses d*.  Along curves where |q| is small next to a large gradient, the
+rays of Re z^3 ~ 0 at k = n with |b| near 1, it drops cells stage 2 keeps.
+
+`_newton_update` computes d* = (conj(g'v) - conj(h')v)/J with
+J = |h'|^2 - |g'|^2 = s*delta, s = |h'| + |g'|.  The numerator rounds by at
+most 4u*s|v| (two complex products, sqrt(2)*gamma_2 each, and a
+difference), J by at most t|J| with t = 4u*s/delta (squares within an
+ulp, as from pow, their sums and the difference), and the quotient by u
+per part.  So |d* - d^| <= u|d*| + (4u|v|/delta + t|d*|)/(1 - 2t), up to
+O(u^2).  A positive margin needs delta above gamma*M'(a) less the
+margin's own rounding, about 3u*s; with gamma >= 16u and M'(a) >= s up to
+rounding, delta > 12u*s, so t <= 1/3 and
+|d* - d^| <= (13u*s|d*| + 12u|v|)/delta <= gamma*(M'(a)|d*| + |v|)/sigma.
+rho's numerator carries gamma*(m1 + m0 + d0) twice, m1 = M(a + r),
+m0 = M(a), d0 = M'(a)r: once for the bracket, as in stage 2, and once
+more, at least 16u*m1, for the few roundings of rho's sum and quotient,
+each at most u of a sum of terms no larger than m1 or than their own
+allowances.  A float above the rounded e + rho is above e + rho.
+
 The origin (q(0) = 0 exactly, so its run starts from a last step of 0
 and stays), then each kept cell, makes one undamped Newton run, from the
-test's iterate or, at the floor, from the centre.  It stops before a step
-not shorter than the last (NaN and divergence included), after a step of
-at most the unit roundoff times max(1, |z|), on a degenerate Jacobian or
-after `_NEWTON_CAP` steps.  It is dropped, before each step and at its
-end, when it or its mirror image lies inside the disk of any zero found
-(each kept with its centre folded into the upper half).  Entering a
-certified D(w, r) it would converge to its zero zeta:
+test's iterate or, at the floor and past it, from the centre.  It stops
+before a step not shorter than the last (NaN and divergence included),
+after a step of at most the unit roundoff times max(1, |z|), on a
+degenerate Jacobian or after `_NEWTON_CAP` steps.  It is dropped, before
+each step and at its end, when it or its mirror image lies inside the
+disk of any zero found (each kept with its centre folded into the upper
+half).  Entering a certified D(w, r) it would converge to its zero zeta:
 r <= min(s/3, sigma/(4L)), s = max(1, |w|), sigma = `_Majorant.margin`
 at w, at most the Jacobian's least singular value there, and
 L = M''(|w| + s) its Lipschitz bound on D(w, 3r), so |zeta - w| < 0.9r,
 sigma_zeta > 3sigma/4 and each y in the disk has
 |y - zeta| < 1.9r < sigma/(2L) < 2sigma_zeta/(3L), Newton's local
 convergence radius.
+A floor run that is dropped in a certified disk which does not cover its
+cell has found that disk's zero, not the cell's: the cell may hold
+another.  Such a cell is split as above the floor, and its kept children
+make runs of their own, down to depth `_MAX_DEPTH`.  A run dropped in an
+uncertified disk, as at a singular origin, splits nothing.
 A run's last point z is certified by the Kantorovich test centred at z
 and reported at the test's Newton iterate.  The test's sigma is the
 margin that `classify_point` reads, so a pass proves the sign of
@@ -102,7 +140,8 @@ from .model import (
 )
 
 _NEWTON_CAP = 100
-_MAX_DEPTH = 12  # quadtree depth of the floor cells
+_FLOOR_DEPTH = 12  # quadtree depth where a kept cell makes a Newton run
+_MAX_DEPTH = 20  # deepest split past the floor; sets R' (module docstring)
 _SQRT2 = math.nextafter(math.sqrt(2.0), math.inf)  # half*_SQRT2 >= half*sqrt(2)
 # Radius of the cell's Kantorovich disk as a multiple of its half-diagonal.
 # It must exceed 1: a passing cell is not split, so the disk has to cover
@@ -139,8 +178,9 @@ class ZeroSetReport:
         return self.count - self.n_singular
 
 
-def _newton_update(z: complex, v: complex, fz: complex, gz: complex) -> complex:
-    """The Newton iterate from z, given q(z) = v, h'(z) = fz and g'(z) = gz.
+def _newton_update(v: complex, fz: complex, gz: complex) -> complex:
+    """The Newton update d, the step from z to its Newton iterate z + d,
+    given q(z) = v, h'(z) = fz and g'(z) = gz.
 
     Solving fz*d + fzb*conj(d) = -v with fzb = conj(gz) gives
     d = (fzb*conj(v) - conj(fz)*v) / J where J is the Jacobian of the real
@@ -151,45 +191,53 @@ def _newton_update(z: complex, v: complex, fz: complex, gz: complex) -> complex:
     j = (fz.real**2 + fz.imag**2) - (fzb.real**2 + fzb.imag**2)
     mag = fz.real**2 + fz.imag**2 + fzb.real**2 + fzb.imag**2
     if abs(j) <= 1e-14 * max(1.0, mag):
-        raise DegenerateJacobian(f"Jacobian {j:.3e} below degeneracy floor at {z!r}")
-    return z + (fzb * v.conjugate() - fz.conjugate() * v) / j
+        raise DegenerateJacobian(f"Jacobian {j:.3e} below degeneracy floor")
+    return (fzb * v.conjugate() - fz.conjugate() * v) / j
 
 
 def newton_step(p: HarmonicQuadrinomial, z: complex) -> complex:
     """One full Newton update on the real 2x2 system, in complex form."""
-    return _newton_update(
-        z, evaluate(p, z), analytic_derivative(p, z), coanalytic_derivative(p, z)
+    return z + _newton_update(
+        evaluate(p, z), analytic_derivative(p, z), coanalytic_derivative(p, z)
     )
+
+
+def _kantorovich(
+    maj: _Majorant, z0: complex, r: float, sigma: float, d: complex
+) -> Optional[complex]:
+    """The Newton iterate z0 + d if D(z0, r) provably holds exactly one
+    zero of q, else None; sigma is `_Majorant.margin` at z0 and d the
+    computed Newton update there.
+
+    sigma = ||h'(z0)| - |g'(z0)|| - gamma*M'(|z0|) is under rounding at
+    most the real Jacobian's smallest singular value and L = M''(|z0| + r)
+    bounds its Lipschitz constant on the disk, so the simplified Newton map
+    z - DF(z0)^-1 F(z) moves by at most kappa = L*r/sigma per unit on
+    D(z0, r).  With kappa < 1/2 and eta + kappa*r < r (eta the first Newton
+    step) it maps the disk into itself as a contraction: exactly one zero.
+    eta adds gamma*M(|z0|)/sigma for the rounding of q(z0), whose computed
+    value can vanish; the margins absorb the rest.  Kantorovich's
+    h = kappa*eta/r is then at most about 0.2 < 1/2, so plain Newton from
+    z0 converges to that zero.
+    """
+    lr = maj.curvature(abs(z0) + r) * r  # kappa = lr / sigma
+    if not lr < 0.5 * sigma:
+        return None
+    if abs(d) + (maj.gamma * maj.value(abs(z0)) + lr * r) / sigma < 0.9 * r:
+        return z0 + d
+    return None
 
 
 def _kantorovich_step(
     maj: _Majorant, z0: complex, r: float, v: complex, fz: complex, gz: complex
 ) -> Optional[complex]:
-    """The Newton iterate from z0 if D(z0, r) provably holds exactly one
-    zero of q, else None; v, fz and gz are q, h' and g' at z0.
-
-    sigma = ||h'(z0)| - |g'(z0)|| - gamma*M'(|z0|), `_Majorant.margin`, is
-    under rounding at most the real Jacobian's smallest singular value and
-    L = M''(|z0| + r) bounds its Lipschitz constant on the disk, so the
-    simplified Newton map z - DF(z0)^-1 F(z) moves by at most
-    kappa = L*r/sigma per unit on D(z0, r).  With kappa < 1/2 and
-    eta + kappa*r < r (eta the first Newton step) it maps the disk into
-    itself as a contraction: exactly one zero.  eta adds gamma*M(|z0|)/sigma
-    for the rounding of q(z0), whose computed value can vanish; the
-    margins absorb the rest.  Kantorovich's h = kappa*eta/r is then at
-    most about 0.2 < 1/2, so plain Newton from z0 converges to that zero.
-    """
-    sigma = maj.margin(z0, fz, gz)
-    lr = maj.curvature(abs(z0) + r) * r  # kappa = lr / sigma
-    if not lr < 0.5 * sigma:
-        return None
+    """`_kantorovich` at z0 with radius r, given q, h' and g' there as v,
+    fz and gz."""
     try:
-        z1 = _newton_update(z0, v, fz, gz)
+        d = _newton_update(v, fz, gz)
     except DegenerateJacobian:
         return None
-    if abs(z1 - z0) + (maj.gamma * maj.value(abs(z0)) + lr * r) / sigma < 0.9 * r:
-        return z1
-    return None
+    return _kantorovich(maj, z0, r, maj.margin(z0, fz, gz), d)
 
 
 def _corner_gain(hp: complex, gp: complex) -> float:
@@ -201,16 +249,17 @@ def _corner_gain(hp: complex, gp: complex) -> float:
 
 
 def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
-    """The quadtree's cell test for p, stages 1 to 3 of the module
+    """The quadtree's cell test for p, stages 1 to 4 of the module
     docstring: cell(center, half) is (kept, z1) for the closed cell
     center +- half (both axes), of half-diagonal r, which the quadtree
     gives as exact floats.
 
-    Stages 1 and 3 take r = half*`_SQRT2`, at least half*sqrt(2) after
+    Stages 1, 3 and 4 take r = half*`_SQRT2`, at least half*sqrt(2) after
     rounding.  Stage 2 bounds the linear term by its value
     half*`_corner_gain` at the worse corner, half*(1 + i) or
     half*(1 - i), and allows 2*gamma*M'(a)r for the rounding of h', g'
-    and that value (module docstring).
+    and that value.  Stage 3 runs where the margin sigma is positive and
+    shares its Newton update with stage 4 (module docstring).
 
     kept is False when the cell provably holds no zero; z1 is the
     Kantorovich iterate when the disk of radius `_CERT_RADIUS`*r at the
@@ -234,7 +283,19 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
         drop = half * _corner_gain(fz, gz) + 2.0 * gamma * s0 * r + (m1 - m0 - d0)
         if lower > drop + gamma * (m1 + m0 + d0):
             return False, None
-        return True, _kantorovich_step(maj, center, _CERT_RADIUS * r, v, fz, gz)
+        sigma = maj.margin(center, fz, gz)
+        if not sigma > 0:
+            return True, None
+        try:
+            d = _newton_update(v, fz, gz)
+        except DegenerateJacobian:
+            return True, None
+        # The offset d of any zero in the cell has |d - d*| <= rho.
+        slack = 2.0 * (m1 + m0 + d0) + s0 * abs(d) + abs(v)
+        rho = (m1 - m0 - d0 + gamma * slack) / sigma
+        if max(abs(d.real), abs(d.imag)) > half + rho:
+            return False, None
+        return True, _kantorovich(maj, center, _CERT_RADIUS * r, sigma, d)
 
     return cell
 
@@ -299,17 +360,20 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
     # centre in the closed upper half-plane; its mirror image is implied.
     found = []
 
-    def known(z: complex) -> bool:  # the run's drop test, z or conj(z)
-        z = complex(z.real, abs(z.imag))  # the nearer of the two to any w
-        for w, r, _, _ in found:
-            if abs(z - w) < r:
-                return True
-        return False
+    def known(z: complex) -> Optional[tuple]:  # the run's drop test
+        z = complex(z.real, abs(z.imag))  # the nearer of z, conj(z) to any w
+        for entry in found:
+            if abs(z - entry[0]) < entry[1]:
+                return entry
+        return None
 
-    def settle(z: complex, step: float) -> None:  # the module docstring's run
+    def settle(z: complex, step: float) -> Optional[tuple]:
+        """The module docstring's run from z; returns the found entry whose
+        disk dropped it, if one did."""
         for _ in range(_NEWTON_CAP):
-            if known(z):
-                return
+            hit = known(z)
+            if hit:
+                return hit
             try:
                 z1 = newton_step(p, z)
             except DegenerateJacobian:
@@ -320,8 +384,9 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
             z, step = z1, d
             if d <= _UNIT_ROUNDOFF * max(1.0, abs(z)):
                 break
-        if known(z):
-            return
+        hit = known(z)
+        if hit:
+            return hit
         if z.imag < 0:  # its mirror image is as good a result: keep it folded
             z = z.conjugate()
         fz, gz = analytic_derivative(p, z), coanalytic_derivative(p, z)
@@ -333,6 +398,7 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
             found.append((z, r, z1, maj.orientation(z, fz, gz)))
         elif step <= rho and abs(v) <= 4.0 * maj.gamma * maj.value(abs(z)):
             found.append((z, rho, z, singular))
+        return None
 
     settle(0j, 0.0)  # q(0) = 0: every term has z or zbar
     # Quadtree over [-R', R'] x [0, R'], the upper half of a square that
@@ -351,9 +417,19 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
             continue
         # A certified cell holds at most the one zero of its Kantorovich
         # disk, which Newton from the test's iterate converges to.
-        if z1 is not None or depth >= _MAX_DEPTH:
-            settle(center if z1 is None else z1, math.inf)
+        if z1 is not None:
+            settle(z1, math.inf)
             continue
+        if depth >= _FLOOR_DEPTH:
+            hit = settle(center, math.inf)
+            # A run dropped in a certified disk that leaves part of the
+            # cell uncovered says nothing of the rest: split past the floor.
+            if depth >= _MAX_DEPTH or not hit or hit[3] is singular:
+                continue
+            w, r = hit[0], hit[1]
+            if math.hypot(abs(center.real - w.real) + half,
+                          abs(center.imag - w.imag) + half) < r:
+                continue
         h2 = 0.5 * half
         d2 = depth + 1
         stack.append((center + complex(h2, h2), h2, d2))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import quadzero
+from quadzero import OrientationClass, sweep
 from quadzero.cli import ZEROS_HEADER, main
+from quadzero.solver import ZeroRecord
 from quadzero.sweep import SWEEP_HEADER
 
 QUINTET = ["--b", "0", "--c", "0", "--k", "1", "--n", "3", "--m", "1"]
@@ -387,19 +390,43 @@ class TestSweep:
                      *degrees, "--svg", str(sweep_svg)])
         assert sweep_svg.read_text() == zeros_svg.read_text()
 
-    def test_violation_needs_certified_zeros_beyond_a_proven_bound(self, capsys):
-        # 15 zeros against the proven bound 3n - 2 = 13, but 11 of them are
-        # singular and uncertified, so the bound is not refuted.
-        code, out, _ = run(
-            capsys,
-            ["sweep", "--b-range", "0:0:1", "--c-range=-2:-2:1",
-             "--k", "1", "--n", "5", "--m", "2", "--threads", "1"],
-        )
-        assert code == 0
-        row = dict(zip(SWEEP_HEADER.split(","), out.splitlines()[1].split(",")))
-        assert row["bound_proven"] == "true"
-        assert int(row["count"]) > int(row["bound_upper"]) == 13
-        assert row["violation"] == "false"
+    def test_violation_needs_certified_zeros_beyond_a_proven_bound(
+        self, capsys, monkeypatch
+    ):
+        # 0,-2,1,5,2 has the proven bound 3n - 2 = 13.  Its report is padded
+        # with 14 more entries: uncertified ones do not refute the bound,
+        # certified ones do.
+        solve = sweep.find_zeros
+        for orientation, violation in [
+            (OrientationClass.SINGULAR, "false"),
+            (OrientationClass.SENSE_REVERSING, "true"),
+        ]:
+
+            def padded(p):
+                report = solve(p)
+                extra = ZeroRecord(location=3 + 0j, residual=0.0, jacobian=-1.0,
+                                   orientation=orientation)
+                zeros = report.zeros + (extra,) * 14
+                kinds = [z.orientation for z in zeros]
+                return dataclasses.replace(
+                    report,
+                    zeros=zeros,
+                    count=len(zeros),
+                    n_minus=kinds.count(OrientationClass.SENSE_REVERSING),
+                    n_singular=kinds.count(OrientationClass.SINGULAR),
+                )
+
+            monkeypatch.setattr(sweep, "find_zeros", padded)
+            code, out, _ = run(
+                capsys,
+                ["sweep", "--b-range", "0:0:1", "--c-range=-2:-2:1",
+                 "--k", "1", "--n", "5", "--m", "2", "--threads", "1"],
+            )
+            assert code == 0
+            row = dict(zip(SWEEP_HEADER.split(","), out.splitlines()[1].split(",")))
+            assert row["bound_proven"] == "true"
+            assert int(row["count"]) > int(row["bound_upper"]) == 13
+            assert row["violation"] == violation
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(

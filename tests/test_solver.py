@@ -47,13 +47,18 @@ def _abs_above(w):
 
 
 def _exact_stage_bounds(p, center, half):
-    """Rational upper bounds on M(a) and on the drops of |q| across the
-    closed cell center +- half that stages 1 and 2 of the cell test bound:
-    D1 = M(a + r) - M(a) and D2 = max |A(d)| + M(a + r) - M(a) - M'(a)r
-    at the centre, a = |center| and r = half*sqrt(2), where
-    A(d) = h'd + conj(g'd) is the linear part and its maximum over the
-    cell is the larger of its values at the corners d = half*(1 +- i).
-    The bracket grows with a and r, so bounds above a and r bound it."""
+    """Rational bounds for the closed cell center +- half, at the centre
+    a = |center| and r = half*sqrt(2), each rounded up: M(a); the drop
+    D1 = M(a + r) - M(a) of |q| across the cell that stage 1 bounds; the
+    bracket M(a + r) - M(a) - M'(a)r that bounds the part of
+    q(center + d) - q(center) beyond the linear part A(d) = h'd + conj(g'd);
+    and dist2, where dist2(w) is the squared distance from w to A(square),
+    the parallelogram of the values A takes on the cell.
+
+    A zero center + d of the cell has -q(center) - R(d) = A(d), |R(d)| at
+    most the bracket, so it needs dist2(-q(center)) <= bracket^2: stages 2
+    and 3 are sound where they drop only cells that break that.  The
+    bracket grows with a and r, so bounds above a and r bound it."""
 
     def power(w, e):
         out = (Fraction(1), Fraction(0))
@@ -83,11 +88,53 @@ def _exact_stage_bounds(p, center, half):
         return u + x, v - y
 
     e = Fraction(half)
-    corner = max(_abs_above(linear((e, e))), _abs_above(linear((e, -e))))
+    # The images of the corners, in order around the square.
+    corners = [linear((sx * e, sy * e)) for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+    det = hp[0] ** 2 + hp[1] ** 2 - gp[0] ** 2 - gp[1] ** 2  # A's determinant
+
+    def dist2(w):
+        if det:  # w = A(x) for one x: inside when x lies in the square
+            x = ((hp[0] - gp[0]) * w[0] + (hp[1] + gp[1]) * w[1]) / det
+            y = ((gp[1] - hp[1]) * w[0] + (hp[0] + gp[0]) * w[1]) / det
+            if abs(x) <= e and abs(y) <= e:
+                return Fraction(0)
+        best = None
+        for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
+            dx, dy = x1 - x0, y1 - y0
+            length2 = dx * dx + dy * dy
+            t = ((w[0] - x0) * dx + (w[1] - y0) * dy) / length2 if length2 else 0
+            t = min(max(t, Fraction(0)), Fraction(1))
+            ex, ey = w[0] - x0 - t * dx, w[1] - y0 - t * dy
+            if best is None or ex * ex + ey * ey < best:
+                best = ex * ex + ey * ey
+        return best
+
     slope = bb * k * a ** (k - 1) + n * a ** (n - 1) + cc * m * a ** (m - 1) + 1
     d1 = big_m(a + r) - big_m(a)
-    d2 = corner + d1 - slope * r
-    return big_m(a), d1, d2
+    return big_m(a), d1, d1 - slope * r, dist2
+
+
+def _count_work(monkeypatch):
+    """Counts, as find_zeros runs, its cell tests and its Newton steps."""
+    work = {"cells": 0, "steps": 0}
+    real_cell, real_step = solver._cell_test, solver.newton_step
+
+    def counting_cell_test(p, maj):
+        cell = real_cell(p, maj)
+
+        def counted(center, half):
+            work["cells"] += 1
+            return cell(center, half)
+
+        return counted
+
+    def counting_step(p, z):
+        work["steps"] += 1
+        return real_step(p, z)
+
+    monkeypatch.setattr(solver, "_cell_test", counting_cell_test)
+    monkeypatch.setattr(solver, "newton_step", counting_step)
+    return work
 
 
 signs = st.sampled_from((-1.0, 1.0))
@@ -260,6 +307,16 @@ class TestOrientationBookkeeping:
         assert report.n_singular >= 1
         assert report.winding_check == "inconclusive"
 
+    def test_lost_singular_pair_is_not_passed(self):
+        # 0,-2,1,5,2: q = conj(z)^5 - 2conj(z)^2 + z has a singular pair at
+        # exp(+-2 pi i/3), where |h'| = |g'| = 1, besides its 4 certified
+        # zeros.  The runs that end nearest the pair stop with |q| from
+        # 1e-13 to 6e-12, above the settle gate, so the pair may go
+        # unreported; the check must then not pass.
+        report = find_zeros(HarmonicQuadrinomial(b=0.0, c=-2.0, k=1, n=5, m=2))
+        assert report.n_certified == 4
+        assert report.winding_check != "passed"
+
     @pytest.mark.parametrize(
         "b", [-0.3225352274058966, -0.3225352175058966, -0.3225342275058966]
     )
@@ -376,40 +433,47 @@ class TestExclusion:
         self, monkeypatch
     ):
         # 2,1,3,3,1 took 2 010 cell tests under the disk's bound.
-        calls = 0
-        real = solver._cell_test
-
-        def counting(p, maj):
-            cell = real(p, maj)
-
-            def counted(center, half):
-                nonlocal calls
-                calls += 1
-                return cell(center, half)
-
-            return counted
-
-        monkeypatch.setattr(solver, "_cell_test", counting)
+        work = _count_work(monkeypatch)
         report = find_zeros(HarmonicQuadrinomial(b=2.0, c=1.0, k=3, n=3, m=1))
         assert report.count == 5
-        assert calls <= 1_100
+        assert work["cells"] <= 1_100
 
     @pytest.mark.parametrize(
-        "p",
-        [
-            HarmonicQuadrinomial(b=2.0, c=1.0, k=3, n=3, m=1),  # singular origin
-            HarmonicQuadrinomial(b=1e-16, c=2.0, k=4, n=3, m=1),  # R near 1e16
-        ],
-        ids=["singular-origin", "tiny-b"],
+        "b, cells, steps",
+        [(1.01, 2_000, 100), (1.001, 6_000, None)],
     )
-    def test_tested_cells_are_exact_quarters(self, monkeypatch, p):
+    def test_newton_stage_prunes_the_unit_b_cliff(self, monkeypatch, b, cells, steps):
+        # k = n = 3 with b near 1: q is small along the rays of Re z^3 ~ 0
+        # next to a large gradient, where stage 2 keeps cells and their
+        # floor runs.  Without stage 3, b = 1.01 took 13 738 cell tests and
+        # 2 199 Newton steps, b = 1.001 28 882 cell tests.
+        work = _count_work(monkeypatch)
+        report = find_zeros(HarmonicQuadrinomial(b=b, c=2.0, k=3, n=3, m=1))
+        assert report.n_certified == report.count == 5
+        assert work["cells"] <= cells
+        assert steps is None or work["steps"] <= steps
+
+    @pytest.mark.parametrize(
+        "p, depth",
+        [
+            # Singular origin: floor runs end in its uncertified disk.
+            (HarmonicQuadrinomial(b=2.0, c=1.0, k=3, n=3, m=1), solver._FLOOR_DEPTH),
+            # R near 1e16.
+            (HarmonicQuadrinomial(b=1e-16, c=2.0, k=4, n=3, m=1), solver._FLOOR_DEPTH),
+            # Zeros at 0 and -1.43e-5 share floor cells: split past the floor.
+            (HarmonicQuadrinomial(b=1.4275698133347674e-05, c=-1.0, k=1, n=2, m=1),
+             solver._MAX_DEPTH),
+        ],
+        ids=["singular-origin", "tiny-b", "split-past-floor"],
+    )
+    def test_tested_cells_are_exact_quarters(self, monkeypatch, p, depth):
         # The cell test takes its cell as given, with no slack for rounded
         # centres, so every (center, half) the solver tests must be exact:
         # each cell below the roots is, in rational arithmetic, a quarter
         # of a tested cell whose four quarters are all tested, and the two
         # roots tile [-R', R'] x [0, R'].  By induction the tested cells
-        # tile their parents exactly, down to the floor, which both
-        # instances reach.
+        # tile their parents exactly, down to the deepest, at the floor or,
+        # for the last instance, at _MAX_DEPTH, which sets R''s bits.
         tested = []
         real = solver._cell_test
 
@@ -442,7 +506,7 @@ class TestExclusion:
             assert len(parent) == 1, (x, y, half)
             quarters[parent[0]] = quarters.get(parent[0], 0) + 1
         assert set(quarters.values()) == {4}
-        assert max(2 * h / half for _, _, half in tested) == 2**solver._MAX_DEPTH
+        assert max(2 * h / half for _, _, half in tested) == 2**depth
 
     @pytest.mark.parametrize(
         "b, c, k, n, m",
@@ -456,22 +520,26 @@ class TestExclusion:
         ],
     )
     def test_stage_bounds_cover_the_exact_drops(self, monkeypatch, b, c, k, n, m):
-        # The cell test is fed chosen values v of q at the centre; t is the
-        # least |v| at which it drops the cell.  Dropping at t is sound when
-        # t less the rounding bound gamma*M(a) of q, that is every |q| the
-        # computed t can stand for, exceeds the exact drop of |q| across
-        # the cell, computed in rational arithmetic.  Stage 1 alone (h' and
-        # g' infinite, so stage 2 drops nothing) must beat D1, both stages
-        # together min(D1, D2).  Cells of many sizes around certified zeros,
-        # and one beside each whose lower edge lies on the real axis, as the
-        # quadtree's do; the last case is near-singular (|c| near 1, m = 1).
+        # The cell test is fed chosen values v of q at the centre, each a
+        # multiple t of a fixed direction; t is the least |v| at which it
+        # drops the cell.  Dropping at t is sound when every q(center)
+        # within the rounding bound gamma*M(a) of v rules out a zero in the
+        # cell, in rational arithmetic: stage 1 when t - gamma*M(a)
+        # exceeds the drop D1 across the cell, stages 2 and 3 when the
+        # distance from -v to A(square) less gamma*M(a) exceeds the
+        # bracket.  Stage 1 alone (h' and g' infinite, so stages 2 and 3
+        # drop nothing) must beat D1.  Stage 3 reads the direction of v, as
+        # its Newton update does, so v is fed along several.  Cells of many
+        # sizes around certified zeros, and one beside each whose lower edge
+        # lies on the real axis, as the quadtree's do; the last case is
+        # near-singular (|c| near 1, m = 1).
         p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
         zeros = [rec.location for rec in find_zeros(p).zeros if rec.certified]
         assert zeros
         maj = _Majorant(p)
         gamma = Fraction(maj.gamma)
-        fed = {"v": 0.0, "derivative": None}
-        monkeypatch.setattr(solver, "evaluate", lambda p, z: complex(fed["v"]))
+        fed = {"v": 0j, "derivative": None}
+        monkeypatch.setattr(solver, "evaluate", lambda p, z: fed["v"])
         for name in ("analytic_derivative", "coanalytic_derivative"):
             real = getattr(solver, name)
             monkeypatch.setattr(
@@ -479,22 +547,25 @@ class TestExclusion:
                 lambda p, z, real=real: fed["derivative"] or real(p, z),
             )
         cell = _cell_test(p, maj)
+        directions = [1.0, 1j, -0.6 + 0.8j, 0.28 - 0.96j]  # -v drops as v
 
-        def dropped_at(i):  # non-negative floats order as their bit patterns
-            fed["v"] = struct.unpack("<d", struct.pack("<q", i))[0]
+        def dropped_at(i, u):  # non-negative floats order as their bit patterns
+            t = struct.unpack("<d", struct.pack("<q", i))[0]
+            fed["v"] = complex(t * u.real, t * u.imag)
             return not cell(center, half)[0]
 
-        def least_dropped():
+        def least_dropped(u):
             lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1e300))[0]
-            assert not dropped_at(lo) and dropped_at(hi)
+            assert not dropped_at(lo, u) and dropped_at(hi, u)
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if dropped_at(mid):
+                if dropped_at(mid, u):
                     hi = mid
                 else:
                     lo = mid
-            dropped_at(hi)
-            return Fraction(fed["v"])
+            dropped_at(hi, u)
+            v = fed["v"]
+            return Fraction(v.real), Fraction(v.imag)
 
         for z0 in zeros:
             for decade in range(-14, 0):
@@ -505,13 +576,17 @@ class TestExclusion:
                 ]
                 centers.append(complex(z0.real + 0.4 * half, half))
                 for center in centers:
-                    m0, d1, d2 = _exact_stage_bounds(p, center, half)
+                    m0, d1, bracket, dist2 = _exact_stage_bounds(p, center, half)
                     fed["derivative"] = complex(math.inf)
-                    t1 = least_dropped()
-                    fed["derivative"] = None
-                    t = least_dropped()
+                    t1 = least_dropped(1.0)[0]
                     assert t1 - gamma * m0 > d1, (z0, center, half)
-                    assert t - gamma * m0 > min(d1, d2), (z0, center, half)
+                    fed["derivative"] = None
+                    for u in directions:
+                        v = least_dropped(u)
+                        assert (
+                            v[0] ** 2 + v[1] ** 2 > (d1 + gamma * m0) ** 2
+                            or dist2((-v[0], -v[1])) > (bracket + gamma * m0) ** 2
+                        ), (z0, center, half, u)
 
 
 class TestMirror:
@@ -670,18 +745,11 @@ class TestCertification:
     def test_newton_work_near_close_pair(self, monkeypatch):
         # Floor cells around a close pair of zeros each make a Newton run;
         # undamped, each run takes a few steps, not up to the step cap.
-        calls = 0
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return newton_step(*args)
-
-        monkeypatch.setattr(solver, "newton_step", counting)
+        work = _count_work(monkeypatch)
         p = HarmonicQuadrinomial(b=4.768, c=-1.00146, k=4, n=3, m=1)
         report = find_zeros(p)
         assert report.n_certified == report.count == 8
-        assert calls <= 12_000
+        assert work["steps"] <= 12_000
 
     def test_tiny_b_keeps_far_zeros(self):
         # R = 1/b: near |z| = R rounding keeps |q| near 1e-4 (b = 1e-4) or

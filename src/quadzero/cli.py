@@ -26,7 +26,7 @@ import sys
 from .bounds import BoundSource, radius_bound
 from .contour import Circle, Rectangle, winding_number
 from .critical import critical_radius, circle_image
-from .errors import NumericalError, QuadzeroError
+from .errors import NumericalError, PoleAtCriticalPoint, QuadzeroError
 from .model import (
     HarmonicQuadrinomial,
     classify_point,
@@ -34,14 +34,9 @@ from .model import (
     evaluate,
     jacobian,
 )
-from .errors import PoleAtCriticalPoint
 from .solver import find_zeros
 from .svg import render_zero_plot
-from .sweep import Axis, run_sweep, sweep_csv_lines
-
-
-def _fmt17(x: float) -> str:
-    return f"{x:.17g}"
+from .sweep import Axis, _fmt, run_sweep, sweep_csv_lines
 
 
 def _print_json(doc: dict) -> None:
@@ -158,7 +153,7 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
         print(ZEROS_HEADER)
         for fields in zeros:
             values = (fields[name] for name in ZEROS_HEADER.split(","))
-            print(",".join(_fmt17(v) if isinstance(v, float) else v for v in values))
+            print(",".join(_fmt(v) for v in values))
     else:
         _print_json(
             {
@@ -226,7 +221,7 @@ def cmd_circle_image(ns: argparse.Namespace) -> int:
     pts = circle_image(_quadrinomial(ns), ns.radius, ns.samples)
     print("re,im")
     for w in pts:
-        print(f"{_fmt17(w.real)},{_fmt17(w.imag)}")
+        print(f"{_fmt(w.real)},{_fmt(w.imag)}")
     return 0
 
 

@@ -54,7 +54,7 @@ class SampleCapExceeded(NumericalError):
 
 
 class DegenerateJacobian(NumericalError):
-    pass
+    """Newton's Jacobian is singular within rounding: no positive margin."""
 
 
 class PoleAtCriticalPoint(QuadzeroError):

@@ -11,9 +11,9 @@ gamma*M(|z|) of q(z), the computed h'(z) and g'(z) together within
 gamma*M'(|z|), and a computed difference of M values, cancellation and
 rounded arguments included, within gamma times the sum of its positive
 terms.  So ||h'| - |g'|| - gamma*M'(|z|), `_Majorant.margin`, is positive
-only where the sign of |h'| - |g'|, the orientation, is proven; both
-`classify_point` and the solver's certificate read it, through
-`_Majorant.orientation`.
+only where the sign of |h'| - |g'|, the orientation, is proven;
+`classify_point`, `newton_step` and the solver's certificate and cell
+test read it.
 """
 
 from __future__ import annotations

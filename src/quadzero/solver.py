@@ -81,15 +81,15 @@ The origin (q(0) = 0 exactly, so its run starts from a last step of 0
 and stays), then each kept cell, makes one undamped Newton run, from the
 test's iterate or, at the floor and past it, from the centre.  It stops
 before a step not shorter than the last (NaN and divergence included),
-after a step of at most the unit roundoff times max(1, |z|), on a
-degenerate Jacobian or after `_NEWTON_CAP` steps.  It is dropped, before
-each step and at its end, when it or its mirror image lies inside the
-disk of any zero found (each kept with its centre folded into the upper
-half).  Entering a certified D(w, r) it would converge to its zero zeta:
-r <= min(s/3, sigma/(4L)), s = max(1, |w|), sigma = `_Majorant.margin`
-at w, at most the Jacobian's least singular value there, and
-L = M''(|w| + s) its Lipschitz bound on D(w, 3r), so |zeta - w| < 0.9r,
-sigma_zeta > 3sigma/4 and each y in the disk has
+after a step of at most the unit roundoff times max(1, |z|), where
+`_Majorant.margin` is not positive or after `_NEWTON_CAP` steps.  It is
+dropped, before each step and at its end, when it or its mirror image
+lies inside the disk of any zero found (each kept with its centre folded
+into the upper half).  Entering a certified D(w, r) it would converge
+to its zero zeta: r <= min(s/3, sigma/(4L)), s = max(1, |w|),
+sigma = `_Majorant.margin` at w, at most the Jacobian's least singular
+value there, and L = M''(|w| + s) its Lipschitz bound on D(w, 3r), so
+|zeta - w| < 0.9r, sigma_zeta > 3sigma/4 and each y in the disk has
 |y - zeta| < 1.9r < sigma/(2L) < 2sigma_zeta/(3L), Newton's local
 convergence radius.
 A floor run that is dropped in a certified disk which does not cover its
@@ -180,26 +180,24 @@ class ZeroSetReport:
 
 def _newton_update(v: complex, fz: complex, gz: complex) -> complex:
     """The Newton update d, the step from z to its Newton iterate z + d,
-    given q(z) = v, h'(z) = fz and g'(z) = gz.
-
-    Solving fz*d + fzb*conj(d) = -v with fzb = conj(gz) gives
-    d = (fzb*conj(v) - conj(fz)*v) / J where J is the Jacobian of the real
-    system.  |J| <= 1e-14*max(1, mag) is taken as rounding noise: refusing
-    only J == 0 shatters -3.0817953258295665,-1,7,7,1 into 115 zeros, not 9.
-    """
+    given q(z) = v, h'(z) = fz and g'(z) = gz where `_Majorant.margin` at z
+    is positive: d = (conj(gz)*conj(v) - conj(fz)*v)/J, J = |h'|^2 - |g'|^2
+    the real system's Jacobian.  The margin gives ||h'| - |g'|| >
+    gamma*M'(|z|) >= gamma, so |J| > gamma^2, far above underflow, and the
+    computed J, within |J|/3 of J (module docstring), has J's sign."""
     fzb = gz.conjugate()
     j = (fz.real**2 + fz.imag**2) - (fzb.real**2 + fzb.imag**2)
-    mag = fz.real**2 + fz.imag**2 + fzb.real**2 + fzb.imag**2
-    if abs(j) <= 1e-14 * max(1.0, mag):
-        raise DegenerateJacobian(f"Jacobian {j:.3e} below degeneracy floor")
     return (fzb * v.conjugate() - fz.conjugate() * v) / j
 
 
 def newton_step(p: HarmonicQuadrinomial, z: complex) -> complex:
-    """One full Newton update on the real 2x2 system, in complex form."""
-    return z + _newton_update(
-        evaluate(p, z), analytic_derivative(p, z), coanalytic_derivative(p, z)
-    )
+    """One full Newton update on the real 2x2 system, in complex form;
+    raises `DegenerateJacobian` where `classify_point(p, z)` is SINGULAR,
+    `_Majorant.margin` not positive (NaN included)."""
+    fz, gz = analytic_derivative(p, z), coanalytic_derivative(p, z)
+    if not _Majorant(p).margin(z, fz, gz) > 0:
+        raise DegenerateJacobian(f"no positive margin at z = {z!r}")
+    return z + _newton_update(evaluate(p, z), fz, gz)
 
 
 def _kantorovich(
@@ -233,11 +231,10 @@ def _kantorovich_step(
 ) -> Optional[complex]:
     """`_kantorovich` at z0 with radius r, given q, h' and g' there as v,
     fz and gz."""
-    try:
-        d = _newton_update(v, fz, gz)
-    except DegenerateJacobian:
-        return None
-    return _kantorovich(maj, z0, r, maj.margin(z0, fz, gz), d)
+    sigma = maj.margin(z0, fz, gz)
+    if sigma > 0:
+        return _kantorovich(maj, z0, r, sigma, _newton_update(v, fz, gz))
+    return None
 
 
 def _corner_gain(hp: complex, gp: complex) -> float:
@@ -286,10 +283,7 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
         sigma = maj.margin(center, fz, gz)
         if not sigma > 0:
             return True, None
-        try:
-            d = _newton_update(v, fz, gz)
-        except DegenerateJacobian:
-            return True, None
+        d = _newton_update(v, fz, gz)
         # The offset d of any zero in the cell has |d - d*| <= rho.
         slack = 2.0 * (m1 + m0 + d0) + s0 * abs(d) + abs(v)
         rho = (m1 - m0 - d0 + gamma * slack) / sigma
@@ -392,7 +386,7 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         fz, gz = analytic_derivative(p, z), coanalytic_derivative(p, z)
         r = _certificate_radius(maj, z, fz, gz)
         v = evaluate(p, z)
-        z1 = _kantorovich_step(maj, z, r, v, fz, gz) if r > 0 else None
+        z1 = _kantorovich_step(maj, z, r, v, fz, gz)
         rho = 1e-7 * max(1.0, abs(z))  # an uncertified zero's disk
         if z1 is not None:  # sigma > 0: the margin is positive
             found.append((z, r, z1, maj.orientation(z, fz, gz)))

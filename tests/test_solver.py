@@ -4,7 +4,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadzero import (
@@ -28,6 +28,20 @@ from quadzero.solver import (
 )
 
 CUBIC = HarmonicQuadrinomial(b=0.0, c=0.0, k=1, n=3, m=1)  # conj(z)^3 + z
+CUBIC_SINGULAR_RADIUS = 9.0 ** (-0.25)  # CUBIC's |h'| = |g'| = 1 on |z| = 3^(-1/2)
+UNIT_C = HarmonicQuadrinomial(b=2.0, c=1.0, k=3, n=3, m=1)  # |h'| = |g'| = 1 at 0
+# (b, c, k, n, count) with |c| = 1 and m = 1: the origin is a singular zero.
+SINGULAR_ORIGINS = [
+    (2.0, 1.0, 3, 3, 5),
+    (1.0, 1.0, 4, 2, 6),
+    (1.5, 1.0, 3, 2, 5),
+    (2.0, -1.0, 3, 2, 4),
+    (2.5, -1.0, 3, 3, 3),
+    (0.5, 1.0, 4, 2, 6),
+    (2.5078960234123966, -1.0, 5, 5, 5),
+    (-2.3294154425619276, 1.0, 5, 4, 7),
+    (-3.0817953258295665, -1.0, 7, 7, 9),
+]
 
 
 def _jet(p, z):
@@ -179,9 +193,75 @@ class TestNewtonStep:
         assert abs(z - cmath.exp(1j * math.pi / 4)) < 1e-12
 
     def test_degenerate_at_singular_circle(self):
-        z = 9.0 ** (-0.25) * cmath.exp(0.3j)  # |h'|^2 = |g'|^2 there
-        with pytest.raises(DegenerateJacobian):
-            newton_step(CUBIC, z)
+        # |h'| = |g'| within rounding: the margin is not positive.
+        cases = [(CUBIC, CUBIC_SINGULAR_RADIUS * cmath.exp(t * 1j)) for t in (0.0, 0.3, 2.0)]
+        cases += [
+            (HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=1), 0j)
+            for b, c, k, n, _ in SINGULAR_ORIGINS
+        ]
+        for p, z in cases:
+            assert classify_point(p, z) is OrientationClass.SINGULAR
+            with pytest.raises(DegenerateJacobian):
+                newton_step(p, z)
+
+
+# On CUBIC's singular circle and within 1e-12 (relative) of it, where the
+# margin's sign changes and a rule other than the margin would disagree.
+near_singular_circle = st.builds(
+    lambda t, e, sign: CUBIC_SINGULAR_RADIUS * (1.0 + sign * 10.0**e) * cmath.exp(t * 1j),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    st.floats(min_value=-17.0, max_value=-12.0),
+    signs,
+)
+points = st.one_of(
+    st.just(0j),
+    near_singular_circle,
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.one_of(instances(), st.just(CUBIC), st.just(UNIT_C)), points)
+@example(CUBIC, CUBIC_SINGULAR_RADIUS * cmath.exp(0.3j))
+@example(UNIT_C, 0j)
+@settings(max_examples=300)
+def test_newton_step_refuses_exactly_the_singular_points(p, z):
+    # One rule for a singular Jacobian: the margin that classify_point reads.
+    singular = classify_point(p, z) is OrientationClass.SINGULAR
+    try:
+        newton_step(p, z)
+    except DegenerateJacobian:
+        assert singular
+    else:
+        assert not singular
+
+
+@pytest.mark.parametrize(
+    "p",
+    [HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=1) for b, c, k, n, _ in SINGULAR_ORIGINS]
+    + [HarmonicQuadrinomial(b=1.01, c=2.0, k=3, n=3, m=1)],
+    ids=lambda p: f"{p.b!r},{p.c!r},{p.k},{p.n},{p.m}",
+)
+def test_newton_updates_follow_a_positive_margin(monkeypatch, p):
+    # Every caller reads the margin at h' and g' and takes the Newton
+    # update with those same values only where it is positive.
+    last = {}
+    calls = []
+    real_margin, real_update = _Majorant.margin, solver._newton_update
+
+    def margin(self, z, hp, gp):
+        last.update(hp=hp, gp=gp, sigma=real_margin(self, z, hp, gp))
+        return last["sigma"]
+
+    def update(v, fz, gz):
+        assert last["hp"] is fz and last["gp"] is gz
+        assert last["sigma"] > 0
+        calls.append(last["sigma"])
+        return real_update(v, fz, gz)
+
+    monkeypatch.setattr(_Majorant, "margin", margin)
+    monkeypatch.setattr(solver, "_newton_update", update)
+    find_zeros(p)
+    assert calls
 
 
 class TestFindZeros:
@@ -803,20 +883,7 @@ class TestCertification:
         assert report.n_certified == certified
         assert not any(0 < abs(rec.location) < 1e-3 for rec in report.zeros)
 
-    @pytest.mark.parametrize(
-        "b, c, k, n, count",
-        [
-            (2.0, 1.0, 3, 3, 5),
-            (1.0, 1.0, 4, 2, 6),
-            (1.5, 1.0, 3, 2, 5),
-            (2.0, -1.0, 3, 2, 4),
-            (2.5, -1.0, 3, 3, 3),
-            (0.5, 1.0, 4, 2, 6),
-            (2.5078960234123966, -1.0, 5, 5, 5),
-            (-2.3294154425619276, 1.0, 5, 4, 7),
-            (-3.0817953258295665, -1.0, 7, 7, 9),
-        ],
-    )
+    @pytest.mark.parametrize("b, c, k, n, count", SINGULAR_ORIGINS)
     def test_singular_origin_reported_once(self, b, c, k, n, count):
         # |c| = 1 with m = 1: the origin is a singular zero, where Newton
         # converges only linearly and |q| <= 1e-10 holds up to 3e-4 away,

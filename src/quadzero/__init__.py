@@ -9,6 +9,7 @@ from .bounds import (
     DiskBound,
     count_bound,
     radius_bound,
+    radius_delta,
     radius_polynomial,
 )
 from .contour import Circle, Rectangle, WindingReport, winding_number
@@ -84,6 +85,7 @@ __all__ = [
     "positive_root_bracketed",
     "pure_imaginary_rays",
     "radius_bound",
+    "radius_delta",
     "radius_polynomial",
     "run_sweep",
     "sign_changes",

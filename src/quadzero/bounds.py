@@ -6,7 +6,9 @@ least float >= 1 at which that minorant is provably positive under
 rounding.  k = n with |b| = 1 has none (unavailable).
 Where b, c != 0 and k > n the paper's radius equation |b|x^(k+1) -
 (|b|+|c|)x^k + |c| = 0 (|c| replaced by 1 when |c| <= 1), deflated at
-x = 1, gives delta; for k >= 4 the minorant's root is never larger.
+x = 1, gives delta, `radius_delta`; for k >= 4 the minorant's root is
+never larger.  The disk does not need delta, and `radius_bound` does not
+solve for it.
 """
 
 from __future__ import annotations
@@ -39,14 +41,13 @@ class CountBranch(enum.Enum):
 class DiskBound:
     """Closed disk D(0, radius) containing every zero of q.
 
-    delta is the non-unit positive root of the radius equation when the
-    theorem route applies.  radius is +inf when source is UNAVAILABLE.
+    source names the paper's theorem (`radius_delta`) where it applies.
+    radius is +inf when source is UNAVAILABLE.
     winding, None only when source is UNAVAILABLE, is the winding of q on
     every circle |z| = r >= radius: the dominant term's index (Rouche).
     """
 
     radius: float
-    delta: Optional[float]
     source: BoundSource
     winding: Optional[int]
 
@@ -115,23 +116,30 @@ def radius_bound(p: HarmonicQuadrinomial) -> DiskBound:
     exactly.  P - gamma*sum |a_i| x^i has one sign change too, so the test
     switches once, and `first_true` finds where.
 
-    delta is the paper's root (Theorems 3.1/3.2: b, c != 0, k > n).  For
-    k >= 4, rho <= max(1, delta), so no min is taken: at x = max(1, delta)
-    the deflated radius equation gives |b|x^k >= C(1 + x + ... + x^(k-1))
-    >= x^n + |c|x^m + x, C = max(1, |c|).  At k = 3 delta can undershoot.
+    For k >= 4, rho <= max(1, delta), delta = `radius_delta(p)`, so no min
+    is taken: at x = max(1, delta) the deflated radius equation gives
+    |b|x^k >= C(1 + x + ... + x^(k-1)) >= x^n + |c|x^m + x,
+    C = max(1, |c|).  At k = 3 delta can undershoot.
     """
     minorant = _minorant(p)
     if minorant is None:
-        return DiskBound(math.inf, None, BoundSource.UNAVAILABLE, None)
+        return DiskBound(math.inf, BoundSource.UNAVAILABLE, None)
     poly, winding = minorant
     gamma = 4.0 * (poly.degree + 2) * _UNIT_ROUNDOFF
     size = RealPoly(tuple(abs(a) for a in poly.coeffs))
     radius = first_true(lambda x: poly(x) > gamma * size(x), 1.0)
     if p.b == 0.0 or p.c == 0.0 or not p.k > p.n:
-        return DiskBound(radius, None, BoundSource.FALLBACK_CAUCHY, winding)
-    theorem, source = radius_polynomial(p)
-    delta = positive_root_bracketed(deflate_at_one(theorem))
-    return DiskBound(radius, delta, source, winding)
+        return DiskBound(radius, BoundSource.FALLBACK_CAUCHY, winding)
+    return DiskBound(radius, radius_polynomial(p)[1], winding)
+
+
+def radius_delta(p: HarmonicQuadrinomial) -> Optional[float]:
+    """delta, the non-unit positive root of the paper's radius equation
+    (Theorems 3.1/3.2), or None where they do not apply (b = 0, c = 0 or
+    k <= n); `radius_bound` says which theorem as its source."""
+    if p.b == 0.0 or p.c == 0.0 or not p.k > p.n:
+        return None
+    return positive_root_bracketed(deflate_at_one(radius_polynomial(p)[0]))
 
 
 def count_bound(p: HarmonicQuadrinomial) -> CountBound:

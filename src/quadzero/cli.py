@@ -23,7 +23,7 @@ import math
 import os
 import sys
 
-from .bounds import BoundSource, radius_bound
+from .bounds import BoundSource, radius_bound, radius_delta
 from .contour import Circle, Rectangle, winding_number
 from .critical import critical_radius, circle_image
 from .errors import NumericalError, PoleAtCriticalPoint, QuadzeroError
@@ -121,9 +121,10 @@ def _write_svg(path: str, k: int, n: int, m: int, cells) -> None:
 
 
 def cmd_radius(ns: argparse.Namespace) -> int:
-    disk = radius_bound(_quadrinomial(ns))
+    p = _quadrinomial(ns)
+    disk = radius_bound(p)
     radius = None if disk.source is BoundSource.UNAVAILABLE else disk.radius
-    _print_json({"radius": radius, "delta": disk.delta, "source": disk.source.value})
+    _print_json({"radius": radius, "delta": radius_delta(p), "source": disk.source.value})
     return 0
 
 

@@ -24,7 +24,8 @@ at most once each and
    bound on how far the update can be from a zero's offset;
 4. else keeps it when a Kantorovich test at the centre, with L = M'',
    proves that a disk around it holds exactly one zero, or at depth
-   `_FLOOR_DEPTH`; it splits the cell otherwise.
+   `_FLOOR_DEPTH`; it splits the cell otherwise, into the quarters that
+   stage 3's Newton box meets, or all four where stage 3 did not run.
 
 Stage 2 reads the square, not the disk |d| <= r around it, where |A|
 reaches (|h'| + |g'|)r.  |A| is convex and A(-d) = -A(d), so over the cell,
@@ -75,7 +76,21 @@ rho's numerator carries gamma*(m1 + m0 + d0) twice, m1 = M(a + r),
 m0 = M(a), d0 = M'(a)r: once for the bracket, as in stage 2, and once
 more, at least 16u*m1, for the few roundings of rho's sum and quotient,
 each at most u of a sum of terms no larger than m1 or than their own
-allowances.  A float above the rounded e + rho is above e + rho.
+allowances; they take at most about 2u*m1.  A float above the rounded
+e + rho is above e + rho.
+
+Where stage 3 keeps a cell that stage 4 does not certify, every zero of
+the cell lies in the Newton box center + d* +- rho (both axes), so a
+split pushes only the quarters, offsets o = (+-e/2, +-e/2) from the
+centre, whose boxes o +- e/2 meet it: a quarter with
+|Re d* - Re o| > e/2 + rho, or the same for Im, holds no zero.  The one
+rounding beyond stage 3's, of Re d* - Re o, is at most
+u|Re d* - Re o| <= u(3e/2 + rho) up to O(u^2), since stage 3 kept the
+cell.  What rho's own roundings leave of its second gamma*m1/sigma, at
+least 14u*m1/sigma, covers it with no further term: u*rho is at most
+about u*m1/sigma, and convexity gives m1 = M(a + r) >= M(a) + M'(a)r >=
+sigma*r, with sigma at most M'(a) up to rounding and r = sqrt(2)e, so
+u*3e/2 < u*m1/sigma.
 
 The origin (q(0) = 0 exactly, so its run starts from a last step of 0
 and stays), then each kept cell, makes one undamped Newton run, from the
@@ -247,7 +262,7 @@ def _corner_gain(hp: complex, gp: complex) -> float:
 
 def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
     """The quadtree's cell test for p, stages 1 to 4 of the module
-    docstring: cell(center, half) is (kept, z1) for the closed cell
+    docstring: cell(center, half) is (kept, z1, box) for the closed cell
     center +- half (both axes), of half-diagonal r, which the quadtree
     gives as exact floats.
 
@@ -256,40 +271,58 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
     half*`_corner_gain` at the worse corner, half*(1 + i) or
     half*(1 - i), and allows 2*gamma*M'(a)r for the rounding of h', g'
     and that value.  Stage 3 runs where the margin sigma is positive and
-    shares its Newton update with stage 4 (module docstring).
+    shares its Newton update with stage 4 (module docstring).  The
+    closure computes M(a), M(a + r), M'(a) and stage 4's `_kantorovich`
+    inline, by the same operations as `_Majorant`'s methods and that
+    function, so it computes the same floats.
 
     kept is False when the cell provably holds no zero; z1 is the
     Kantorovich iterate when the disk of radius `_CERT_RADIUS`*r at the
-    centre provably holds exactly one zero, else None.
+    centre provably holds exactly one zero, else None.  box is (d*, rho)
+    when stage 3 kept the cell and stage 4 did not certify it: every zero
+    of the cell lies within rho of center + d*.  Else it is None.
     """
-    value, slope, gamma = maj.value, maj.slope, maj.gamma
+    b, c, k, n, m, gamma = maj.b, maj.c, maj.k, maj.n, maj.m, maj.gamma
+    db, dc, ddb, ddc, ddn = maj.db, maj.dc, maj.ddb, maj.ddc, maj.ddn
+    ek1, en1, em1 = k - 1, n - 1, m - 1  # the exponents of M'
+    ek2, en2, em2 = k - 2, n - 2, m - 2  # and of M''
+    margin = maj.margin
 
-    def cell(center: complex, half: float) -> tuple[bool, Optional[complex]]:
+    def cell(
+        center: complex, half: float
+    ) -> tuple[bool, Optional[complex], Optional[tuple[complex, float]]]:
         v = evaluate(p, center)
         a = abs(center)
         r = half * _SQRT2
-        m0 = value(a)
-        m1 = value(a + r)
+        m0 = b * a**k + a**n + c * a**m + a  # M(a)
+        x = a + r
+        m1 = b * x**k + x**n + c * x**m + x  # M(a + r)
         lower = abs(v) - gamma * m0  # |q(center)| is at least this
         if lower > m1 - m0 + gamma * (m1 + m0):
-            return False, None
+            return False, None, None
         fz = analytic_derivative(p, center)
         gz = coanalytic_derivative(p, center)
-        s0 = slope(a)
+        s0 = db * a**ek1 + 1.0 + n * a**en1 + dc * a**em1  # M'(a)
         d0 = s0 * r
         drop = half * _corner_gain(fz, gz) + 2.0 * gamma * s0 * r + (m1 - m0 - d0)
         if lower > drop + gamma * (m1 + m0 + d0):
-            return False, None
-        sigma = maj.margin(center, fz, gz)
+            return False, None, None
+        sigma = margin(center, fz, gz)
         if not sigma > 0:
-            return True, None
+            return True, None, None
         d = _newton_update(v, fz, gz)
+        ad = abs(d)
         # The offset d of any zero in the cell has |d - d*| <= rho.
-        slack = 2.0 * (m1 + m0 + d0) + s0 * abs(d) + abs(v)
+        slack = 2.0 * (m1 + m0 + d0) + s0 * ad + abs(v)
         rho = (m1 - m0 - d0 + gamma * slack) / sigma
         if max(abs(d.real), abs(d.imag)) > half + rho:
-            return False, None
-        return True, _kantorovich(maj, center, _CERT_RADIUS * r, sigma, d)
+            return False, None, None
+        rk = _CERT_RADIUS * r  # stage 4: `_kantorovich` on D(center, rk)
+        x = a + rk
+        lr = (ddb * x**ek2 + ddn * x**en2 + ddc * x**em2) * rk  # M''(a + rk)rk
+        if lr < 0.5 * sigma and ad + (gamma * m0 + lr * rk) / sigma < 0.9 * rk:
+            return True, center + d, None
+        return True, None, (d, rho)
 
     return cell
 
@@ -406,7 +439,7 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
     stack = [(complex(h, h), h, 1), (complex(-h, h), h, 1)]
     while stack:
         center, half, depth = stack.pop()
-        kept, z1 = cell(center, half)
+        kept, z1, box = cell(center, half)
         if not kept:
             continue
         # A certified cell holds at most the one zero of its Kantorovich
@@ -426,10 +459,21 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
                 continue
         h2 = 0.5 * half
         d2 = depth + 1
-        stack.append((center + complex(h2, h2), h2, d2))
-        stack.append((center + complex(-h2, h2), h2, d2))
-        stack.append((center + complex(h2, -h2), h2, d2))
-        stack.append((center + complex(-h2, -h2), h2, d2))
+        # Push only the quarters center + o +- h2 that meet the Newton box
+        # center + d* +- rho, which holds every zero of the cell (module
+        # docstring); with no box, every quarter.
+        if box is None:
+            dx = dy = 0.0
+            reach = math.inf
+        else:
+            dx, dy, reach = box[0].real, box[0].imag, h2 + box[1]
+        for oy in (h2, -h2):
+            if abs(dy - oy) > reach:
+                continue
+            for ox in (h2, -h2):
+                if abs(dx - ox) > reach:
+                    continue
+                stack.append((center + complex(ox, oy), h2, d2))
 
     # Every centre is in the upper half, so no mirrored disk is nearer to
     # one than the disk itself.

@@ -11,6 +11,7 @@ from quadzero import (
     HarmonicQuadrinomial,
     count_bound,
     radius_bound,
+    radius_delta,
     radius_polynomial,
     sign_changes,
     deflate_at_one,
@@ -30,7 +31,7 @@ class TestRadiusBound:
         expected = bisect_root(deflate_at_one(poly), 2.0, 2.5)
         db = radius_bound(p)
         assert db.source is BoundSource.THM31
-        assert db.delta == pytest.approx(expected, abs=1e-10)
+        assert radius_delta(p) == pytest.approx(expected, abs=1e-10)
         assert db.radius == pytest.approx(1.4505401701440732, abs=1e-9)
 
     def test_small_c_route(self):
@@ -44,16 +45,16 @@ class TestRadiusBound:
         expected = bisect_root(q, 1.0, 2.0)
         db = radius_bound(p)
         assert db.source is BoundSource.THM32
-        assert db.delta == pytest.approx(expected, abs=1e-10)
+        assert radius_delta(p) == pytest.approx(expected, abs=1e-10)
         # frozen from the bisection oracle
-        assert db.delta == pytest.approx(1.3490344565611565, abs=1e-9)
+        assert radius_delta(p) == pytest.approx(1.3490344565611565, abs=1e-9)
 
     def test_fallback_when_analytic_degree_low(self):
         p = HarmonicQuadrinomial(b=0.0, c=3.0, k=1, n=3, m=2)
         db = radius_bound(p)
         assert db.source is BoundSource.FALLBACK_CAUCHY
         assert db.radius == pytest.approx((3.0 + math.sqrt(13.0)) / 2.0)
-        assert db.delta is None
+        assert radius_delta(p) is None
 
     def test_unavailable_when_degrees_tie_with_unit_b(self):
         p = HarmonicQuadrinomial(b=1.0, c=2.0, k=3, n=3, m=1)
@@ -90,7 +91,7 @@ class TestRadiusBound:
         last = 0.0
         for c in [1.5, 2.0, 3.0, 4.5, 7.0]:
             p = HarmonicQuadrinomial(b=1.3, c=c, k=5, n=3, m=1)
-            delta = radius_bound(p).delta
+            delta = radius_delta(p)
             assert delta > last
             last = delta
 
@@ -151,9 +152,10 @@ def test_majorant_positive_at_radius(p):
 def test_radius_never_exceeds_the_theorems(b, c, k, data):
     n = data.draw(st.integers(min_value=2, max_value=k - 1))
     m = data.draw(st.integers(min_value=1, max_value=n - 1))
-    disk = radius_bound(HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m))
+    p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
+    disk = radius_bound(p)
     assert disk.source in (BoundSource.THM31, BoundSource.THM32)
-    assert disk.radius <= max(1.0, disk.delta)
+    assert disk.radius <= max(1.0, radius_delta(p))
 
 
 class TestCountBound:

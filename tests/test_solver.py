@@ -60,19 +60,21 @@ def _abs_above(w):
     return _sqrt_above(w[0] * w[0] + w[1] * w[1])
 
 
-def _exact_stage_bounds(p, center, half):
+def _exact_stage_bounds(p, center, half, part=None):
     """Rational bounds for the closed cell center +- half, at the centre
     a = |center| and r = half*sqrt(2), each rounded up: M(a); the drop
     D1 = M(a + r) - M(a) of |q| across the cell that stage 1 bounds; the
     bracket M(a + r) - M(a) - M'(a)r that bounds the part of
     q(center + d) - q(center) beyond the linear part A(d) = h'd + conj(g'd);
     and dist2, where dist2(w) is the squared distance from w to A(square),
-    the parallelogram of the values A takes on the cell.
+    the parallelogram of the values A takes on the square of offsets: the
+    cell, or the sub-box o +- e of it given as part = (o, e).
 
     A zero center + d of the cell has -q(center) - R(d) = A(d), |R(d)| at
     most the bracket, so it needs dist2(-q(center)) <= bracket^2: stages 2
-    and 3 are sound where they drop only cells that break that.  The
-    bracket grows with a and r, so bounds above a and r bound it."""
+    and 3 are sound where they drop only cells that break that, and the
+    quadtree where it skips only quarters that break it.  The bracket
+    grows with a and r, so bounds above a and r bound it."""
 
     def power(w, e):
         out = (Fraction(1), Fraction(0))
@@ -101,16 +103,20 @@ def _exact_stage_bounds(p, center, half):
         x, y = gp[0] * d[0] - gp[1] * d[1], gp[0] * d[1] + gp[1] * d[0]
         return u + x, v - y
 
-    e = Fraction(half)
+    o, e = part or (0j, half)
+    ox, oy, e = Fraction(o.real), Fraction(o.imag), Fraction(e)
     # The images of the corners, in order around the square.
-    corners = [linear((sx * e, sy * e)) for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+    corners = [
+        linear((ox + sx * e, oy + sy * e))
+        for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1))
+    ]
     det = hp[0] ** 2 + hp[1] ** 2 - gp[0] ** 2 - gp[1] ** 2  # A's determinant
 
     def dist2(w):
         if det:  # w = A(x) for one x: inside when x lies in the square
             x = ((hp[0] - gp[0]) * w[0] + (hp[1] + gp[1]) * w[1]) / det
             y = ((gp[1] - hp[1]) * w[0] + (hp[0] + gp[0]) * w[1]) / det
-            if abs(x) <= e and abs(y) <= e:
+            if abs(x - ox) <= e and abs(y - oy) <= e:
                 return Fraction(0)
         best = None
         for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
@@ -149,6 +155,24 @@ def _count_work(monkeypatch):
     monkeypatch.setattr(solver, "_cell_test", counting_cell_test)
     monkeypatch.setattr(solver, "newton_step", counting_step)
     return work
+
+
+def _screened(half, box):
+    """The quarters o +- half/2, as (o, half/2) with o the offset from the
+    centre, of a cell of half-width half that the quadtree skips, given
+    its cell test's box: those that miss the Newton box d* +- rho on an
+    axis (solver module docstring)."""
+    if box is None:
+        return []
+    d, rho = box
+    h2 = 0.5 * half
+    reach = h2 + rho
+    return [
+        (complex(ox, oy), h2)
+        for oy in (h2, -h2)
+        for ox in (h2, -h2)
+        if abs(d.real - ox) > reach or abs(d.imag - oy) > reach
+    ]
 
 
 signs = st.sampled_from((-1.0, 1.0))
@@ -417,6 +441,29 @@ class TestOrientationBookkeeping:
                 assert rec.jacobian < 0
 
 
+# Instances whose cells around certified zeros are checked in rational
+# arithmetic; the last is near-singular (|c| near 1, m = 1).
+STAGE_CASES = [
+    (0.0, 0.0, 1, 3, 1),
+    (2.0, 3.0, 4, 3, 1),
+    (-1.051, -0.158, 5, 2, 1),
+    (1.4, -2.2, 5, 3, 2),
+    (0.5, 1.0, 4, 2, 1),
+    (4.768367665318943, -1.0014553254194767, 4, 3, 1),
+]
+
+
+def _cells_around(z0):
+    """Cells (center, half) of many sizes around z0: centred on it, off
+    it, and one beside it whose lower edge lies on the real axis, as the
+    quadtree's do."""
+    for decade in range(-14, 0):
+        half = 10.0**decade
+        for ox, oy in ((0.0, 0.0), (0.3, -0.7), (-0.9, 0.2)):
+            yield z0 + complex(ox, oy) * half, half
+        yield complex(z0.real + 0.4 * half, half), half
+
+
 class TestExclusion:
     @pytest.mark.parametrize(
         "b, c, k, n, m, lo, hi",
@@ -454,7 +501,7 @@ class TestExclusion:
         # Without the rounding margins either stage would prune the cell.
         assert abs(v) > drop
         assert abs(v) > drop2
-        kept, _ = _cell_test(p, maj)(center, half)
+        kept, _, _ = _cell_test(p, maj)(center, half)
         assert kept
 
     def test_second_order_stage_prunes_what_the_first_keeps(self):
@@ -467,7 +514,7 @@ class TestExclusion:
         a, r = abs(center), half * math.sqrt(2.0)
         m0, m1 = maj.value(a), maj.value(a + r)
         assert abs(evaluate(p, center)) - maj.gamma * m0 < m1 - m0
-        kept, z1 = _cell_test(p, maj)(center, half)
+        kept, z1, _ = _cell_test(p, maj)(center, half)
         assert not kept
         assert z1 is None
 
@@ -475,7 +522,7 @@ class TestExclusion:
         # The cell test's Newton iterate comes from the q, h' and g' it
         # evaluated for exclusion, by the formula newton_step uses.
         center = 0.7 + 0.7j  # 0.01 from the zero exp(i*pi/4) per axis
-        kept, z1 = _cell_test(CUBIC, _Majorant(CUBIC))(center, 0.01)
+        kept, z1, _ = _cell_test(CUBIC, _Majorant(CUBIC))(center, 0.01)
         assert kept
         assert z1 is not None
         assert z1 == newton_step(CUBIC, center)
@@ -505,7 +552,7 @@ class TestExclusion:
         a, r = abs(center), half * math.sqrt(2.0)
         bracket = maj.value(a + r) - maj.value(a) - maj.slope(a) * r
         assert abs(v) < (abs(fz) + abs(gz)) * r + bracket
-        kept, z1 = _cell_test(p, maj)(center, half)
+        kept, z1, _ = _cell_test(p, maj)(center, half)
         assert not kept
         assert z1 is None
 
@@ -533,6 +580,15 @@ class TestExclusion:
         assert work["cells"] <= cells
         assert steps is None or work["steps"] <= steps
 
+    def test_newton_box_screens_the_quarters(self, monkeypatch):
+        # A split cell pushes only the quarters its Newton box meets;
+        # pushing all four took 142 cell tests.
+        work = _count_work(monkeypatch)
+        report = find_zeros(HarmonicQuadrinomial(b=2.0, c=3.0, k=4, n=3, m=1))
+        assert report.n_certified == report.count == 6
+        assert report.winding_check == "passed"
+        assert work["cells"] <= 100
+
     @pytest.mark.parametrize(
         "p, depth",
         [
@@ -550,21 +606,29 @@ class TestExclusion:
         # The cell test takes its cell as given, with no slack for rounded
         # centres, so every (center, half) the solver tests must be exact:
         # each cell below the roots is, in rational arithmetic, a quarter
-        # of a tested cell whose four quarters are all tested, and the two
-        # roots tile [-R', R'] x [0, R'].  By induction the tested cells
-        # tile their parents exactly, down to the deepest, at the floor or,
-        # for the last instance, at _MAX_DEPTH, which sets R''s bits.
-        tested = []
+        # of a tested cell, the two roots tile [-R', R'] x [0, R'], and
+        # each of a split cell's four quarters is either tested or
+        # screened out by the cell's Newton box, never both.  By induction
+        # the tested and screened cells tile their parents exactly, down
+        # to the deepest, at the floor or, for the last instance, at
+        # _MAX_DEPTH, which sets R''s bits.
+        tested, screened = [], set()
         real = solver._cell_test
+
+        def exact(center, half):
+            return Fraction(center.real), Fraction(center.imag), Fraction(half)
 
         def recording(p, maj):
             cell = real(p, maj)
 
             def wrapped(center, half):
-                tested.append(
-                    (Fraction(center.real), Fraction(center.imag), Fraction(half))
-                )
-                return cell(center, half)
+                x, y, e = exact(center, half)
+                tested.append((x, y, e))
+                result = cell(center, half)
+                for o, h2 in _screened(half, result[2]):
+                    ox, oy, e2 = exact(o, h2)
+                    screened.add((x + ox, y + oy, e2))
+                return result
 
             return wrapped
 
@@ -574,6 +638,7 @@ class TestExclusion:
         assert [t for t in tested if t[2] == h] == [(-h, h, h), (h, h, h)]
         cells = set(tested)
         assert len(cells) == len(tested)
+        assert screened
         quarters = {}
         for x, y, half in cells:
             if half == h:
@@ -584,21 +649,17 @@ class TestExclusion:
             ]
             parent = [t for t in parents if t in cells]
             assert len(parent) == 1, (x, y, half)
-            quarters[parent[0]] = quarters.get(parent[0], 0) + 1
-        assert set(quarters.values()) == {4}
+            quarters.setdefault(parent[0], set()).add((x, y, half))
+        for (x, y, half), children in quarters.items():
+            four = {
+                (x + sx * half / 2, y + sy * half / 2, half / 2)
+                for sx in (-1, 1) for sy in (-1, 1)
+            }
+            assert not children & screened, (x, y, half)
+            assert children | (four & screened) == four, (x, y, half)
         assert max(2 * h / half for _, _, half in tested) == 2**depth
 
-    @pytest.mark.parametrize(
-        "b, c, k, n, m",
-        [
-            (0.0, 0.0, 1, 3, 1),
-            (2.0, 3.0, 4, 3, 1),
-            (-1.051, -0.158, 5, 2, 1),
-            (1.4, -2.2, 5, 3, 2),
-            (0.5, 1.0, 4, 2, 1),
-            (4.768367665318943, -1.0014553254194767, 4, 3, 1),
-        ],
-    )
+    @pytest.mark.parametrize("b, c, k, n, m", STAGE_CASES)
     def test_stage_bounds_cover_the_exact_drops(self, monkeypatch, b, c, k, n, m):
         # The cell test is fed chosen values v of q at the centre, each a
         # multiple t of a fixed direction; t is the least |v| at which it
@@ -648,25 +709,49 @@ class TestExclusion:
             return Fraction(v.real), Fraction(v.imag)
 
         for z0 in zeros:
-            for decade in range(-14, 0):
-                half = 10.0**decade
-                centers = [
-                    z0 + complex(ox, oy) * half
-                    for ox, oy in ((0.0, 0.0), (0.3, -0.7), (-0.9, 0.2))
-                ]
-                centers.append(complex(z0.real + 0.4 * half, half))
-                for center in centers:
-                    m0, d1, bracket, dist2 = _exact_stage_bounds(p, center, half)
-                    fed["derivative"] = complex(math.inf)
-                    t1 = least_dropped(1.0)[0]
-                    assert t1 - gamma * m0 > d1, (z0, center, half)
-                    fed["derivative"] = None
-                    for u in directions:
-                        v = least_dropped(u)
-                        assert (
-                            v[0] ** 2 + v[1] ** 2 > (d1 + gamma * m0) ** 2
-                            or dist2((-v[0], -v[1])) > (bracket + gamma * m0) ** 2
-                        ), (z0, center, half, u)
+            for center, half in _cells_around(z0):
+                m0, d1, bracket, dist2 = _exact_stage_bounds(p, center, half)
+                fed["derivative"] = complex(math.inf)
+                t1 = least_dropped(1.0)[0]
+                assert t1 - gamma * m0 > d1, (z0, center, half)
+                fed["derivative"] = None
+                for u in directions:
+                    v = least_dropped(u)
+                    assert (
+                        v[0] ** 2 + v[1] ** 2 > (d1 + gamma * m0) ** 2
+                        or dist2((-v[0], -v[1])) > (bracket + gamma * m0) ** 2
+                    ), (z0, center, half, u)
+
+    @pytest.mark.parametrize("b, c, k, n, m", STAGE_CASES)
+    def test_screened_quarters_hold_no_zero(self, b, c, k, n, m):
+        # A split cell pushes only the quarters that its Newton box
+        # center + d* +- rho meets.  Each quarter it skips must rule out a
+        # zero in rational arithmetic: the distance from -q(center) to
+        # A(quarter), less the rounding bound gamma*M(a) of q(center),
+        # exceeds the bracket.  A zero at the centre lies on a corner of
+        # every quarter, so there rho alone keeps its quarters.  The
+        # cell's stage 4 is `_kantorovich` on the same Newton update.
+        p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
+        zeros = [rec.location for rec in find_zeros(p).zeros if rec.certified]
+        maj = _Majorant(p)
+        gamma = Fraction(maj.gamma)
+        cell = _cell_test(p, maj)
+        screened = 0
+        for z0 in zeros:
+            for center, half in _cells_around(z0):
+                v, fz, gz = _jet(p, center)
+                kept, z1, box = cell(center, half)
+                sigma = maj.margin(center, fz, gz)
+                if kept and sigma > 0:
+                    d = solver._newton_update(v, fz, gz)
+                    r = solver._CERT_RADIUS * (half * solver._SQRT2)
+                    assert z1 == solver._kantorovich(maj, center, r, sigma, d)
+                w = (-Fraction(v.real), -Fraction(v.imag))
+                for part in _screened(half, box):
+                    m0, _, bracket, dist2 = _exact_stage_bounds(p, center, half, part)
+                    assert dist2(w) > (bracket + gamma * m0) ** 2, (center, half, part)
+                    screened += 1
+        assert screened
 
 
 class TestMirror:
@@ -991,7 +1076,7 @@ def test_cells_holding_a_certified_zero_are_kept(p, offsets):
                 ):
                     continue  # the cell does not hold D(z0, e)
                 tested += 1
-                kept, _ = cell(center, half)
+                kept, _, _ = cell(center, half)
                 assert kept, (z0, center, half)
     if report.n_certified:
         assert tested > 0

@@ -60,21 +60,27 @@ class CountBound:
     branch: CountBranch
 
 
+def _theorem(p: HarmonicQuadrinomial) -> Optional[BoundSource]:
+    """THM31 (|c| > 1) or THM32 (|c| <= 1) where Theorems 3.1/3.2 apply,
+    b != 0, c != 0 and k > n; else None."""
+    if p.b == 0.0 or p.c == 0.0 or not p.k > p.n:
+        return None
+    return BoundSource.THM31 if abs(p.c) > 1.0 else BoundSource.THM32
+
+
 def radius_polynomial(p: HarmonicQuadrinomial) -> tuple[RealPoly, BoundSource]:
     """The undeflated radius equation for instances meeting b,c != 0, k > n.
 
     Both variants vanish identically at x = 1 by construction (the middle
     coefficient is minus the sum of the outer two).
     """
-    if p.b == 0.0 or p.c == 0.0 or not p.k > p.n:
+    source = _theorem(p)
+    if source is None:
         raise HypothesisViolation(
             "Theorems 3.1/3.2 require b != 0, c != 0 and k > n"
         )
-    bb, cc = abs(p.b), abs(p.c)
-    if cc > 1.0:
-        const, source = cc, BoundSource.THM31
-    else:
-        const, source = 1.0, BoundSource.THM32
+    bb = abs(p.b)
+    const = abs(p.c) if source is BoundSource.THM31 else 1.0
     coeffs = [const] + [0.0] * (p.k - 1) + [-(bb + const), bb]
     return RealPoly(tuple(coeffs)), source
 
@@ -128,16 +134,17 @@ def radius_bound(p: HarmonicQuadrinomial) -> DiskBound:
     gamma = 4.0 * (poly.degree + 2) * _UNIT_ROUNDOFF
     size = RealPoly(tuple(abs(a) for a in poly.coeffs))
     radius = first_true(lambda x: poly(x) > gamma * size(x), 1.0)
-    if p.b == 0.0 or p.c == 0.0 or not p.k > p.n:
-        return DiskBound(radius, BoundSource.FALLBACK_CAUCHY, winding)
-    return DiskBound(radius, radius_polynomial(p)[1], winding)
+    source = _theorem(p)
+    if source is None:
+        source = BoundSource.FALLBACK_CAUCHY
+    return DiskBound(radius, source, winding)
 
 
 def radius_delta(p: HarmonicQuadrinomial) -> Optional[float]:
     """delta, the non-unit positive root of the paper's radius equation
     (Theorems 3.1/3.2), or None where they do not apply (b = 0, c = 0 or
     k <= n); `radius_bound` says which theorem as its source."""
-    if p.b == 0.0 or p.c == 0.0 or not p.k > p.n:
+    if _theorem(p) is None:
         return None
     return positive_root_bracketed(deflate_at_one(radius_polynomial(p)[0]))
 

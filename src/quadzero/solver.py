@@ -83,14 +83,20 @@ Where stage 3 keeps a cell that stage 4 does not certify, every zero of
 the cell lies in the Newton box center + d* +- rho (both axes), so a
 split pushes only the quarters, offsets o = (+-e/2, +-e/2) from the
 centre, whose boxes o +- e/2 meet it: a quarter with
-|Re d* - Re o| > e/2 + rho, or the same for Im, holds no zero.  The one
-rounding beyond stage 3's, of Re d* - Re o, is at most
-u|Re d* - Re o| <= u(3e/2 + rho) up to O(u^2), since stage 3 kept the
-cell.  What rho's own roundings leave of its second gamma*m1/sigma, at
-least 14u*m1/sigma, covers it with no further term: u*rho is at most
-about u*m1/sigma, and convexity gives m1 = M(a + r) >= M(a) + M'(a)r >=
-sigma*r, with sigma at most M'(a) up to rounding and r = sqrt(2)e, so
-u*3e/2 < u*m1/sigma.
+|Re d* - Re o| > e/2 + rho, or the same for Im, holds no zero.  The
+screen adds two roundings to stage 3's, of the difference Re d* - Re o
+and of the sum h2 + rho, h2 = e/2.  Stage 3 kept the cell, so
+|Re d*| <= e + rho, and together they take at most
+u(|Re d* - Re o| + h2 + rho) <= u(2e + 2rho) up to O(u^2).  Convexity
+gives m1 = M(a + r) >= M(a) + M'(a)r >= sigma*r, sigma at most M'(a) up
+to rounding, so 2e = sqrt(2)r <= sqrt(2)*m1/sigma.  Likewise m0 + d0 and
+|v| are at most about m1, so rho <= (1 + O(gamma))m1/sigma +
+gamma*M'(a)|d*|/sigma, and the two roundings take at most
+(sqrt(2) + 2 + O(u))u*m1/sigma + 2u*gamma*M'(a)|d*|/sigma.  What rho's
+own roundings leave of its second gamma*m1/sigma, at least
+14u*m1/sigma, covers the first part; what its gamma*M'(a)|d*|/sigma
+leaves over d*'s rounding, at least 3u*M'(a)|d*|/sigma, covers the
+second.  No further term is needed.
 
 The origin (q(0) = 0 exactly, so its run starts from a last step of 0
 and stays), then each kept cell, makes one undamped Newton run, from the
@@ -271,10 +277,7 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
     half*`_corner_gain` at the worse corner, half*(1 + i) or
     half*(1 - i), and allows 2*gamma*M'(a)r for the rounding of h', g'
     and that value.  Stage 3 runs where the margin sigma is positive and
-    shares its Newton update with stage 4 (module docstring).  The
-    closure computes M(a), M(a + r), M'(a) and stage 4's `_kantorovich`
-    inline, by the same operations as `_Majorant`'s methods and that
-    function, so it computes the same floats.
+    shares its Newton update with stage 4 (module docstring).
 
     kept is False when the cell provably holds no zero; z1 is the
     Kantorovich iterate when the disk of radius `_CERT_RADIUS`*r at the
@@ -282,11 +285,7 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
     when stage 3 kept the cell and stage 4 did not certify it: every zero
     of the cell lies within rho of center + d*.  Else it is None.
     """
-    b, c, k, n, m, gamma = maj.b, maj.c, maj.k, maj.n, maj.m, maj.gamma
-    db, dc, ddb, ddc, ddn = maj.db, maj.dc, maj.ddb, maj.ddc, maj.ddn
-    ek1, en1, em1 = k - 1, n - 1, m - 1  # the exponents of M'
-    ek2, en2, em2 = k - 2, n - 2, m - 2  # and of M''
-    margin = maj.margin
+    value, slope, gamma = maj.value, maj.slope, maj.gamma
 
     def cell(
         center: complex, half: float
@@ -294,35 +293,29 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
         v = evaluate(p, center)
         a = abs(center)
         r = half * _SQRT2
-        m0 = b * a**k + a**n + c * a**m + a  # M(a)
-        x = a + r
-        m1 = b * x**k + x**n + c * x**m + x  # M(a + r)
+        m0 = value(a)
+        m1 = value(a + r)
         lower = abs(v) - gamma * m0  # |q(center)| is at least this
         if lower > m1 - m0 + gamma * (m1 + m0):
             return False, None, None
         fz = analytic_derivative(p, center)
         gz = coanalytic_derivative(p, center)
-        s0 = db * a**ek1 + 1.0 + n * a**en1 + dc * a**em1  # M'(a)
+        s0 = slope(a)
         d0 = s0 * r
         drop = half * _corner_gain(fz, gz) + 2.0 * gamma * s0 * r + (m1 - m0 - d0)
         if lower > drop + gamma * (m1 + m0 + d0):
             return False, None, None
-        sigma = margin(center, fz, gz)
+        sigma = maj.margin(center, fz, gz)
         if not sigma > 0:
             return True, None, None
         d = _newton_update(v, fz, gz)
-        ad = abs(d)
         # The offset d of any zero in the cell has |d - d*| <= rho.
-        slack = 2.0 * (m1 + m0 + d0) + s0 * ad + abs(v)
+        slack = 2.0 * (m1 + m0 + d0) + s0 * abs(d) + abs(v)
         rho = (m1 - m0 - d0 + gamma * slack) / sigma
         if max(abs(d.real), abs(d.imag)) > half + rho:
             return False, None, None
-        rk = _CERT_RADIUS * r  # stage 4: `_kantorovich` on D(center, rk)
-        x = a + rk
-        lr = (ddb * x**ek2 + ddn * x**en2 + ddc * x**em2) * rk  # M''(a + rk)rk
-        if lr < 0.5 * sigma and ad + (gamma * m0 + lr * rk) / sigma < 0.9 * rk:
-            return True, center + d, None
-        return True, None, (d, rho)
+        z1 = _kantorovich(maj, center, _CERT_RADIUS * r, sigma, d)
+        return True, z1, None if z1 is not None else (d, rho)
 
     return cell
 

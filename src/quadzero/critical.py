@@ -66,10 +66,16 @@ def critical_radius(b: float, c: float, k: int) -> CriticalCircle:
 
 
 def critical_radius_alt(b: float, c: float, k: int) -> float:
-    """Algebraically identical second closed form, kept for cross-checking."""
+    """`critical_radius(b, c, k).radius` by an algebraically identical
+    second closed form, kept for cross-checking; 0.0 where no circle
+    exists, and the same errors."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
     if abs(b) == 1.0:
         raise BEqualsOne("Theorem 3.4 requires b ≠ ±1")
     ratio = (c * c - 1.0) / (b * b - 1.0)
+    if ratio <= 0.0:
+        return 0.0
     return (1.0 / k) ** (1.0 / (k - 1)) * ratio ** (1.0 / (2 * k - 2))
 
 

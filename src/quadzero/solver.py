@@ -25,7 +25,8 @@ at most once each and
 4. else keeps it when a Kantorovich test at the centre, with L = M'',
    proves that a disk around it holds exactly one zero, or at depth
    `_FLOOR_DEPTH`; it splits the cell otherwise, into the quarters that
-   stage 3's Newton box meets, or all four where stage 3 did not run.
+   stage 3's Newton box meets.  Where stage 3 did not run, the box is
+   the whole plane, 0 +- inf, and meets all four.
 
 Stage 2 reads the square, not the disk |d| <= r around it, where |A|
 reaches (|h'| + |g'|)r.  |A| is convex and A(-d) = -A(d), so over the cell,
@@ -98,15 +99,16 @@ own roundings leave of its second gamma*m1/sigma, at least
 leaves over d*'s rounding, at least 3u*M'(a)|d*|/sigma, covers the
 second.  No further term is needed.
 
-The origin (q(0) = 0 exactly, so its run starts from a last step of 0
-and stays), then each kept cell, makes one undamped Newton run, from the
-test's iterate or, at the floor and past it, from the centre.  It stops
-before a step not shorter than the last (NaN and divergence included),
-after a step of at most the unit roundoff times max(1, |z|), where
-`_Majorant.margin` is not positive or after `_NEWTON_CAP` steps.  It is
-dropped, before each step and at its end, when it or its mirror image
-lies inside the disk of any zero found (each kept with its centre folded
-into the upper half).  Entering a certified D(w, r) it would converge
+The origin, then each kept cell, makes one undamped Newton run, from the
+test's iterate or, at the floor and past it, from the centre.  q(0) = 0
+exactly, so the origin's run starts from a last step of 0 and takes no
+step.  A run tests each point it reaches once, and stops there: dropped,
+when the point or its mirror image lies inside the disk of any zero found
+(each kept with its centre folded into the upper half); after
+`_NEWTON_CAP` steps; after a step of at most the unit roundoff times
+max(1, |z|); where `_Majorant.margin` is not positive; or before a step
+not shorter than the last (NaN and divergence included).  Entering a
+certified D(w, r) it would converge
 to its zero zeta: r <= min(s/3, sigma/(4L)), s = max(1, |w|),
 sigma = `_Majorant.margin` at w, at most the Jacobian's least singular
 value there, and L = M''(|w| + s) its Lipschitz bound on D(w, 3r), so
@@ -247,15 +249,21 @@ def _kantorovich(
     return None
 
 
-def _kantorovich_step(
-    maj: _Majorant, z0: complex, r: float, v: complex, fz: complex, gz: complex
-) -> Optional[complex]:
-    """`_kantorovich` at z0 with radius r, given q, h' and g' there as v,
-    fz and gz."""
-    sigma = maj.margin(z0, fz, gz)
-    if sigma > 0:
-        return _kantorovich(maj, z0, r, sigma, _newton_update(v, fz, gz))
-    return None
+def _certify(
+    maj: _Majorant, z: complex, v: complex, fz: complex, gz: complex
+) -> tuple[float, Optional[complex]]:
+    """(r, z1) at a run's last point z, given q, h' and g' there as v, fz
+    and gz: the radius r = min(s/3, sigma/(4*M''(|z| + s))), s = max(1, |z|)
+    and sigma = `_Majorant.margin` at z (module docstring), and
+    `_kantorovich`'s iterate for D(z, r), or None.  kappa <= 1/4 on that
+    disk, so at a converged z the test passes unless the Jacobian is
+    singular within rounding; then sigma and r are not positive."""
+    sigma = maj.margin(z, fz, gz)
+    s = max(1.0, abs(z))
+    r = min(s / 3.0, sigma / (4.0 * maj.curvature(abs(z) + s)))
+    if not sigma > 0:
+        return r, None
+    return r, _kantorovich(maj, z, r, sigma, _newton_update(v, fz, gz))
 
 
 def _corner_gain(hp: complex, gp: complex) -> float:
@@ -283,7 +291,8 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
     Kantorovich iterate when the disk of radius `_CERT_RADIUS`*r at the
     centre provably holds exactly one zero, else None.  box is (d*, rho)
     when stage 3 kept the cell and stage 4 did not certify it: every zero
-    of the cell lies within rho of center + d*.  Else it is None.
+    of the cell lies within rho of center + d*.  It is (0j, inf) when
+    stage 3 did not run, and None when the cell is dropped or certified.
     """
     value, slope, gamma = maj.value, maj.slope, maj.gamma
 
@@ -307,7 +316,7 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
             return False, None, None
         sigma = maj.margin(center, fz, gz)
         if not sigma > 0:
-            return True, None, None
+            return True, None, (0j, math.inf)
         d = _newton_update(v, fz, gz)
         # The offset d of any zero in the cell has |d - d*| <= rho.
         slack = 2.0 * (m1 + m0 + d0) + s0 * abs(d) + abs(v)
@@ -318,19 +327,6 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
         return True, z1, None if z1 is not None else (d, rho)
 
     return cell
-
-
-def _certificate_radius(
-    maj: _Majorant, z: complex, fz: complex, gz: complex
-) -> float:
-    """Kantorovich radius at a converged z with h'(z) = fz, g'(z) = gz:
-    kappa <= 1/4 on D(z, r) with sigma = `_Majorant.margin`, so the test
-    passes there unless the Jacobian is singular within rounding; then
-    sigma and r are not positive.  r <= s/3, s = max(1, |z|): see the
-    module docstring."""
-    sigma = maj.margin(z, fz, gz)
-    s = max(1.0, abs(z))
-    return min(s / 3.0, sigma / (4.0 * maj.curvature(abs(z) + s)))
 
 
 def _mirror(
@@ -352,7 +348,10 @@ def _mirror(
         if y > 0.05 * r:  # D(Re w, r + y) covers D(w, r) and is its own mirror
             x = complex(w.real, 0.0)
             fz, gz = analytic_derivative(p, x), coanalytic_derivative(p, x)
-            if _kantorovich_step(maj, x, r + y, evaluate(p, x), fz, gz) is None:
+            sigma = maj.margin(x, fz, gz)
+            if not sigma > 0 or _kantorovich(
+                maj, x, r + y, sigma, _newton_update(evaluate(p, x), fz, gz)
+            ) is None:
                 o = OrientationClass.SINGULAR  # zeta may or may not be real
     elif y >= r:
         return [(z1, o), (z1.conjugate(), o)]
@@ -388,12 +387,16 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         return None
 
     def settle(z: complex, step: float) -> Optional[tuple]:
-        """The module docstring's run from z; returns the found entry whose
-        disk dropped it, if one did."""
-        for _ in range(_NEWTON_CAP):
+        """The module docstring's run from z, whose last step was `step`;
+        returns the found entry whose disk dropped it, if one did."""
+        for taken in range(_NEWTON_CAP + 1):
             hit = known(z)
-            if hit:
+            if hit:  # dropped as known
                 return hit
+            # The step cap, or the rounding floor: a last step of at most
+            # the unit roundoff times max(1, |z|).
+            if taken == _NEWTON_CAP or step <= _UNIT_ROUNDOFF * max(1.0, abs(z)):
+                break
             try:
                 z1 = newton_step(p, z)
             except DegenerateJacobian:
@@ -402,17 +405,11 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
             if not d < step:  # NaN fails it too
                 break
             z, step = z1, d
-            if d <= _UNIT_ROUNDOFF * max(1.0, abs(z)):
-                break
-        hit = known(z)
-        if hit:
-            return hit
         if z.imag < 0:  # its mirror image is as good a result: keep it folded
             z = z.conjugate()
         fz, gz = analytic_derivative(p, z), coanalytic_derivative(p, z)
-        r = _certificate_radius(maj, z, fz, gz)
         v = evaluate(p, z)
-        z1 = _kantorovich_step(maj, z, r, v, fz, gz)
+        r, z1 = _certify(maj, z, v, fz, gz)
         rho = 1e-7 * max(1.0, abs(z))  # an uncertified zero's disk
         if z1 is not None:  # sigma > 0: the margin is positive
             found.append((z, r, z1, maj.orientation(z, fz, gz)))
@@ -454,12 +451,8 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         d2 = depth + 1
         # Push only the quarters center + o +- h2 that meet the Newton box
         # center + d* +- rho, which holds every zero of the cell (module
-        # docstring); with no box, every quarter.
-        if box is None:
-            dx = dy = 0.0
-            reach = math.inf
-        else:
-            dx, dy, reach = box[0].real, box[0].imag, h2 + box[1]
+        # docstring).
+        dx, dy, reach = box[0].real, box[0].imag, h2 + box[1]
         for oy in (h2, -h2):
             if abs(dy - oy) > reach:
                 continue

@@ -41,14 +41,30 @@ class TestCriticalRadius:
         assert not critical_radius(2.0, 0.5, 3).exists
 
     def test_closed_form_equivalence(self):
+        # Where no circle exists, c^2 - 1 and b^2 - 1 of opposite signs or
+        # c = 1, both forms give 0.0.
         for k in range(2, 7):
             for b in (0.2, 0.5, 1.5, 2.0, 5.0):
-                for c in (0.3, 0.8, 1.2, 2.5, 4.0):
-                    if (c * c - 1.0) / (b * b - 1.0) <= 0:
-                        continue
+                for c in (0.3, 0.8, 1.0, 1.2, 2.5, 4.0):
                     cc = critical_radius(b, c, k)
                     alt = critical_radius_alt(b, c, k)
                     assert abs(cc.radius - alt) <= 1e-12 * alt
+                    assert (alt > 0) == cc.exists
+
+    @pytest.mark.parametrize(
+        "b, c, k, error",
+        [
+            (2.0, 0.5, 1, ValueError),
+            (2.0, 3.0, 1, ValueError),
+            (1.0, 3.0, 2, BEqualsOne),
+            (-1.0, 0.5, 3, BEqualsOne),
+        ],
+    )
+    def test_closed_forms_raise_alike(self, b, c, k, error):
+        with pytest.raises(error):
+            critical_radius(b, c, k)
+        with pytest.raises(error):
+            critical_radius_alt(b, c, k)
 
 
 class TestRays:

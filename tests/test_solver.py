@@ -19,13 +19,7 @@ from quadzero import (
 from quadzero import solver
 from quadzero.errors import BoundUnavailable, DegenerateJacobian
 from quadzero.model import analytic_derivative, coanalytic_derivative
-from quadzero.solver import (
-    _Majorant,
-    _cell_test,
-    _corner_gain,
-    _certificate_radius,
-    _kantorovich_step,
-)
+from quadzero.solver import _Majorant, _cell_test, _certify, _corner_gain
 
 CUBIC = HarmonicQuadrinomial(b=0.0, c=0.0, k=1, n=3, m=1)  # conj(z)^3 + z
 CUBIC_SINGULAR_RADIUS = 9.0 ** (-0.25)  # CUBIC's |h'| = |g'| = 1 on |z| = 3^(-1/2)
@@ -518,6 +512,23 @@ class TestExclusion:
         assert not kept
         assert z1 is None
 
+    def test_cell_without_a_margin_keeps_a_whole_cell_box(self):
+        # conj(z)^2 + z has h' = 1 and g' = 2z, so |h'| = |g'| on
+        # |z| = 1/2 and the margin at the centre 0.5j is -gamma*M'(1/2):
+        # stages 3 and 4 cannot run.  The cell is kept with a box that
+        # covers all of it, so a split pushes all four quarters.
+        p = HarmonicQuadrinomial(b=0.0, c=0.0, k=1, n=2, m=1)
+        maj = _Majorant(p)
+        center, half = 0.5j, 0.25
+        _, fz, gz = _jet(p, center)
+        assert abs(fz) == abs(gz) == 1.0
+        assert maj.margin(center, fz, gz) < 0
+        kept, z1, box = _cell_test(p, maj)(center, half)
+        assert kept
+        assert z1 is None
+        assert box is not None
+        assert _screened(half, box) == []
+
     def test_cell_iterate_is_newton_step(self):
         # The cell test's Newton iterate comes from the q, h' and g' it
         # evaluated for exclusion, by the formula newton_step uses.
@@ -834,10 +845,11 @@ class TestCertification:
         # radius reads the margin, so it is not positive where
         # classify_point calls the point singular.
         z = complex(math.nextafter(math.sqrt(1 / 3), 1.0), 0.0)
-        _, fz, gz = _jet(CUBIC, z)
+        v, fz, gz = _jet(CUBIC, z)
         assert abs(abs(fz) - abs(gz)) > 0
         assert classify_point(CUBIC, z) is OrientationClass.SINGULAR
-        assert _certificate_radius(_Majorant(CUBIC), z, fz, gz) <= 0
+        r, _ = _certify(_Majorant(CUBIC), z, v, fz, gz)
+        assert r <= 0
 
     def test_near_unit_b_cliff(self):
         # k = n with |b| -> 1: the disk radius is 17.32 here.
@@ -1021,9 +1033,8 @@ def test_certified_disks_hold_one_reported_zero(p):
         preserving = rec.orientation is OrientationClass.SENSE_PRESERVING
         assert rec.jacobian > 0 if preserving else rec.jacobian < 0
         assert classify_point(p, rec.location) is rec.orientation
-        v, fz, gz = _jet(p, rec.location)
-        r = _certificate_radius(maj, rec.location, fz, gz)
-        assert _kantorovich_step(maj, rec.location, r, v, fz, gz) is not None
+        r, z1 = _certify(maj, rec.location, *_jet(p, rec.location))
+        assert z1 is not None
         others = [o for o in report.zeros if o is not rec]
         assert all(abs(o.location - rec.location) >= r for o in others)
     if report.bound is not None and report.bound.upper_is_proven:
@@ -1053,8 +1064,7 @@ def test_cells_holding_a_certified_zero_are_kept(p, offsets):
             continue
         z0 = rec.location
         v, fz, gz = _jet(p, z0)
-        r = _certificate_radius(maj, z0, fz, gz)
-        z1 = _kantorovich_step(maj, z0, r, v, fz, gz)
+        r, z1 = _certify(maj, z0, v, fz, gz)
         assert z1 is not None
         sigma = maj.margin(z0, fz, gz)
         e = 2.0 * (abs(z1 - z0) + maj.gamma * maj.value(abs(z0)) / sigma)

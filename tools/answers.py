@@ -1,0 +1,81 @@
+"""Prints find_zeros's answers, one line per case, so that two source trees
+can be compared with diff.
+
+    PYTHONPATH=<tree>/src python tools/answers.py > answers.txt
+
+Each line holds the case's parameters b,c,k,n,m, then count, n_plus,
+n_minus, n_singular, winding_check and repr(disk.radius), then every
+zero's repr location and orientation; a case that raises prints the
+exception's class name instead.  The cases are perfbench's batch and
+degenerate pools (read from perfbench/workloads.py, not changed), the
+tiny-|b| families and the q(1) = J(1) = 0 family.  The last two lines
+are the md5 of the criterion-9 sweep CSV, as `quadzero sweep` prints it,
+at 1 and at 2 workers.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
+
+from quadzero import HarmonicQuadrinomial, find_zeros  # noqa: E402
+from quadzero.cli import main as cli_main  # noqa: E402
+from quadzero.errors import QuadzeroError  # noqa: E402
+
+CRITERION_9 = [
+    "sweep", "--b-range", "0.5:3:20", "--c-range=-2:2:20",
+    "--k", "3", "--n", "2", "--m", "1",
+]
+
+
+def cases() -> list[tuple]:
+    """(b, c, k, n, m) per case, in a fixed order."""
+    out = workloads.batch_pool(720) + workloads.degenerate_pool()
+    # R = 1/|b| up to 1e16: zeros at their own scale, far and near.
+    for c, k, n, m in ((2.0, 4, 3, 1), (0.5, 6, 5, 2), (-3.0, 5, 2, 1)):
+        out += [(10.0**-e, c, k, n, m) for e in range(4, 17)]
+    # q(1) = 0 with c = -2 - b, and J(1) = (bk + 1)^2 - (n + cm)^2 = 0
+    # with b(k +- m) = +-(n - 2m) - 1: a singular zero at 1.
+    for k in range(1, 9):
+        for n in range(2, 9):
+            for m in range(1, n):
+                for sign in (1, -1):
+                    if k + sign * m:
+                        b = (sign * (n - 2 * m) - 1) / (k + sign * m)
+                        out.append((b, -2.0 - b, k, n, m))
+    return out
+
+
+def answer(params: tuple) -> str:
+    try:
+        r = find_zeros(HarmonicQuadrinomial(*params))
+    except QuadzeroError as exc:
+        return f"{workloads.case_key(params)} {type(exc).__name__}"
+    zeros = " ".join(f"{z.location!r}:{z.orientation.name}" for z in r.zeros)
+    return (
+        f"{workloads.case_key(params)} {r.count} {r.n_plus} {r.n_minus} "
+        f"{r.n_singular} {r.winding_check} {r.disk.radius!r} {zeros}"
+    )
+
+
+def sweep_md5(workers: int) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main([*CRITERION_9, "--threads", str(workers)])
+    if code != 0:
+        raise SystemExit(f"criterion-9 sweep exited {code}")
+    return hashlib.md5(out.getvalue().encode()).hexdigest()
+
+
+if __name__ == "__main__":
+    for params in cases():
+        print(answer(params))
+    for workers in (1, 2):
+        print(f"criterion-9 csv md5 threads={workers} {sweep_md5(workers)}")

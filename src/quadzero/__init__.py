@@ -16,7 +16,6 @@ from .contour import Circle, Rectangle, WindingReport, winding_number
 from .critical import (
     CriticalCircle,
     CriticalCircleReport,
-    b0_orientation_inequality,
     circle_image,
     critical_radius,
     critical_radius_alt,
@@ -68,7 +67,6 @@ __all__ = [
     "ZeroRecord",
     "ZeroSetReport",
     "analytic_derivative",
-    "b0_orientation_inequality",
     "circle_image",
     "classify_point",
     "coanalytic_derivative",

@@ -1,11 +1,13 @@
-"""The critical circle separating orientation classes (n = k > m = 1 case).
+"""Theorem 3.4's critical circle of the n = k, m = 1 family.
 
-On the rays where z^k * conj(z) is pure imaginary, |omega(z)| = 1 exactly
-on the circle of radius ((c^2-1)/(k^2(b^2-1)))^(1/(2k-2)); inside/outside
-that circle the dilatation modulus drops below / rises above 1.  Also
-provides the local-univalence radius of the analytic part, the b = 0
-orientation inequality, and the exploratory circle-image and modular-root
-census outputs.
+On the 2(k-1) rays where z^k * conj(z) is pure imaginary, |h'| = |g'| on
+the circle |z| = ((c^2-1)/(k^2(b^2-1)))^(1/(2k-2)), and q's orientation
+flips across it.  The claims below rest on `model`'s rounding model
+(`_Majorant`), as the solver's do; this module sets no tolerance.
+`verify_theorem_34` proves, on every ray, opposite orientations on the
+two sides of the circle; `modular_root_census` places each certified
+zero whose Kantorovich disk misses the circle.  The two closed forms of
+the radius, `univalence_radius` and `circle_image` are plain formulas.
 """
 
 from __future__ import annotations
@@ -16,13 +18,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BEqualsOne, BZero, HypothesisViolation
-from .model import HarmonicQuadrinomial, dilatation, evaluate
-from .solver import ZeroSetReport, find_zeros
-
-_ON_TOL = 1e-9  # largest | |omega| - 1 | accepted on the critical circle
-_OFF_TOL = 1e-6  # | |omega| - 1 | must exceed this at 1.1x the radius
-_EQ_TOL = 1e-12  # relative band where the b = 0 inequality reads "eq"
-_CENSUS_BAND = 1e-6  # | |z| - radius | at most this counts as on the circle
+from .model import HarmonicQuadrinomial, OrientationClass, _Majorant, evaluate
+from .model import analytic_derivative, classify_point, coanalytic_derivative
+from .solver import ZeroRecord, ZeroSetReport, find_zeros
+from .solver import _kantorovich, _newton_update
 
 
 @dataclass(frozen=True)
@@ -35,17 +34,26 @@ class CriticalCircle:
 @dataclass(frozen=True)
 class RayCheck:
     angle: float
-    omega_abs_on: float  # |omega| at radius * e^{i angle}
-    omega_abs_off: float  # |omega| at 1.1 * radius * e^{i angle}
+    inside: OrientationClass  # classify_point at radius/1.1 * e^{i angle}
+    on: OrientationClass  # at radius * e^{i angle}
+    outside: OrientationClass  # at 1.1 * radius * e^{i angle}
 
 
 @dataclass(frozen=True)
 class CriticalCircleReport:
     circle: CriticalCircle
     checks: tuple[RayCheck, ...]
-    max_on_deviation: float
-    min_off_deviation: float
     passed: bool
+
+
+def _circle_ratio(b: float, c: float, k: int) -> float:
+    """(c^2 - 1)/(b^2 - 1): the circle exists where it is positive.
+    Raises ValueError for k < 2 and BEqualsOne for |b| = 1."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if abs(b) == 1.0:
+        raise BEqualsOne("Theorem 3.4 requires b ≠ ±1")
+    return (c * c - 1.0) / (b * b - 1.0)
 
 
 def critical_radius(b: float, c: float, k: int) -> CriticalCircle:
@@ -54,11 +62,7 @@ def critical_radius(b: float, c: float, k: int) -> CriticalCircle:
     The circle exists iff (c^2 - 1)/(b^2 - 1) > 0; c^2 = 1 makes the
     radius degenerate to 0 and is reported as non-existent.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if abs(b) == 1.0:
-        raise BEqualsOne("Theorem 3.4 requires b ≠ ±1")
-    ratio = (c * c - 1.0) / (b * b - 1.0)
+    ratio = _circle_ratio(b, c, k)
     if ratio <= 0.0:
         return CriticalCircle(0.0, k, False)
     radius = (ratio / (k * k)) ** (1.0 / (2 * k - 2))
@@ -69,11 +73,7 @@ def critical_radius_alt(b: float, c: float, k: int) -> float:
     """`critical_radius(b, c, k).radius` by an algebraically identical
     second closed form, kept for cross-checking; 0.0 where no circle
     exists, and the same errors."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if abs(b) == 1.0:
-        raise BEqualsOne("Theorem 3.4 requires b ≠ ±1")
-    ratio = (c * c - 1.0) / (b * b - 1.0)
+    ratio = _circle_ratio(b, c, k)
     if ratio <= 0.0:
         return 0.0
     return (1.0 / k) ** (1.0 / (k - 1)) * ratio ** (1.0 / (2 * k - 2))
@@ -91,11 +91,14 @@ def pure_imaginary_rays(k: int) -> list[float]:
 
 
 def verify_theorem_34(b: float, c: float, k: int) -> CriticalCircleReport:
-    """Check |omega| = 1 on every ray-circle intersection, and != 1 at 1.1x.
+    """`classify_point` on each pure-imaginary ray at radius/1.1, at the
+    circle and at 1.1 * radius.  `passed` when every circle point is
+    SINGULAR, |h'| = |g'| within rounding, and on every ray the two others
+    have proven, opposite orientations: the circle separates them.  Where
+    |b| or |c| is within rounding of 1, the flip is too, and it fails.
 
-    The converse spot-check samples only ray points: the equivalence is
-    stated under the pure-imaginary hypothesis, so off-ray points are out
-    of scope.
+    Only ray points are sampled: the theorem is stated under the
+    pure-imaginary hypothesis, so off-ray points are out of scope.
     """
     circle = critical_radius(b, c, k)
     if not circle.exists:
@@ -104,21 +107,19 @@ def verify_theorem_34(b: float, c: float, k: int) -> CriticalCircleReport:
             f"(b={b}, c={c}, k={k})"
         )
     p = HarmonicQuadrinomial(b=b, c=c, k=k, n=k, m=1)
-    checks = []
-    for theta in pure_imaginary_rays(k):
-        ray = cmath.exp(1j * theta)
-        on = abs(dilatation(p, circle.radius * ray))
-        off = abs(dilatation(p, 1.1 * circle.radius * ray))
-        checks.append(RayCheck(theta, on, off))
-    max_on = max(abs(ch.omega_abs_on - 1.0) for ch in checks)
-    min_off = min(abs(ch.omega_abs_off - 1.0) for ch in checks)
-    return CriticalCircleReport(
-        circle=circle,
-        checks=tuple(checks),
-        max_on_deviation=max_on,
-        min_off_deviation=min_off,
-        passed=(max_on <= _ON_TOL and min_off > _OFF_TOL),
+    radii = (circle.radius / 1.1, circle.radius, 1.1 * circle.radius)
+    checks = tuple(
+        RayCheck(theta, *(classify_point(p, s * cmath.exp(1j * theta)) for s in radii))
+        for theta in pure_imaginary_rays(k)
     )
+    singular = OrientationClass.SINGULAR
+    passed = all(
+        ch.on is singular
+        and singular not in (ch.inside, ch.outside)
+        and ch.inside is not ch.outside
+        for ch in checks
+    )
+    return CriticalCircleReport(circle, checks, passed)
 
 
 def univalence_radius(b: float, k: int) -> tuple[float, list[complex]]:
@@ -141,33 +142,6 @@ def univalence_radius(b: float, k: int) -> tuple[float, list[complex]]:
     return radius, points
 
 
-def b0_orientation_inequality(c: float, n: int, m: int, z: complex) -> str:
-    """Compare 2 Re z^(n-m) against the printed b = 0 threshold expression.
-
-    Implements the source formula verbatim, including the |z|^(2(n-1))
-    exponent in the middle term (a direct expansion of |g'|^2 < 1 suggests
-    2(n-m); the two coincide when m = 1).  Diagnostic only: orientation
-    truth is classify_point.
-    """
-    if c == 0.0:
-        raise ValueError("c must be nonzero")
-    if m > 1 and z == 0:
-        raise ValueError("z must be nonzero when m > 1")
-    lhs = 2.0 * (z ** (n - m)).real
-    r = abs(z)
-    rhs = (
-        r ** (2 * (1 - m)) / (c * m * n)
-        - n * r ** (2 * (n - 1)) / (c * m)
-        - c * m / n
-    )
-    scale = max(1.0, abs(lhs), abs(rhs))
-    if lhs < rhs - _EQ_TOL * scale:
-        return "lt"
-    if lhs > rhs + _EQ_TOL * scale:
-        return "gt"
-    return "eq"
-
-
 def circle_image(
     p: HarmonicQuadrinomial, circle_radius: float, samples: int
 ) -> list[complex]:
@@ -184,11 +158,34 @@ def circle_image(
     return pts
 
 
+def _zero_disk(p: HarmonicQuadrinomial, maj: _Majorant, rec: ZeroRecord) -> float:
+    """r for a disk D(z, r) about the record's location z that provably
+    holds exactly one zero, or inf where none is proven.  q(0) = 0 exactly,
+    so r = 0 at the origin.  Elsewhere r = 2(|d*| + gamma*M(|z|)/sigma),
+    twice the first Newton step's bound in `_kantorovich` (sigma the margin,
+    d* the Newton update at z): the test then passes where kappa < 0.4.
+    An uncertified record, which may stand for several zeros, has none."""
+    if not rec.certified:
+        return math.inf
+    z = rec.location
+    if z == 0:
+        return 0.0
+    fz, gz = analytic_derivative(p, z), coanalytic_derivative(p, z)
+    sigma = maj.margin(z, fz, gz)
+    if not sigma > 0:
+        return math.inf
+    d = _newton_update(evaluate(p, z), fz, gz)
+    r = 2.0 * (abs(d) + maj.gamma * maj.value(abs(z)) / sigma)
+    return r if _kantorovich(maj, z, r, sigma, d) is not None else math.inf
+
+
 def modular_root_census(
     p: HarmonicQuadrinomial, report: Optional[ZeroSetReport] = None
 ) -> tuple[int, int, int]:
-    """(on-circle, inside, outside) partition of the zeros of q by the
-    critical circle; exploratory output for the open root-census question.
+    """(on, inside, outside): the zeros of q placed by the critical circle;
+    exploratory output for the open root-census question.  A zero is
+    inside or outside when its disk D(z, r) (`_zero_disk`) is, by
+    |z| + r < radius or |z| - r > radius.  "On" counts the zeros not placed.
 
     The circle (Theorem 3.4) belongs to the n = k, m = 1 family only;
     HypothesisViolation for any other family, or where it does not exist.
@@ -202,13 +199,14 @@ def modular_root_census(
         raise HypothesisViolation("critical circle does not exist")
     if report is None:
         report = find_zeros(p)
+    maj = _Majorant(p)
     on = inside = outside = 0
     for rec in report.zeros:
-        d = abs(rec.location) - circle.radius
-        if abs(d) <= _CENSUS_BAND:
-            on += 1
-        elif d < 0:
+        a, r = abs(rec.location), _zero_disk(p, maj, rec)
+        if a + r < circle.radius:
             inside += 1
-        else:
+        elif a - r > circle.radius:
             outside += 1
+        else:
+            on += 1
     return on, inside, outside

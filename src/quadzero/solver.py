@@ -115,10 +115,10 @@ value there, and L = M''(|w| + s) its Lipschitz bound on D(w, 3r), so
 |zeta - w| < 0.9r, sigma_zeta > 3sigma/4 and each y in the disk has
 |y - zeta| < 1.9r < sigma/(2L) < 2sigma_zeta/(3L), Newton's local
 convergence radius.
-A floor run that is dropped in a certified disk which does not cover its
-cell has found that disk's zero, not the cell's: the cell may hold
-another.  Such a cell is split as above the floor, and its kept children
-make runs of their own, down to depth `_MAX_DEPTH`.  A run dropped in an
+A floor run that is dropped in a certified disk has found that disk's
+zero, not necessarily the cell's: the cell may hold another.  Such a
+cell is split as above the floor, and its kept children make runs of
+their own, down to depth `_MAX_DEPTH`.  A run dropped in an
 uncertified disk, as at a singular origin, splits nothing.
 A run's last point z is certified by the Kantorovich test centred at z
 and reported at the test's Newton iterate.  The test's sigma is the
@@ -386,13 +386,13 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
                 return entry
         return None
 
-    def settle(z: complex, step: float) -> Optional[tuple]:
+    def settle(z: complex, step: float) -> bool:
         """The module docstring's run from z, whose last step was `step`;
-        returns the found entry whose disk dropped it, if one did."""
+        True when a certified zero's disk dropped it."""
         for taken in range(_NEWTON_CAP + 1):
             hit = known(z)
             if hit:  # dropped as known
-                return hit
+                return hit[3] is not singular
             # The step cap, or the rounding floor: a last step of at most
             # the unit roundoff times max(1, |z|).
             if taken == _NEWTON_CAP or step <= _UNIT_ROUNDOFF * max(1.0, abs(z)):
@@ -415,7 +415,7 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
             found.append((z, r, z1, maj.orientation(z, fz, gz)))
         elif step <= rho and abs(v) <= 4.0 * maj.gamma * maj.value(abs(z)):
             found.append((z, rho, z, singular))
-        return None
+        return False
 
     settle(0j, 0.0)  # q(0) = 0: every term has z or zbar
     # Quadtree over [-R', R'] x [0, R'], the upper half of a square that
@@ -438,14 +438,9 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
             settle(z1, math.inf)
             continue
         if depth >= _FLOOR_DEPTH:
-            hit = settle(center, math.inf)
-            # A run dropped in a certified disk that leaves part of the
-            # cell uncovered says nothing of the rest: split past the floor.
-            if depth >= _MAX_DEPTH or not hit or hit[3] is singular:
-                continue
-            w, r = hit[0], hit[1]
-            if math.hypot(abs(center.real - w.real) + half,
-                          abs(center.imag - w.imag) + half) < r:
+            # A run dropped in a certified disk says nothing of the rest of
+            # the cell: split past the floor.
+            if not settle(center, math.inf) or depth >= _MAX_DEPTH:
                 continue
         h2 = 0.5 * half
         d2 = depth + 1

@@ -10,14 +10,16 @@ b-row and one per ``_MIN_CELLS_PER_WORKER`` cells, and with one it
 starts no pool.
 
 A pool must earn its start-up.  On a 2-vCPU Linux VM (Python 3.11,
-``k=3 n=2 m=1``, about 2 ms a cell) an empty 2-worker pool costs 13-16 ms
-under fork and 110-180 ms under forkserver, its server included, and a
-forked worker's first row runs up to twice as slow as in this process.
-Two workers then match one at about 100 cells under fork in a process
-that has solved before (about 20 in a fresh one) and at about 150 under
-forkserver; at 400 cells they take 0.55-0.7 of the serial time.  Hence
-48 cells a worker: a 16-cell grid runs in this process and a 100-cell
-one on two workers.
+``k=3 n=2 m=1``, about 0.9 ms a cell) an empty 2-worker pool costs
+13-16 ms under fork and 110-180 ms under forkserver, its server
+included, and a forked worker's first row runs up to twice as slow as in
+this process.  Under fork, in a process that has solved before, two
+workers take a median 0.8-1.15 of the serial wall time at 100 cells
+(three sets of 20 to 40 runs), 0.66-0.70 at 196 and 0.62-0.68 at 400:
+they match one at about 100 cells.  Under forkserver they take 2.1 of it
+at 100 cells, 1.26 at 196 and 0.78 at 400 (10 runs each).  Hence 48 cells
+a worker: a 16-cell grid runs in this process and a 100-cell one on two
+workers.
 
 Workers start by the platform's default method.  Where that is ``spawn``
 (Windows, macOS) or ``forkserver`` (Linux from Python 3.14), each worker

@@ -157,6 +157,19 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["orientation"] == "sense-reversing"
 
+    def test_no_dilatation_where_h_prime_vanishes(self, capsys):
+        # h'(z) = 2z + 1 = 0 at z = -1/2, where g'(z) = 2 conj(z) = -1.
+        code, out, _ = run(
+            capsys,
+            ["classify", "--b", "1", "--c", "0", "--k", "2", "--n", "2",
+             "--m", "1", "--re", "-0.5"],
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["dilatation_abs"] is None
+        assert doc["jacobian"] == -1.0
+        assert doc["orientation"] == "sense-reversing"
+
     @pytest.mark.parametrize(
         "params", ["2,1.0000000000001,3,3,1", "0.5,1.0000000000001,4,2,1"]
     )
@@ -208,6 +221,12 @@ class TestWinding:
         assert out == ""
         assert "--rect" in err and "loRe,loIm,hiRe,hiIm" in err
 
+    def test_no_contour_exits_2(self, capsys):
+        code, out, err = run(capsys, ["winding", *QUINTET])
+        assert code == 2
+        assert out == ""
+        assert err == "quadzero: winding needs --radius or --rect\n"
+
 
 class TestCriticalCircle:
     def test_worked_example(self, capsys):
@@ -254,7 +273,8 @@ class TestConfigFile:
     def test_flags_override_config(self, capsys, tmp_path):
         cfgfile = tmp_path / "quad.cfg"
         cfgfile.write_text(
-            "b = 0.5\nc = 2\nk = 4\nn = 2\n m = 1  # trailing comment\n"
+            "# a comment line\nb = 0.5\nc = 2\n\n"
+            "k = 4\nn = 2\n m = 1  # trailing comment\n"
         )
         code, out_cfg, _ = run(capsys, ["radius", "--config", str(cfgfile)])
         assert code == 0
@@ -437,6 +457,16 @@ class TestSweep:
         assert code == 2
         assert "lo:hi:steps" in err
 
+    def test_zero_steps_exits_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["sweep", "--b-range", "0:1:0", "--c-range", "1:2:2",
+             "--k", "4", "--n", "2", "--m", "1"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "--b-range" in err and "steps must be >= 1" in err
+
     def test_unwritable_svg_path_exits_2(self, capsys, tmp_path):
         svg = tmp_path / "no" / "such" / "dir" / "s.svg"
         code, out, err = run(
@@ -451,8 +481,8 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "threads",
-        [["--threads", "0"], ["--threads", "-2"]],
-        ids=["flag-0", "flag-negative"],
+        [["--threads", "0"], ["--threads", "-2"], ["--threads", "two"]],
+        ids=["flag-0", "flag-negative", "flag-text"],
     )
     def test_threads_below_one_is_usage_error(self, capsys, threads):
         code, out, err = run(
@@ -493,6 +523,7 @@ def test_overflow_exits_3(capsys, argv):
     "argv, flag",
     [
         (["classify", *QUINTET, "--re", "nan"], "--re"),
+        (["radius", "--b", "abc", *QUINTET[2:]], "--b"),
         (["critical-circle", "--b", "2", "--c", "nan", "--k", "3"], "--c"),
         (["winding", *QUINTET, "--radius", "inf"], "--radius"),
         (["circle-image", *QUINTET, "--radius=-inf"], "--radius"),
@@ -500,13 +531,22 @@ def test_overflow_exits_3(capsys, argv):
         (["sweep", "--b-range", "0:inf:2", "--c-range", "2:2:1",
           "--k", "4", "--n", "3", "--m", "1"], "--b-range"),
     ],
-    ids=["re", "critical-circle", "winding", "circle-image", "rect", "b-range"],
+    ids=["re", "b-text", "critical-circle", "winding", "circle-image", "rect",
+         "b-range"],
 )
 def test_non_finite_number_exits_2(capsys, argv, flag):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert f"argument {flag}: " in err and "not a finite number" in err
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["none", "unknown"])
+def test_missing_or_unknown_subcommand_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: quadzero")
 
 
 @pytest.mark.parametrize(

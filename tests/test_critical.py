@@ -12,6 +12,7 @@ from quadzero import (
     ZeroRecord,
     analytic_derivative,
     circle_image,
+    classify_point,
     critical_radius,
     critical_radius_alt,
     find_zeros,
@@ -82,6 +83,10 @@ class TestRays:
             [math.pi / 4, 3 * math.pi / 4, 5 * math.pi / 4, 7 * math.pi / 4]
         )
 
+    def test_k_below_2_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            pure_imaginary_rays(1)
+
     def test_count_and_pure_imaginarity(self):
         for k in range(2, 7):
             rays = pure_imaginary_rays(k)
@@ -151,6 +156,10 @@ class TestUnivalenceRadius:
         with pytest.raises(BZero):
             univalence_radius(0.0, 3)
 
+    def test_k_below_2_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            univalence_radius(1.0, 1)
+
     def test_h_prime_vanishes_at_returned_points(self):
         for b in (0.5, -1.2, 3.0):
             for k in (2, 3, 5):
@@ -199,6 +208,7 @@ class TestModularRootCensus:
             report = find_zeros(p)
             on, inside, outside = modular_root_census(p, report=report)
             assert on + inside + outside == report.count
+            assert modular_root_census(p) == (on, inside, outside)
 
     @pytest.mark.parametrize(
         "p",
@@ -229,6 +239,18 @@ class TestModularRootCensus:
         p = HarmonicQuadrinomial(b=2.0, c=3.0, k=2, n=2, m=1)
         report = find_zeros(p)
         rec = ZeroRecord(location=0j, residual=0.0, jacobian=0.0, orientation=SINGULAR)
+        one = dataclasses.replace(report, zeros=(rec,), count=1)
+        assert modular_root_census(p, report=one) == (1, 0, 0)
+
+    def test_record_without_a_margin_is_not_placed(self):
+        # A record that claims an orientation at a point of the critical
+        # circle, where classify_point finds no margin, has no disk.
+        p = HarmonicQuadrinomial(b=2.0, c=3.0, k=2, n=2, m=1)
+        z = critical_radius(2.0, 3.0, 2).radius * 1j
+        assert classify_point(p, z) is SINGULAR
+        report = find_zeros(p)
+        rec = ZeroRecord(location=z, residual=0.0, jacobian=0.0,
+                         orientation=OrientationClass.SENSE_PRESERVING)
         one = dataclasses.replace(report, zeros=(rec,), count=1)
         assert modular_root_census(p, report=one) == (1, 0, 0)
 

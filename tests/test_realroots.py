@@ -27,6 +27,19 @@ class TestRealPoly:
         with pytest.raises(ZeroPolynomial):
             poly(0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "coeffs, error, message",
+        [
+            ((), ZeroPolynomial, "empty"),
+            ((math.nan,), ValueError, "finite"),
+            ((1.0, 0.0), ValueError, "leading coefficient"),
+        ],
+        ids=["empty", "nan", "untrimmed"],
+    )
+    def test_constructor_rejects(self, coeffs, error, message):
+        with pytest.raises(error, match=message):
+            RealPoly(coeffs)
+
     def test_horner_evaluation(self):
         p = poly(3.0, 0.0, -5.0, 0.0, 0.0, 2.0)  # 2x^5 - 5x^2 + 3
         assert p(1.0) == pytest.approx(0.0)

@@ -34,9 +34,17 @@ reaches (|h'| + |g'|)r.  |A| is convex and A(-d) = -A(d), so over the cell,
 e(1 + i) or e(1 - i).
 |A(d)|^2 = (|h'|^2 + |g'|^2)|d|^2 + 2 Re(h'g'd^2), and d^2 = +-2ie^2 at
 those corners, so the maximum is e*G with
-G = sqrt(2(|h'|^2 + |g'|^2 + 2|Im(h'g')|)), `_corner_gain`.  It never
+G = sqrt(2(|h'|^2 + |g'|^2 + 2|Im(h'g')|)), the corner gain.  It never
 exceeds (|h'| + |g'|)r and is sqrt(2) smaller where h'g' is real, as
 near the singular origin of |c| = 1, m = 1, where h' ~ 1 and g' ~ c.
+
+The cell test, `_cell_test`, is one flat function for speed: it inlines
+`_Majorant.value`, `slope`, `margin` and `curvature`, the corner gain,
+`_newton_update` and `_kantorovich`, and calls only q, h' and g'.  Each
+inlined helper keeps its float expressions, operands and order, so the
+cell answers bitwise as their composition does; tests/test_solver.py's
+`TestFlatCell` checks that against a reference cell built from the
+helpers.
 
 Exclusion is certified under rounding too (`model`'s rounding bounds):
 |q(c)| is lowered by gamma*M(a), stage 2 allows 2*gamma*M'(a)r for h'
@@ -266,14 +274,6 @@ def _certify(
     return r, _kantorovich(maj, z, r, sigma, _newton_update(v, fz, gz))
 
 
-def _corner_gain(hp: complex, gp: complex) -> float:
-    """sqrt(2(|h'|^2 + |g'|^2 + 2|Im(h'g')|)) for h' = hp and g' = gp: the
-    largest |h'd + conj(g'd)| over the square |Re d|, |Im d| <= 1, reached
-    at the corner 1 + i or 1 - i (module docstring)."""
-    u, w = abs(hp), abs(gp)
-    return math.sqrt(2.0 * (u * u + w * w + 2.0 * abs((hp * gp).imag)))
-
-
 def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
     """The quadtree's cell test for p, stages 1 to 4 of the module
     docstring: cell(center, half) is (kept, z1, box) for the closed cell
@@ -281,11 +281,11 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
     gives as exact floats.
 
     Stages 1, 3 and 4 take r = half*`_SQRT2`, at least half*sqrt(2) after
-    rounding.  Stage 2 bounds the linear term by its value
-    half*`_corner_gain` at the worse corner, half*(1 + i) or
-    half*(1 - i), and allows 2*gamma*M'(a)r for the rounding of h', g'
-    and that value.  Stage 3 runs where the margin sigma is positive and
-    shares its Newton update with stage 4 (module docstring).
+    rounding.  Stage 2 bounds the linear term by its value half*G at the
+    worse corner, half*(1 + i) or half*(1 - i), and allows
+    2*gamma*M'(a)r for the rounding of h', g' and that value.  Stage 3
+    runs where the margin sigma is positive and shares its Newton update
+    with stage 4 (module docstring).
 
     kept is False when the cell provably holds no zero; z1 is the
     Kantorovich iterate when the disk of radius `_CERT_RADIUS`*r at the
@@ -293,38 +293,69 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
     when stage 3 kept the cell and stage 4 did not certify it: every zero
     of the cell lies within rho of center + d*.  It is (0j, inf) when
     stage 3 did not run, and None when the cell is dropped or certified.
+
+    The cell is one flat function: it inlines `_Majorant.value` (M(a),
+    M(a + r)), `_Majorant.slope` (M'(a), computed once and read by the
+    margin too), `_Majorant.margin`, the corner gain G, `_newton_update`
+    and `_kantorovich` with `_Majorant.curvature`.  Each keeps its float
+    expressions, operands and evaluation order; a shared subexpression is
+    reused only where left-to-right evaluation forms it anyway, so the
+    answers are bitwise those of the helpers composed, which
+    tests/test_solver.py's `TestFlatCell` checks against its reference
+    cell.  q, h' and g' stay calls, read from this module's globals when
+    the factory runs, so a test or a tracer that replaces them there
+    reaches the cell.
     """
-    value, slope, gamma = maj.value, maj.slope, maj.gamma
+    q, hprime, gprime = evaluate, analytic_derivative, coanalytic_derivative
+    b, c, k, n, m = maj.b, maj.c, maj.k, maj.n, maj.m
+    kd, nd, md = k - 1, n - 1, m - 1  # exponents of M'
+    kdd, ndd, mdd = k - 2, n - 2, m - 2  # and of M''
+    db, dc, ddb, ddn, ddc = maj.db, maj.dc, maj.ddb, maj.ddn, maj.ddc
+    gamma = maj.gamma
+    gamma2 = 2.0 * gamma
+    sqrt, inf = math.sqrt, math.inf
 
     def cell(
         center: complex, half: float
     ) -> tuple[bool, Optional[complex], Optional[tuple[complex, float]]]:
-        v = evaluate(p, center)
+        v = q(p, center)
         a = abs(center)
         r = half * _SQRT2
-        m0 = value(a)
-        m1 = value(a + r)
-        lower = abs(v) - gamma * m0  # |q(center)| is at least this
-        if lower > m1 - m0 + gamma * (m1 + m0):
+        x = a + r
+        m0 = b * a**k + a**n + c * a**m + a  # M(a)
+        m1 = b * x**k + x**n + c * x**m + x  # M(a + r)
+        av = abs(v)
+        lower = av - gamma * m0  # |q(center)| is at least this
+        diff, total = m1 - m0, m1 + m0
+        if lower > diff + gamma * total:
             return False, None, None
-        fz = analytic_derivative(p, center)
-        gz = coanalytic_derivative(p, center)
-        s0 = slope(a)
+        fz = hprime(p, center)
+        gz = gprime(p, center)
+        s0 = db * a**kd + 1.0 + n * a**nd + dc * a**md  # M'(a)
         d0 = s0 * r
-        drop = half * _corner_gain(fz, gz) + 2.0 * gamma * s0 * r + (m1 - m0 - d0)
-        if lower > drop + gamma * (m1 + m0 + d0):
+        bracket = diff - d0
+        total += d0
+        u, w = abs(fz), abs(gz)
+        gain = sqrt(2.0 * (u * u + w * w + 2.0 * abs((fz * gz).imag)))
+        if lower > half * gain + gamma2 * s0 * r + bracket + gamma * total:
             return False, None, None
-        sigma = maj.margin(center, fz, gz)
+        sigma = abs(u - w) - gamma * s0
         if not sigma > 0:
-            return True, None, (0j, math.inf)
-        d = _newton_update(v, fz, gz)
+            return True, None, (0j, inf)
+        gzb = gz.conjugate()
+        j = (fz.real**2 + fz.imag**2) - (gzb.real**2 + gzb.imag**2)
+        d = (gzb * v.conjugate() - fz.conjugate() * v) / j
+        ad = abs(d)
         # The offset d of any zero in the cell has |d - d*| <= rho.
-        slack = 2.0 * (m1 + m0 + d0) + s0 * abs(d) + abs(v)
-        rho = (m1 - m0 - d0 + gamma * slack) / sigma
+        rho = (bracket + gamma * (2.0 * total + s0 * ad + av)) / sigma
         if max(abs(d.real), abs(d.imag)) > half + rho:
             return False, None, None
-        z1 = _kantorovich(maj, center, _CERT_RADIUS * r, sigma, d)
-        return True, z1, None if z1 is not None else (d, rho)
+        rc = _CERT_RADIUS * r
+        x = a + rc
+        lr = (ddb * x**kdd + ddn * x**ndd + ddc * x**mdd) * rc  # kappa = lr/sigma
+        if lr < 0.5 * sigma and ad + (gamma * m0 + lr * rc) / sigma < 0.9 * rc:
+            return True, center + d, None
+        return True, None, (d, rho)
 
     return cell
 

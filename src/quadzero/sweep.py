@@ -10,7 +10,8 @@ b-row and one per ``_MIN_CELLS_PER_WORKER`` cells, and with one it
 starts no pool.
 
 A pool must earn its start-up.  On a 2-vCPU Linux VM (Python 3.11,
-``k=3 n=2 m=1``, about 0.9 ms a cell) an empty 2-worker pool costs
+``k=3 n=2 m=1``, about 0.9 ms a cell when these figures were taken, 0.8
+since the cell test was flattened) an empty 2-worker pool costs
 13-16 ms under fork and 110-180 ms under forkserver, its server
 included, and a forked worker's first row runs up to twice as slow as in
 this process.  Under fork, in a process that has solved before, two

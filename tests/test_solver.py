@@ -1,7 +1,9 @@
 import cmath
+import importlib.util
 import math
 import struct
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,7 +21,7 @@ from quadzero import (
 from quadzero import solver
 from quadzero.errors import BoundUnavailable, DegenerateJacobian
 from quadzero.model import analytic_derivative, coanalytic_derivative
-from quadzero.solver import _Majorant, _cell_test, _certify, _corner_gain
+from quadzero.solver import _Majorant, _cell_test, _certify
 
 CUBIC = HarmonicQuadrinomial(b=0.0, c=0.0, k=1, n=3, m=1)  # conj(z)^3 + z
 CUBIC_SINGULAR_RADIUS = 9.0 ** (-0.25)  # CUBIC's |h'| = |g'| = 1 on |z| = 3^(-1/2)
@@ -151,6 +153,76 @@ def _count_work(monkeypatch):
     return work
 
 
+def _corner_gain(hp, gp):
+    """sqrt(2(|h'|^2 + |g'|^2 + 2|Im(h'g')|)) for h' = hp and g' = gp: the
+    largest |h'd + conj(g'd)| over the square |Re d|, |Im d| <= 1, reached
+    at the corner 1 + i or 1 - i (solver module docstring)."""
+    u, w = abs(hp), abs(gp)
+    return math.sqrt(2.0 * (u * u + w * w + 2.0 * abs((hp * gp).imag)))
+
+
+def _reference_cell(p, maj):
+    """The cell test composed from its helpers, `_Majorant.value`, `slope`
+    and `margin`, `_corner_gain`, `solver._newton_update` and
+    `solver._kantorovich`, as the solver's docstrings state it; q, h' and
+    g' are read from the solver module when the cell runs.  The solver's
+    flat cell must give bitwise the same (kept, z1, box)."""
+    value, slope, gamma = maj.value, maj.slope, maj.gamma
+
+    def cell(center, half):
+        v = solver.evaluate(p, center)
+        a = abs(center)
+        r = half * solver._SQRT2
+        m0 = value(a)
+        m1 = value(a + r)
+        lower = abs(v) - gamma * m0
+        if lower > m1 - m0 + gamma * (m1 + m0):
+            return False, None, None
+        fz = solver.analytic_derivative(p, center)
+        gz = solver.coanalytic_derivative(p, center)
+        s0 = slope(a)
+        d0 = s0 * r
+        drop = half * _corner_gain(fz, gz) + 2.0 * gamma * s0 * r + (m1 - m0 - d0)
+        if lower > drop + gamma * (m1 + m0 + d0):
+            return False, None, None
+        sigma = maj.margin(center, fz, gz)
+        if not sigma > 0:
+            return True, None, (0j, math.inf)
+        d = solver._newton_update(v, fz, gz)
+        slack = 2.0 * (m1 + m0 + d0) + s0 * abs(d) + abs(v)
+        rho = (m1 - m0 - d0 + gamma * slack) / sigma
+        if max(abs(d.real), abs(d.imag)) > half + rho:
+            return False, None, None
+        z1 = solver._kantorovich(maj, center, solver._CERT_RADIUS * r, sigma, d)
+        return True, z1, None if z1 is not None else (d, rho)
+
+    return cell
+
+
+def _bits(result):
+    """A cell test's (kept, z1, box) with every float as its bit pattern,
+    so that -0.0 and NaN compare exactly."""
+
+    def f(x):
+        return struct.pack("<d", x)
+
+    kept, z1, box = result
+    return (
+        kept,
+        None if z1 is None else (f(z1.real), f(z1.imag)),
+        None if box is None else (f(box[0].real), f(box[0].imag), f(box[1])),
+    )
+
+
+def _workloads():
+    """perfbench/workloads.py, the benchmark's seeded instance pools."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _screened(half, box):
     """The quarters o +- half/2, as (o, half/2) with o the offset from the
     centre, of a cell of half-width half that the quadtree skips, given
@@ -261,7 +333,10 @@ def test_newton_step_refuses_exactly_the_singular_points(p, z):
 )
 def test_newton_updates_follow_a_positive_margin(monkeypatch, p):
     # Every caller reads the margin at h' and g' and takes the Newton
-    # update with those same values only where it is positive.
+    # update with those same values only where it is positive.  The
+    # callers here are newton_step, _certify and _mirror; the cell test
+    # inlines both helpers, and TestFlatCell checks that path against
+    # `_reference_cell`, which calls them.
     last = {}
     calls = []
     real_margin, real_update = _Majorant.margin, solver._newton_update
@@ -757,6 +832,110 @@ class TestExclusion:
                     assert dist2(w) > (bracket + gamma * m0) ** 2, (center, half, part)
                     screened += 1
         assert screened
+
+
+def _pool(name):
+    """The instances of a named pool: STAGE_CASES, perfbench's
+    degenerate pool, or the first 100 of its batch pool."""
+    if name == "stage":
+        params = STAGE_CASES
+    elif name == "degenerate":
+        params = _workloads().degenerate_pool()
+    else:
+        params = _workloads().batch_pool(100)
+    return [HarmonicQuadrinomial(*t) for t in params]
+
+
+class TestFlatCell:
+    """The solver's cell test inlines its helpers; it must answer bitwise
+    as `_reference_cell`, their composition, does."""
+
+    @pytest.mark.parametrize("pool", ["stage", "degenerate", "batch"])
+    def test_every_tested_cell_matches_the_reference(self, monkeypatch, pool):
+        # Through the factory seam: each cell find_zeros tests is also put
+        # to the reference, and the two answers must agree bit for bit.
+        # (kept, certified) per cell: dropped, split and certified all occur.
+        seen = set()
+        real = solver._cell_test
+
+        def checking(p, maj):
+            flat, ref = real(p, maj), _reference_cell(p, maj)
+
+            def cell(center, half):
+                out = flat(center, half)
+                assert _bits(out) == _bits(ref(center, half)), (p, center, half)
+                seen.add((out[0], out[1] is not None))
+                return out
+
+            return cell
+
+        monkeypatch.setattr(solver, "_cell_test", checking)
+        for p in _pool(pool):
+            find_zeros(p)
+        assert seen == {(False, False), (True, False), (True, True)}, seen
+
+    @pytest.mark.parametrize("b, c, k, n, m", STAGE_CASES)
+    def test_thresholds_match_the_reference(self, monkeypatch, b, c, k, n, m):
+        # The cells find_zeros keeps, fed values v of q at the centre along
+        # fixed directions: at the least |v| where the reference stops
+        # certifying the cell and where it drops it, and at the float
+        # below each, the two answers agree bit for bit.  A change of any
+        # bound, even by gamma*(M(a + r) - M(a)), moves a threshold by
+        # many floats, so it shows here where the cells of a real tree
+        # may not reach it.
+        p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
+        maj = _Majorant(p)
+        kept = []
+        real = solver._cell_test
+
+        def recording(p, maj):
+            cell = real(p, maj)
+
+            def wrapped(center, half):
+                out = cell(center, half)
+                if out[0]:
+                    kept.append((center, half))
+                return out
+
+            return wrapped
+
+        monkeypatch.setattr(solver, "_cell_test", recording)
+        find_zeros(p)
+        fed = {"v": 0j}
+        monkeypatch.setattr(solver, "evaluate", lambda p, z: fed["v"])
+        flat, ref = real(p, maj), _reference_cell(p, maj)
+        top = struct.unpack("<q", struct.pack("<d", 1e300))[0]
+        probed = 0
+
+        def feed(i, u):  # non-negative floats order as their bit patterns
+            t = struct.unpack("<d", struct.pack("<q", i))[0]
+            fed["v"] = complex(t * u.real, t * u.imag)
+
+        def stage(i, u, center, half):  # 0 certified, 1 split, 2 dropped
+            feed(i, u)
+            kept, z1, _ = ref(center, half)
+            return 2 if not kept else 0 if z1 is not None else 1
+
+        for center, half in kept:
+            for u in (1.0, 1j, -0.6 + 0.8j):
+                assert stage(top, u, center, half) == 2
+                for past in (1, 2):
+                    lo, hi = 0, top
+                    if stage(lo, u, center, half) >= past:
+                        continue
+                    while hi - lo > 1:
+                        mid = (lo + hi) // 2
+                        if stage(mid, u, center, half) >= past:
+                            hi = mid
+                        else:
+                            lo = mid
+                    for i in (lo, hi):
+                        feed(i, u)
+                        assert _bits(flat(center, half)) == _bits(ref(center, half)), (
+                            center, half, u, past,
+                        )
+                    probed += 1
+        assert probed
 
 
 class TestMirror:

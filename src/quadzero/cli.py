@@ -2,7 +2,10 @@
 
 Subcommands: radius, zeros, classify, winding, critical-circle,
 circle-image, sweep.  JSON for scalar answers, CSV for tabular data, SVG
-for plots; stdout carries data, stderr carries diagnostics.
+for plots; stdout carries data, stderr carries diagnostics.  Each
+subcommand returns its whole answer, a dict for JSON or a list of CSV
+lines, and only then does `main` write it to stdout, so a command that
+fails writes nothing there.
 
 Exit codes: 0 success, 1 stdout closed by its reader (nothing more is
 written, not even to stderr), 2 hypothesis/precondition violation, usage
@@ -39,16 +42,6 @@ from .svg import render_zero_plot
 from .sweep import Axis, _fmt, run_sweep, sweep_csv_lines
 
 
-def _print_json(doc: dict) -> None:
-    """Print `doc` as strict JSON.  Only overflow puts a non-finite number
-    in an answer, so one exits 3 like any other overflow."""
-    try:
-        text = json.dumps(doc, allow_nan=False)
-    except ValueError as exc:
-        raise OverflowError(exc) from None
-    print(text)
-
-
 def _load_config(path: str) -> dict[str, str]:
     out = {}
     with open(path) as fh:
@@ -57,7 +50,7 @@ def _load_config(path: str) -> dict[str, str]:
             if not line:
                 continue
             key, sep, val = line.partition("=")
-            if not sep:
+            if not (sep and key.strip()):
                 raise ValueError(f"bad config line (want key=value): {line!r}")
             out[key.strip().replace("-", "_")] = val.strip()
     return out
@@ -120,12 +113,11 @@ def _write_svg(path: str, k: int, n: int, m: int, cells) -> None:
         )
 
 
-def cmd_radius(ns: argparse.Namespace) -> int:
+def cmd_radius(ns: argparse.Namespace) -> dict:
     p = _quadrinomial(ns)
     disk = radius_bound(p)
     radius = None if disk.source is BoundSource.UNAVAILABLE else disk.radius
-    _print_json({"radius": radius, "delta": radius_delta(p), "source": disk.source.value})
-    return 0
+    return {"radius": radius, "delta": radius_delta(p), "source": disk.source.value}
 
 
 ZEROS_HEADER = "re,im,residual,jacobian,orientation"
@@ -143,35 +135,29 @@ def _zero_fields(rec) -> dict:
     }
 
 
-def cmd_zeros(ns: argparse.Namespace) -> int:
+def cmd_zeros(ns: argparse.Namespace) -> dict | list[str]:
     p = _quadrinomial(ns)
     report = find_zeros(p)
-    # The SVG goes first: an unwritable path exits 2 before any stdout.
     if ns.svg:
         _write_svg(ns.svg, p.k, p.n, p.m, [(p.b, p.c, report)])
     zeros = [_zero_fields(rec) for rec in report.zeros]
     if ns.format == "csv":
-        print(ZEROS_HEADER)
-        for fields in zeros:
-            values = (fields[name] for name in ZEROS_HEADER.split(","))
-            print(",".join(_fmt(v) for v in values))
-    else:
-        _print_json(
-            {
-                "count": report.count,
-                "n_plus": report.n_plus,
-                "n_minus": report.n_minus,
-                "n_singular": report.n_singular,
-                "n_certified": report.n_certified,
-                "radius": report.disk.radius,
-                "winding_check": report.winding_check,
-                "zeros": zeros,
-            }
-        )
-    return 0
+        names = ZEROS_HEADER.split(",")
+        rows = (",".join(_fmt(fields[name]) for name in names) for fields in zeros)
+        return [ZEROS_HEADER, *rows]
+    return {
+        "count": report.count,
+        "n_plus": report.n_plus,
+        "n_minus": report.n_minus,
+        "n_singular": report.n_singular,
+        "n_certified": report.n_certified,
+        "radius": report.disk.radius,
+        "winding_check": report.winding_check,
+        "zeros": zeros,
+    }
 
 
-def cmd_classify(ns: argparse.Namespace) -> int:
+def cmd_classify(ns: argparse.Namespace) -> dict:
     p = _quadrinomial(ns)
     z = complex(ns.re, ns.im)
     q = evaluate(p, z)
@@ -179,18 +165,15 @@ def cmd_classify(ns: argparse.Namespace) -> int:
         omega_abs = abs(dilatation(p, z))
     except PoleAtCriticalPoint:
         omega_abs = None
-    _print_json(
-        {
-            "q": {"re": q.real, "im": q.imag},
-            "jacobian": jacobian(p, z),
-            "orientation": classify_point(p, z).value,
-            "dilatation_abs": omega_abs,
-        }
-    )
-    return 0
+    return {
+        "q": {"re": q.real, "im": q.imag},
+        "jacobian": jacobian(p, z),
+        "orientation": classify_point(p, z).value,
+        "dilatation_abs": omega_abs,
+    }
 
 
-def cmd_winding(ns: argparse.Namespace) -> int:
+def cmd_winding(ns: argparse.Namespace) -> dict:
     p = _quadrinomial(ns)
     if ns.rect is not None:
         contour = ns.rect
@@ -201,41 +184,32 @@ def cmd_winding(ns: argparse.Namespace) -> int:
     else:
         contour = Circle(complex(ns.center_re, ns.center_im), ns.radius)
     rep = winding_number(p, contour)
-    _print_json(
-        {
-            "winding": rep.winding,
-            "min_modulus": rep.min_modulus,
-            "samples_used": rep.samples_used,
-            "refined": rep.refined,
-        }
-    )
-    return 0
+    return {
+        "winding": rep.winding,
+        "min_modulus": rep.min_modulus,
+        "samples_used": rep.samples_used,
+        "refined": rep.refined,
+    }
 
 
-def cmd_critical_circle(ns: argparse.Namespace) -> int:
+def cmd_critical_circle(ns: argparse.Namespace) -> dict:
     cc = critical_radius(ns.b, ns.c, ns.k)
-    _print_json({"exists": cc.exists, "radius": cc.radius, "k": cc.k})
-    return 0
+    return {"exists": cc.exists, "radius": cc.radius, "k": cc.k}
 
 
-def cmd_circle_image(ns: argparse.Namespace) -> int:
+def cmd_circle_image(ns: argparse.Namespace) -> list[str]:
     pts = circle_image(_quadrinomial(ns), ns.radius, ns.samples)
-    print("re,im")
-    for w in pts:
-        print(f"{_fmt(w.real)},{_fmt(w.imag)}")
-    return 0
+    return ["re,im", *(f"{_fmt(w.real)},{_fmt(w.imag)}" for w in pts)]
 
 
-def cmd_sweep(ns: argparse.Namespace) -> int:
+def cmd_sweep(ns: argparse.Namespace) -> list[str]:
     grid = run_sweep(
         ns.b_range, ns.c_range, k=ns.k, n=ns.n, m=ns.m, threads=ns.threads
     )
-    if ns.svg:  # before stdout, as in cmd_zeros
+    if ns.svg:
         cells = [(cell.b, cell.c, cell.report) for cell in grid.cells]
         _write_svg(ns.svg, grid.k, grid.n, grid.m, cells)
-    for line in sweep_csv_lines(grid):
-        print(line)
-    return 0
+    return sweep_csv_lines(grid)
 
 
 def _finite(spec: str) -> float:
@@ -361,9 +335,18 @@ def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         ns = parser.parse_args(_with_config(parser, argv))
-        code = ns.func(ns)
+        answer = ns.func(ns)
+        # Nothing reaches stdout until a command returns, so any failure,
+        # an unwritable --svg included, leaves stdout empty.
+        if isinstance(answer, dict):
+            try:
+                answer = [json.dumps(answer, allow_nan=False)]
+            except ValueError as exc:
+                # Only overflow puts a non-finite number in an answer.
+                raise OverflowError(exc) from None
+        print(*answer, sep="\n")
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
-        return code
+        return 0
     except SystemExit as exc:  # argparse: usage error (2) or --help (0)
         return exc.code
     except BrokenPipeError:

@@ -264,8 +264,11 @@ def _certify(
     and gz: the radius r = min(s/3, sigma/(4*M''(|z| + s))), s = max(1, |z|)
     and sigma = `_Majorant.margin` at z (module docstring), and
     `_kantorovich`'s iterate for D(z, r), or None.  kappa <= 1/4 on that
-    disk, so at a converged z the test passes unless the Jacobian is
-    singular within rounding; then sigma and r are not positive."""
+    disk.  Where sigma is not positive (the Jacobian singular within
+    rounding) there is no iterate.  A converged z with sigma > 0 can fail
+    the test too: r falls with the degree like 1/(n*2^n) on the unit
+    circle, below the test's rounding term gamma*M(|z|)/sigma for
+    conj(z)^n + z from n = 45 on."""
     sigma = maj.margin(z, fz, gz)
     s = max(1.0, abs(z))
     r = min(s / 3.0, sigma / (4.0 * maj.curvature(abs(z) + s)))

@@ -11,11 +11,31 @@ import pytest
 
 import quadzero
 from quadzero import OrientationClass, sweep
-from quadzero.cli import ZEROS_HEADER, main
+from quadzero.cli import ZEROS_HEADER, build_parser, main
 from quadzero.solver import ZeroRecord
 from quadzero.sweep import SWEEP_HEADER
 
 QUINTET = ["--b", "0", "--c", "0", "--k", "1", "--n", "3", "--m", "1"]
+
+# Every flag of each subcommand, by config key.
+EVERY_FLAG = [
+    ("radius", {"b": "0.5", "c": "2", "k": "4", "n": "2", "m": "1"}),
+    ("zeros", {"b": "2", "c": "3", "k": "4", "n": "3", "m": "1",
+               "format": "json"}),
+    ("classify", {"b": "0", "c": "0", "k": "1", "n": "3", "m": "1",
+                  "re": "0.1", "im": "-0.2"}),
+    ("winding", {"b": "0", "c": "0", "k": "1", "n": "3", "m": "1",
+                 "radius": "0.5", "center_re": "0.9", "center_im": "-0.1"}),
+    ("critical-circle", {"b": "2", "c": "3", "k": "2"}),
+    ("circle-image", {"b": "0", "c": "0", "k": "1", "n": "3", "m": "1",
+                      "radius": "1", "samples": "16"}),
+    ("sweep", {"b_range": "0.5:2:2", "c_range": "-1:1:2", "k": "3",
+               "n": "2", "m": "1", "threads": "1"}),
+]
+
+
+def as_flags(flags: dict) -> list[str]:
+    return [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
 
 
 def run(capsys, argv):
@@ -287,10 +307,11 @@ class TestConfigFile:
 
     def test_bad_config_line_exits_2(self, capsys, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text("this is not key value\n")
-        code, _, err = run(capsys, ["radius", "--config", str(cfgfile)])
-        assert code == 2
-        assert "key=value" in err
+        for line in ["this is not key value", "= 3"]:
+            cfgfile.write_text(f"{line}\n")
+            code, _, err = run(capsys, ["radius", "--config", str(cfgfile)])
+            assert code == 2
+            assert err == f"quadzero: bad config line (want key=value): {line!r}\n"
 
     @pytest.mark.parametrize(
         "key", ["max_depth", "accept-tol", "b_rnage", "config", "singular_tol"]
@@ -327,29 +348,11 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out)["source"] == "Thm31"
 
-    @pytest.mark.parametrize(
-        "command, flags",
-        [
-            ("radius", {"b": "0.5", "c": "2", "k": "4", "n": "2", "m": "1"}),
-            ("zeros", {"b": "2", "c": "3", "k": "4", "n": "3", "m": "1",
-                       "format": "json"}),
-            ("classify", {"b": "0", "c": "0", "k": "1", "n": "3", "m": "1",
-                          "re": "0.1", "im": "-0.2"}),
-            ("winding", {"b": "0", "c": "0", "k": "1", "n": "3", "m": "1",
-                         "radius": "0.5", "center_re": "0.9",
-                         "center_im": "-0.1"}),
-            ("critical-circle", {"b": "2", "c": "3", "k": "2"}),
-            ("circle-image", {"b": "0", "c": "0", "k": "1", "n": "3", "m": "1",
-                              "radius": "1", "samples": "16"}),
-            ("sweep", {"b_range": "0.5:2:2", "c_range": "-1:1:2", "k": "3",
-                       "n": "2", "m": "1", "threads": "1"}),
-        ],
-    )
+    @pytest.mark.parametrize("command, flags", EVERY_FLAG)
     def test_every_flag_from_config(self, capsys, tmp_path, command, flags):
         cfgfile = tmp_path / "all.cfg"
         cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in flags.items()))
-        argv = [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
-        code, out_flags, _ = run(capsys, [command, *argv])
+        code, out_flags, _ = run(capsys, [command, *as_flags(flags)])
         assert code == 0
         code, out_cfg, _ = run(capsys, [command, "--config", str(cfgfile)])
         assert code == 0
@@ -493,6 +496,18 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "--threads" in err and "positive integer" in err
+
+
+@pytest.mark.parametrize("command, flags", EVERY_FLAG)
+def test_command_returns_its_answer_and_main_prints_it(capsys, command, flags):
+    # A command writes nothing; main alone prints what it returns, a dict
+    # as one line of JSON or a list as CSV lines.
+    argv = [command, *as_flags(flags)]
+    ns = build_parser().parse_args(argv)
+    answer = ns.func(ns)
+    assert capsys.readouterr() == ("", "")
+    lines = [json.dumps(answer)] if isinstance(answer, dict) else answer
+    assert run(capsys, argv) == (0, "".join(f"{line}\n" for line in lines), "")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
-"""Prints find_zeros's answers, one line per case, so that two source trees
-can be compared with diff.
+"""Prints find_zeros's and the CLI's answers, one line per case, so that
+two source trees can be compared with diff.
 
     PYTHONPATH=<tree>/src python tools/answers.py > answers.txt
 
@@ -8,9 +8,17 @@ n_minus, n_singular, winding_check and repr(disk.radius), then every
 zero's repr location and orientation; a case that raises prints the
 exception's class name instead.  The cases are perfbench's batch and
 degenerate pools (read from perfbench/workloads.py, not changed), the
-tiny-|b| families and the q(1) = J(1) = 0 family.  The last two lines
-are the md5 of the criterion-9 sweep CSV, as `quadzero sweep` prints it,
-at 1 and at 2 workers.
+tiny-|b| families and the q(1) = J(1) = 0 family.
+
+Then one line per CLI case: `cli`, the arguments, the exit code and the
+md5 of stdout, of stderr and of the SVG (`-` where none is written).
+The cases are every `quadzero` example of the README, an unwritable
+`--svg` path (exit 2) and a critical circle whose radius is NaN (exit 3).
+Each runs in process through `quadzero.cli.main`, in an empty temporary
+directory, so its relative `--svg` path lands there.
+
+The last two lines are the md5 of the criterion-9 sweep CSV, as
+`quadzero sweep` prints it, at 1 and at 2 workers.
 """
 
 from __future__ import annotations
@@ -18,7 +26,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -32,6 +42,21 @@ from quadzero.errors import QuadzeroError  # noqa: E402
 CRITERION_9 = [
     "sweep", "--b-range", "0.5:3:20", "--c-range=-2:2:20",
     "--k", "3", "--n", "2", "--m", "1",
+]
+
+CLI_CASES = [
+    "radius --b 0.5 --c 2 --k 4 --n 2 --m 1",
+    "zeros --b 0 --c 0 --k 1 --n 3 --m 1 --format json",
+    "zeros --b 2 --c 3 --k 4 --n 3 --m 1 --svg zeros.svg",
+    "classify --b 0 --c 0 --k 1 --n 3 --m 1 --re 0.1 --im 0.2",
+    "winding --b 0 --c 0 --k 1 --n 3 --m 1 --radius 2",
+    "winding --b 0 --c 0 --k 1 --n 3 --m 1 --radius 1.0000000001",
+    "winding --b 1 --c 1 --k 3 --n 2 --m 1 --rect=-3,-3,3,3",
+    "critical-circle --b 2 --c 3 --k 2",
+    "circle-image --b 0 --c 0 --k 1 --n 3 --m 1 --radius 1 --samples 512",
+    "sweep --b-range 0.5:3:20 --c-range=-2:2:20 --k 3 --n 2 --m 1 --threads 8",
+    "zeros --b 0 --c 0 --k 1 --n 3 --m 1 --svg no/such/dir/zeros.svg",
+    "critical-circle --b 1e200 --c 1e200 --k 3",
 ]
 
 
@@ -65,17 +90,42 @@ def answer(params: tuple) -> str:
     )
 
 
+def md5(data: str) -> str:
+    return hashlib.md5(data.encode()).hexdigest()
+
+
+def cli_answer(case: str) -> str:
+    argv = case.split()
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(argv)
+            svg = Path(argv[argv.index("--svg") + 1]) if "--svg" in argv else None
+            svg_md5 = md5(svg.read_text()) if svg and svg.exists() else "-"
+        finally:
+            os.chdir(home)
+    return (
+        f"cli {case} exit={code} stdout={md5(out.getvalue())} "
+        f"stderr={md5(err.getvalue())} svg={svg_md5}"
+    )
+
+
 def sweep_md5(workers: int) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli_main([*CRITERION_9, "--threads", str(workers)])
     if code != 0:
         raise SystemExit(f"criterion-9 sweep exited {code}")
-    return hashlib.md5(out.getvalue().encode()).hexdigest()
+    return md5(out.getvalue())
 
 
 if __name__ == "__main__":
     for params in cases():
         print(answer(params))
+    for case in CLI_CASES:
+        print(cli_answer(case))
     for workers in (1, 2):
         print(f"criterion-9 csv md5 threads={workers} {sweep_md5(workers)}")

@@ -26,9 +26,8 @@ import math
 import os
 import sys
 
-from .bounds import BoundSource, radius_bound, radius_delta
-from .contour import Circle, Rectangle, winding_number
-from .critical import critical_radius, circle_image
+# Each command imports the modules it runs, so a subcommand's cold start
+# loads no solver, contour, critical, sweep or SVG code it does not need.
 from .errors import NumericalError, PoleAtCriticalPoint, QuadzeroError
 from .model import (
     HarmonicQuadrinomial,
@@ -37,9 +36,6 @@ from .model import (
     evaluate,
     jacobian,
 )
-from .solver import find_zeros
-from .svg import render_zero_plot
-from .sweep import Axis, _fmt, run_sweep, sweep_csv_lines
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -93,6 +89,9 @@ def _write_svg(path: str, k: int, n: int, m: int, cells) -> None:
     n > m gives k >= 2 and a report rules out |b| = 1, so
     `critical_radius` accepts every cell that reaches it.
     """
+    from .critical import critical_radius
+    from .svg import render_zero_plot
+
     zeros, radii, crit = [], [], set()
     for b, c, report in cells:
         if report is None:
@@ -114,6 +113,8 @@ def _write_svg(path: str, k: int, n: int, m: int, cells) -> None:
 
 
 def cmd_radius(ns: argparse.Namespace) -> dict:
+    from .bounds import BoundSource, radius_bound, radius_delta
+
     p = _quadrinomial(ns)
     disk = radius_bound(p)
     radius = None if disk.source is BoundSource.UNAVAILABLE else disk.radius
@@ -136,6 +137,9 @@ def _zero_fields(rec) -> dict:
 
 
 def cmd_zeros(ns: argparse.Namespace) -> dict | list[str]:
+    from .solver import find_zeros
+    from .sweep import _fmt
+
     p = _quadrinomial(ns)
     report = find_zeros(p)
     if ns.svg:
@@ -174,6 +178,8 @@ def cmd_classify(ns: argparse.Namespace) -> dict:
 
 
 def cmd_winding(ns: argparse.Namespace) -> dict:
+    from .contour import Circle, winding_number
+
     p = _quadrinomial(ns)
     if ns.rect is not None:
         contour = ns.rect
@@ -193,16 +199,23 @@ def cmd_winding(ns: argparse.Namespace) -> dict:
 
 
 def cmd_critical_circle(ns: argparse.Namespace) -> dict:
+    from .critical import critical_radius
+
     cc = critical_radius(ns.b, ns.c, ns.k)
     return {"exists": cc.exists, "radius": cc.radius, "k": cc.k}
 
 
 def cmd_circle_image(ns: argparse.Namespace) -> list[str]:
+    from .critical import circle_image
+    from .sweep import _fmt
+
     pts = circle_image(_quadrinomial(ns), ns.radius, ns.samples)
     return ["re,im", *(f"{_fmt(w.real)},{_fmt(w.imag)}" for w in pts)]
 
 
 def cmd_sweep(ns: argparse.Namespace) -> list[str]:
+    from .sweep import run_sweep, sweep_csv_lines
+
     grid = run_sweep(
         ns.b_range, ns.c_range, k=ns.k, n=ns.n, m=ns.m, threads=ns.threads
     )
@@ -233,6 +246,8 @@ def _positive_int(spec: str) -> int:
 
 
 def _rect(spec: str) -> Rectangle:
+    from .contour import Rectangle
+
     try:
         lo_re, lo_im, hi_re, hi_im = (_finite(x) for x in spec.split(","))
         return Rectangle(complex(lo_re, lo_im), complex(hi_re, hi_im))
@@ -243,6 +258,8 @@ def _rect(spec: str) -> Rectangle:
 
 
 def _axis(spec: str) -> Axis:
+    from .sweep import Axis
+
     try:
         lo, hi, steps = spec.split(":")
         return Axis(_finite(lo), _finite(hi), int(steps))

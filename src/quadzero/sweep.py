@@ -10,15 +10,14 @@ b-row and one per ``_MIN_CELLS_PER_WORKER`` cells, and with one it
 starts no pool.
 
 A pool must earn its start-up.  On a 2-vCPU Linux VM (Python 3.11,
-``k=3 n=2 m=1``, about 0.9 ms a cell when these figures were taken, 0.8
-since the cell test was flattened) an empty 2-worker pool costs
-13-16 ms under fork and 110-180 ms under forkserver, its server
+``k=3 n=2 m=1``, about 0.8 ms a cell) an empty 2-worker pool costs
+11-13 ms under fork and 150-180 ms under forkserver, its server
 included, and a forked worker's first row runs up to twice as slow as in
 this process.  Under fork, in a process that has solved before, two
-workers take a median 0.8-1.15 of the serial wall time at 100 cells
-(three sets of 20 to 40 runs), 0.66-0.70 at 196 and 0.62-0.68 at 400:
-they match one at about 100 cells.  Under forkserver they take 2.1 of it
-at 100 cells, 1.26 at 196 and 0.78 at 400 (10 runs each).  Hence 48 cells
+workers take a median 0.76-1.10 of the serial wall time at 100 cells
+(three sets of 20 runs), 0.67-0.71 at 196 and 0.64-0.65 at 400: they
+match one at about 100 cells.  Under forkserver they take 1.5 of it at
+100 cells, 1.05 at 196 and 0.84 at 400 (10 runs each).  Hence 48 cells
 a worker: a 16-cell grid runs in this process and a 100-cell one on two
 workers.
 

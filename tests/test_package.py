@@ -3,7 +3,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import quadzero
+
+# The modules that answer a zero-set question; the CLI loads them only for
+# the subcommands that run them.
+SOLVING = {"quadzero.solver", "quadzero.contour", "quadzero.critical",
+           "quadzero.sweep", "quadzero.svg"}
+
+
+def fresh(code, *argv):
+    """stdout of `code` run with `argv` in a new interpreter importing this quadzero."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(quadzero.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout
+
+
+LOADED = "sorted(n for n in sys.modules if n.startswith('quadzero.'))"
 
 
 def test_every_export_resolves():
@@ -30,3 +48,46 @@ def test_cli_import_leaves_out_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_import_loads_no_submodule():
+    assert fresh(f"import sys, quadzero; print({LOADED})").strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, left_out", [
+    (["radius", "--b", "0.5", "--c", "2", "--k", "4", "--n", "2", "--m", "1"], SOLVING),
+    (["--help"], SOLVING),
+    (["critical-circle", "--b", "2", "--c", "3", "--k", "2"],
+     {"quadzero.sweep", "quadzero.svg"}),
+], ids=["radius", "help", "critical-circle"])
+def test_cli_loads_only_its_subcommands_modules(argv, left_out):
+    code = f"import sys; from quadzero.cli import main; print(main(sys.argv[1:]), *{LOADED})"
+    status, *loaded = fresh(code, *argv).splitlines()[-1].split()
+    assert status == "0"
+    assert "quadzero.cli" in loaded
+    assert left_out.isdisjoint(loaded)
+
+
+def test_exports_are_their_home_modules_objects():
+    code = ("import sys, quadzero\n"
+            "for name in quadzero.__all__:\n"
+            "    obj = getattr(quadzero, name)\n"
+            "    home = sys.modules[obj.__module__]\n"
+            "    if not (home.__name__.startswith('quadzero.') and getattr(home, name) is obj):\n"
+            "        print(name)\n")
+    assert fresh(code) == ""
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quadzero.no_such_name
+
+
+def test_dir_lists_every_export_before_it_loads():
+    code = "import quadzero; print(sorted(set(quadzero.__all__) - set(dir(quadzero))))"
+    assert fresh(code).strip() == "[]"
+
+
+def test_submodules_import_by_name():
+    code = "from quadzero import solver, sweep; print(solver.__name__, sweep.__name__)"
+    assert fresh(code).strip() == "quadzero.solver quadzero.sweep"

@@ -81,37 +81,6 @@ def _quadrinomial(ns: argparse.Namespace) -> HarmonicQuadrinomial:
     return HarmonicQuadrinomial(b=ns.b, c=ns.c, k=ns.k, n=ns.n, m=ns.m)
 
 
-def _write_svg(path: str, k: int, n: int, m: int, cells) -> None:
-    """Write one zero plot of `cells`, (b, c, report) triples, to `path`.
-
-    A cell without a report (no inclusion disk) adds nothing.  Theorem
-    3.4's critical circle belongs to the n = k, m = 1 family, where
-    n > m gives k >= 2 and a report rules out |b| = 1, so
-    `critical_radius` accepts every cell that reaches it.
-    """
-    from .critical import critical_radius
-    from .svg import render_zero_plot
-
-    zeros, radii, crit = [], [], set()
-    for b, c, report in cells:
-        if report is None:
-            continue
-        zeros.extend((rec.location, rec.orientation) for rec in report.zeros)
-        radii.append(report.disk.radius)
-        if n == k and m == 1:
-            cc = critical_radius(b, c, k)
-            if cc.exists:
-                crit.add(round(cc.radius, 12))
-    with open(path, "w") as fh:
-        fh.write(
-            render_zero_plot(
-                zeros,
-                bounding_radius=max(radii, default=None),
-                critical_radii=sorted(crit),
-            )
-        )
-
-
 def cmd_radius(ns: argparse.Namespace) -> dict:
     from .bounds import BoundSource, radius_bound, radius_delta
 
@@ -125,7 +94,7 @@ ZEROS_HEADER = "re,im,residual,jacobian,orientation"
 
 
 def _zero_fields(rec) -> dict:
-    """One zero's output fields: its JSON entry, and its CSV row by header."""
+    """One zero's JSON entry; its CSV row gives ZEROS_HEADER's fields."""
     return {
         "re": rec.location.real,
         "im": rec.location.imag,
@@ -138,16 +107,17 @@ def _zero_fields(rec) -> dict:
 
 def cmd_zeros(ns: argparse.Namespace) -> dict | list[str]:
     from .solver import find_zeros
-    from .sweep import _fmt
 
     p = _quadrinomial(ns)
     report = find_zeros(p)
     if ns.svg:
-        _write_svg(ns.svg, p.k, p.n, p.m, [(p.b, p.c, report)])
+        from .svg import write_zero_plot
+
+        write_zero_plot(ns.svg, p.k, p.n, p.m, [(p.b, p.c, report)])
     zeros = [_zero_fields(rec) for rec in report.zeros]
     if ns.format == "csv":
-        names = ZEROS_HEADER.split(",")
-        rows = (",".join(_fmt(fields[name]) for name in names) for fields in zeros)
+        rows = (f"{z['re']:.17g},{z['im']:.17g},{z['residual']:.17g},"
+                f"{z['jacobian']:.17g},{z['orientation']}" for z in zeros)
         return [ZEROS_HEADER, *rows]
     return {
         "count": report.count,
@@ -207,10 +177,9 @@ def cmd_critical_circle(ns: argparse.Namespace) -> dict:
 
 def cmd_circle_image(ns: argparse.Namespace) -> list[str]:
     from .critical import circle_image
-    from .sweep import _fmt
 
     pts = circle_image(_quadrinomial(ns), ns.radius, ns.samples)
-    return ["re,im", *(f"{_fmt(w.real)},{_fmt(w.imag)}" for w in pts)]
+    return ["re,im", *(f"{w.real:.17g},{w.imag:.17g}" for w in pts)]
 
 
 def cmd_sweep(ns: argparse.Namespace) -> list[str]:
@@ -220,8 +189,10 @@ def cmd_sweep(ns: argparse.Namespace) -> list[str]:
         ns.b_range, ns.c_range, k=ns.k, n=ns.n, m=ns.m, threads=ns.threads
     )
     if ns.svg:
+        from .svg import write_zero_plot
+
         cells = [(cell.b, cell.c, cell.report) for cell in grid.cells]
-        _write_svg(ns.svg, grid.k, grid.n, grid.m, cells)
+        write_zero_plot(ns.svg, grid.k, grid.n, grid.m, cells)
     return sweep_csv_lines(grid)
 
 

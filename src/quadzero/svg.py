@@ -6,9 +6,6 @@ Zeros are filled markers colored by orientation; the bounding disk and
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Optional
-
 from .model import OrientationClass
 
 _SIZE = 640  # width and height of the plot, in pixels
@@ -19,28 +16,32 @@ _COLORS = {
 }
 
 
-def render_zero_plot(
-    zeros: Iterable[tuple[complex, OrientationClass]],
-    bounding_radius: Optional[float] = None,
-    critical_radii: Iterable[float] = (),
-) -> str:
-    zeros = list(zeros)
-    critical_radii = [r for r in critical_radii if r > 0]
-    extent = max(
-        [abs(z) for z, _ in zeros]
-        + ([bounding_radius] if bounding_radius else [])
-        + critical_radii
-        + [1.0]
-    )
-    extent *= 1.1
+def write_zero_plot(path: str, k: int, n: int, m: int, cells) -> None:
+    """Write one zero plot of `cells`, (b, c, report) triples, to `path`.
+
+    A cell without a report (no inclusion disk) adds nothing; the plot's
+    disk is the largest of the reports' disks.  Theorem 3.4's
+    critical circle belongs to the n = k, m = 1 family, where n > m gives
+    k >= 2 and a report rules out |b| = 1, so `critical_radius` accepts
+    every cell that reaches it.  Circles are kept to 12 digits, once
+    each; one that rounds to 0 is left out.
+    """
+    from .critical import critical_radius
+
+    zeros, radii, crit = [], [], set()
+    for b, c, report in cells:
+        if report is None:
+            continue
+        zeros.extend((rec.location, rec.orientation) for rec in report.zeros)
+        radii.append(report.disk.radius)
+        if n == k and m == 1:
+            cc = critical_radius(b, c, k)
+            if cc.exists:
+                crit.add(round(cc.radius, 12))
+    crit = sorted(r for r in crit if r > 0)
+    extent = 1.1 * max([abs(z) for z, _ in zeros] + radii + crit + [1.0])
     half = _SIZE / 2.0
     scale = half / extent
-
-    def sx(x: float) -> float:
-        return half + x * scale
-
-    def sy(y: float) -> float:
-        return half - y * scale  # flip: SVG y grows downward
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -52,20 +53,21 @@ def render_zero_plot(
         f'<line x1="{half}" y1="0" x2="{half}" y2="{_SIZE}" '
         f'stroke="#cccccc" stroke-width="1"/>',
     ]
-    if bounding_radius is not None and math.isfinite(bounding_radius):
+    if radii:
         parts.append(
-            f'<circle cx="{half}" cy="{half}" r="{bounding_radius * scale:.3f}" '
+            f'<circle cx="{half}" cy="{half}" r="{max(radii) * scale:.3f}" '
             f'fill="none" stroke="#2ca02c" stroke-width="1.5"/>'
         )
-    for r in critical_radii:
+    for r in crit:
         parts.append(
             f'<circle cx="{half}" cy="{half}" r="{r * scale:.3f}" fill="none" '
             f'stroke="#9467bd" stroke-width="1" stroke-dasharray="4 3"/>'
         )
     for z, orient in zeros:
-        parts.append(
-            f'<circle cx="{sx(z.real):.3f}" cy="{sy(z.imag):.3f}" r="3.5" '
-            f'fill="{_COLORS[orient]}"/>'
+        parts.append(  # flip: SVG y grows downward
+            f'<circle cx="{half + z.real * scale:.3f}" '
+            f'cy="{half - z.imag * scale:.3f}" r="3.5" fill="{_COLORS[orient]}"/>'
         )
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts) + "\n")

@@ -12,8 +12,7 @@ starts no pool.
 A pool must earn its start-up.  On a 2-vCPU Linux VM (Python 3.11,
 ``k=3 n=2 m=1``, about 0.8 ms a cell) an empty 2-worker pool costs
 11-13 ms under fork and 150-180 ms under forkserver, its server
-included, and a forked worker's first row runs up to twice as slow as in
-this process.  Under fork, in a process that has solved before, two
+included.  Under fork, in a process that has solved before, two
 workers take a median 0.76-1.10 of the serial wall time at 100 cells
 (three sets of 20 runs), 0.67-0.71 at 196 and 0.64-0.65 at 400: they
 match one at about 100 cells.  Under forkserver they take 1.5 of it at

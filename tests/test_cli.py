@@ -131,6 +131,17 @@ class TestZeros:
             (["--k", "3", "--n", "3", "--m", "1"], 1),
             (["--k", "4", "--n", "3", "--m", "1"], 0),
             (["--k", "4", "--n", "3", "--m", "2"], 0),
+            # A later --b or --c overrides the one before.  At b = 1e9 the
+            # circle's radius is 2.24e-13, which rounds to 0 at 12 digits
+            # and is left out, or 7.07e-13, which rounds to 1e-12.
+            pytest.param(
+                ["--k", "2", "--n", "2", "--m", "1", "--b", "1e9", "--c", "1.0000001"],
+                0, id="rounded-to-0",
+            ),
+            pytest.param(
+                ["--k", "2", "--n", "2", "--m", "1", "--b", "1e9", "--c", "1.000001"],
+                1, id="rounded-to-1e-12",
+            ),
         ],
     )
     def test_svg_critical_circle_only_for_n_eq_k_m_1(

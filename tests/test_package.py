@@ -59,7 +59,11 @@ def test_import_loads_no_submodule():
     (["--help"], SOLVING),
     (["critical-circle", "--b", "2", "--c", "3", "--k", "2"],
      {"quadzero.sweep", "quadzero.svg"}),
-], ids=["radius", "help", "critical-circle"])
+    (["zeros", "--b", "2", "--c", "3", "--k", "4", "--n", "3", "--m", "1"],
+     {"quadzero.sweep", "quadzero.svg", "quadzero.critical"}),
+    (["circle-image", "--b", "0", "--c", "0", "--k", "1", "--n", "3", "--m", "1",
+      "--radius", "1"], {"quadzero.sweep", "quadzero.svg"}),
+], ids=["radius", "help", "critical-circle", "zeros", "circle-image"])
 def test_cli_loads_only_its_subcommands_modules(argv, left_out):
     code = f"import sys; from quadzero.cli import main; print(main(sys.argv[1:]), *{LOADED})"
     status, *loaded = fresh(code, *argv).splitlines()[-1].split()

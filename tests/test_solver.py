@@ -4,6 +4,7 @@ import math
 import struct
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -130,25 +131,29 @@ def _exact_stage_bounds(p, center, half, part=None):
     return big_m(a), d1, d1 - slope * r, dist2
 
 
-def _count_work(monkeypatch):
-    """Counts, as find_zeros runs, its cell tests and its Newton steps."""
-    work = {"cells": 0, "steps": 0}
+@pytest.fixture
+def work(monkeypatch):
+    """What find_zeros does as it runs: each cell it tests, as
+    (p, center, half, result) in test order, in `cells`, and the number of
+    its Newton steps in `steps`."""
+    work = SimpleNamespace(cells=[], steps=0)
     real_cell, real_step = solver._cell_test, solver.newton_step
 
-    def counting_cell_test(p, maj):
+    def recording_cell_test(p, maj):
         cell = real_cell(p, maj)
 
-        def counted(center, half):
-            work["cells"] += 1
-            return cell(center, half)
+        def recorded(center, half):
+            result = cell(center, half)
+            work.cells.append((p, center, half, result))
+            return result
 
-        return counted
+        return recorded
 
     def counting_step(p, z):
-        work["steps"] += 1
+        work.steps += 1
         return real_step(p, z)
 
-    monkeypatch.setattr(solver, "_cell_test", counting_cell_test)
+    monkeypatch.setattr(solver, "_cell_test", recording_cell_test)
     monkeypatch.setattr(solver, "newton_step", counting_step)
     return work
 
@@ -411,24 +416,12 @@ class TestFindZeros:
             assert twin.residual == rec.residual
             assert twin.jacobian == rec.jacobian
 
-    def test_cells_tile_the_upper_half_plane(self, monkeypatch):
+    def test_cells_tile_the_upper_half_plane(self, work):
         # Only cells of [-R', R'] x [0, R'] are tested; the lower half's
         # zeros are the mirror images of the upper half's.
         p = HarmonicQuadrinomial(b=1.4, c=-2.2, k=5, n=3, m=2)
-        tested = []
-        real = solver._cell_test
-
-        def recording(p, maj):
-            cell = real(p, maj)
-
-            def wrapped(center, half):
-                tested.append((center, half))
-                return cell(center, half)
-
-            return wrapped
-
-        monkeypatch.setattr(solver, "_cell_test", recording)
         report = find_zeros(p)
+        tested = [(center, half) for _, center, half, _ in work.cells]
         # The root half-width is R'/2, R' the least float >= R whose
         # significand fits in 53 - _MAX_DEPTH bits.
         radius = Fraction(report.disk.radius)
@@ -642,38 +635,33 @@ class TestExclusion:
         assert not kept
         assert z1 is None
 
-    def test_corner_stage_halves_the_cells_at_a_singular_origin(
-        self, monkeypatch
-    ):
+    def test_corner_stage_halves_the_cells_at_a_singular_origin(self, work):
         # 2,1,3,3,1 took 2 010 cell tests under the disk's bound.
-        work = _count_work(monkeypatch)
         report = find_zeros(HarmonicQuadrinomial(b=2.0, c=1.0, k=3, n=3, m=1))
         assert report.count == 5
-        assert work["cells"] <= 1_100
+        assert len(work.cells) <= 1_100
 
     @pytest.mark.parametrize(
         "b, cells, steps",
         [(1.01, 2_000, 100), (1.001, 6_000, None)],
     )
-    def test_newton_stage_prunes_the_unit_b_cliff(self, monkeypatch, b, cells, steps):
+    def test_newton_stage_prunes_the_unit_b_cliff(self, work, b, cells, steps):
         # k = n = 3 with b near 1: q is small along the rays of Re z^3 ~ 0
         # next to a large gradient, where stage 2 keeps cells and their
         # floor runs.  Without stage 3, b = 1.01 took 13 738 cell tests and
         # 2 199 Newton steps, b = 1.001 28 882 cell tests.
-        work = _count_work(monkeypatch)
         report = find_zeros(HarmonicQuadrinomial(b=b, c=2.0, k=3, n=3, m=1))
         assert report.n_certified == report.count == 5
-        assert work["cells"] <= cells
-        assert steps is None or work["steps"] <= steps
+        assert len(work.cells) <= cells
+        assert steps is None or work.steps <= steps
 
-    def test_newton_box_screens_the_quarters(self, monkeypatch):
+    def test_newton_box_screens_the_quarters(self, work):
         # A split cell pushes only the quarters its Newton box meets;
         # pushing all four took 142 cell tests.
-        work = _count_work(monkeypatch)
         report = find_zeros(HarmonicQuadrinomial(b=2.0, c=3.0, k=4, n=3, m=1))
         assert report.n_certified == report.count == 6
         assert report.winding_check == "passed"
-        assert work["cells"] <= 100
+        assert len(work.cells) <= 100
 
     @pytest.mark.parametrize(
         "p, depth",
@@ -688,7 +676,7 @@ class TestExclusion:
         ],
         ids=["singular-origin", "tiny-b", "split-past-floor"],
     )
-    def test_tested_cells_are_exact_quarters(self, monkeypatch, p, depth):
+    def test_tested_cells_are_exact_quarters(self, work, p, depth):
         # The cell test takes its cell as given, with no slack for rounded
         # centres, so every (center, half) the solver tests must be exact:
         # each cell below the roots is, in rational arithmetic, a quarter
@@ -699,27 +687,17 @@ class TestExclusion:
         # to the deepest, at the floor or, for the last instance, at
         # _MAX_DEPTH, which sets R''s bits.
         tested, screened = [], set()
-        real = solver._cell_test
 
         def exact(center, half):
             return Fraction(center.real), Fraction(center.imag), Fraction(half)
 
-        def recording(p, maj):
-            cell = real(p, maj)
-
-            def wrapped(center, half):
-                x, y, e = exact(center, half)
-                tested.append((x, y, e))
-                result = cell(center, half)
-                for o, h2 in _screened(half, result[2]):
-                    ox, oy, e2 = exact(o, h2)
-                    screened.add((x + ox, y + oy, e2))
-                return result
-
-            return wrapped
-
-        monkeypatch.setattr(solver, "_cell_test", recording)
         find_zeros(p)
+        for _, center, half, result in work.cells:
+            x, y, e = exact(center, half)
+            tested.append((x, y, e))
+            for o, h2 in _screened(half, result[2]):
+                ox, oy, e2 = exact(o, h2)
+                screened.add((x + ox, y + oy, e2))
         h = max(half for _, _, half in tested)
         assert [t for t in tested if t[2] == h] == [(-h, h, h), (h, h, h)]
         cells = set(tested)
@@ -851,31 +829,22 @@ class TestFlatCell:
     as `_reference_cell`, their composition, does."""
 
     @pytest.mark.parametrize("pool", ["stage", "degenerate", "batch"])
-    def test_every_tested_cell_matches_the_reference(self, monkeypatch, pool):
+    def test_every_tested_cell_matches_the_reference(self, work, pool):
         # Through the factory seam: each cell find_zeros tests is also put
         # to the reference, and the two answers must agree bit for bit.
         # (kept, certified) per cell: dropped, split and certified all occur.
-        seen = set()
-        real = solver._cell_test
-
-        def checking(p, maj):
-            flat, ref = real(p, maj), _reference_cell(p, maj)
-
-            def cell(center, half):
-                out = flat(center, half)
-                assert _bits(out) == _bits(ref(center, half)), (p, center, half)
-                seen.add((out[0], out[1] is not None))
-                return out
-
-            return cell
-
-        monkeypatch.setattr(solver, "_cell_test", checking)
         for p in _pool(pool):
             find_zeros(p)
+        seen, refs = set(), {}
+        for p, center, half, out in work.cells:
+            if p not in refs:
+                refs[p] = _reference_cell(p, _Majorant(p))
+            assert _bits(out) == _bits(refs[p](center, half)), (p, center, half)
+            seen.add((out[0], out[1] is not None))
         assert seen == {(False, False), (True, False), (True, True)}, seen
 
     @pytest.mark.parametrize("b, c, k, n, m", STAGE_CASES)
-    def test_thresholds_match_the_reference(self, monkeypatch, b, c, k, n, m):
+    def test_thresholds_match_the_reference(self, monkeypatch, work, b, c, k, n, m):
         # The cells find_zeros keeps, fed values v of q at the centre along
         # fixed directions: at the least |v| where the reference stops
         # certifying the cell and where it drops it, and at the float
@@ -885,25 +854,11 @@ class TestFlatCell:
         # may not reach it.
         p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
         maj = _Majorant(p)
-        kept = []
-        real = solver._cell_test
-
-        def recording(p, maj):
-            cell = real(p, maj)
-
-            def wrapped(center, half):
-                out = cell(center, half)
-                if out[0]:
-                    kept.append((center, half))
-                return out
-
-            return wrapped
-
-        monkeypatch.setattr(solver, "_cell_test", recording)
         find_zeros(p)
+        kept = [(center, half) for _, center, half, out in work.cells if out[0]]
         fed = {"v": 0j}
         monkeypatch.setattr(solver, "evaluate", lambda p, z: fed["v"])
-        flat, ref = real(p, maj), _reference_cell(p, maj)
+        flat, ref = _cell_test(p, maj), _reference_cell(p, maj)
         top = struct.unpack("<q", struct.pack("<d", 1e300))[0]
         probed = 0
 
@@ -1092,14 +1047,13 @@ class TestCertification:
         assert report.n_certified == count
         assert report.winding_check == "passed"
 
-    def test_newton_work_near_close_pair(self, monkeypatch):
+    def test_newton_work_near_close_pair(self, work):
         # Floor cells around a close pair of zeros each make a Newton run;
         # undamped, each run takes a few steps, not up to the step cap.
-        work = _count_work(monkeypatch)
         p = HarmonicQuadrinomial(b=4.768, c=-1.00146, k=4, n=3, m=1)
         report = find_zeros(p)
         assert report.n_certified == report.count == 8
-        assert work["steps"] <= 12_000
+        assert work.steps <= 12_000
 
     def test_tiny_b_keeps_far_zeros(self):
         # R = 1/b: near |z| = R rounding keeps |q| near 1e-4 (b = 1e-4) or

@@ -12,8 +12,10 @@ tiny-|b| families and the q(1) = J(1) = 0 family.
 
 Then one line per CLI case: `cli`, the arguments, the exit code and the
 md5 of stdout, of stderr and of the SVG (`-` where none is written).
-The cases are every `quadzero` example of the README, an unwritable
-`--svg` path (exit 2) and a critical circle whose radius is NaN (exit 3).
+The cases are every `quadzero` example of the README, a sweep SVG whose
+b = 1 column has no disk and whose six n = k, m = 1 cells draw critical
+circles, an unwritable `--svg` path (exit 2) and a critical circle whose
+radius is NaN (exit 3).
 Each runs in process through `quadzero.cli.main`, in an empty temporary
 directory, so its relative `--svg` path lands there.
 
@@ -55,6 +57,7 @@ CLI_CASES = [
     "critical-circle --b 2 --c 3 --k 2",
     "circle-image --b 0 --c 0 --k 1 --n 3 --m 1 --radius 1 --samples 512",
     "sweep --b-range 0.5:3:20 --c-range=-2:2:20 --k 3 --n 2 --m 1 --threads 8",
+    "sweep --b-range 0:2:5 --c-range 1.5:3:3 --k 3 --n 3 --m 1 --svg sweep.svg",
     "zeros --b 0 --c 0 --k 1 --n 3 --m 1 --svg no/such/dir/zeros.svg",
     "critical-circle --b 1e200 --c 1e200 --k 3",
 ]

@@ -2,12 +2,14 @@
 
 On the 2(k-1) rays where z^k * conj(z) is pure imaginary, |h'| = |g'| on
 the circle |z| = ((c^2-1)/(k^2(b^2-1)))^(1/(2k-2)), and q's orientation
-flips across it.  The claims below rest on `model`'s rounding model
-(`_Majorant`), as the solver's do; this module sets no tolerance.
-`verify_theorem_34` proves, on every ray, opposite orientations on the
-two sides of the circle; `modular_root_census` places each certified
-zero whose Kantorovich disk misses the circle.  The two closed forms of
-the radius, `univalence_radius` and `circle_image` are plain formulas.
+flips across it.  The claims below rest on `model` alone: its rounding
+model (`_Majorant`), Newton update and Kantorovich test, as the solver's
+do; this module sets no tolerance.  `verify_theorem_34` proves, on every
+ray, opposite orientations on the two sides of the circle;
+`modular_root_census` places each certified zero whose Kantorovich disk
+misses the circle, and loads the solver only to find the zeros when no
+report is passed.  The two closed forms of the radius,
+`univalence_radius` and `circle_image` are plain formulas.
 """
 
 from __future__ import annotations
@@ -15,13 +17,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import BEqualsOne, BZero, HypothesisViolation
 from .model import HarmonicQuadrinomial, OrientationClass, _Majorant, evaluate
+from .model import _kantorovich, _newton_update
 from .model import analytic_derivative, classify_point, coanalytic_derivative
-from .solver import ZeroRecord, ZeroSetReport, find_zeros
-from .solver import _kantorovich, _newton_update
+
+if TYPE_CHECKING:
+    from .solver import ZeroSetReport
 
 
 @dataclass(frozen=True)
@@ -145,7 +149,8 @@ def univalence_radius(b: float, k: int) -> tuple[float, list[complex]]:
 def circle_image(
     p: HarmonicQuadrinomial, circle_radius: float, samples: int
 ) -> list[complex]:
-    """q on the circle of the given radius: a closed polyline for plotting."""
+    """q on the circle of the given radius: a closed polyline for plotting.
+    Raises OverflowError where a sample of q is not finite."""
     if not circle_radius > 0:
         raise ValueError("circle radius must be positive")
     if samples < 16:
@@ -154,20 +159,19 @@ def circle_image(
         evaluate(p, circle_radius * cmath.exp(2j * math.pi * j / samples))
         for j in range(samples)
     ]
+    if not all(map(cmath.isfinite, pts)):
+        raise OverflowError(f"q overflows on the circle of radius {circle_radius!r}")
     pts.append(pts[0])
     return pts
 
 
-def _zero_disk(p: HarmonicQuadrinomial, maj: _Majorant, rec: ZeroRecord) -> float:
-    """r for a disk D(z, r) about the record's location z that provably
-    holds exactly one zero, or inf where none is proven.  q(0) = 0 exactly,
-    so r = 0 at the origin.  Elsewhere r = 2(|d*| + gamma*M(|z|)/sigma),
-    twice the first Newton step's bound in `_kantorovich` (sigma the margin,
-    d* the Newton update at z): the test then passes where kappa < 0.4.
-    An uncertified record, which may stand for several zeros, has none."""
-    if not rec.certified:
-        return math.inf
-    z = rec.location
+def _zero_disk(p: HarmonicQuadrinomial, maj: _Majorant, z: complex) -> float:
+    """r for a disk D(z, r) about a certified zero's location z that
+    provably holds exactly one zero, or inf where none is proven.
+    q(0) = 0 exactly, so r = 0 at the origin.  Elsewhere
+    r = 2(|d*| + gamma*M(|z|)/sigma), twice the first Newton step's bound
+    in `_kantorovich` (sigma the margin, d* the Newton update at z): the
+    test then passes where kappa < 0.4."""
     if z == 0:
         return 0.0
     fz, gz = analytic_derivative(p, z), coanalytic_derivative(p, z)
@@ -198,11 +202,15 @@ def modular_root_census(
     if not circle.exists:
         raise HypothesisViolation("critical circle does not exist")
     if report is None:
+        from .solver import find_zeros
+
         report = find_zeros(p)
     maj = _Majorant(p)
     on = inside = outside = 0
     for rec in report.zeros:
-        a, r = abs(rec.location), _zero_disk(p, maj, rec)
+        a = abs(rec.location)
+        # An uncertified record, which may stand for several zeros, has no disk.
+        r = _zero_disk(p, maj, rec.location) if rec.certified else math.inf
         if a + r < circle.radius:
             inside += 1
         elif a - r > circle.radius:

@@ -13,7 +13,9 @@ rounded arguments included, within gamma times the sum of its positive
 terms.  So ||h'| - |g'|| - gamma*M'(|z|), `_Majorant.margin`, is positive
 only where the sign of |h'| - |g'|, the orientation, is proven;
 `classify_point`, `newton_step` and the solver's certificate and cell
-test read it.
+test read it.  The Newton update and the Kantorovich test built on it,
+`_newton_update` and `_kantorovich`, sit here too: the solver and
+`critical` share them.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import PoleAtCriticalPoint
 
@@ -156,6 +159,57 @@ class _Majorant:
         if abs(hp) > abs(gp):
             return OrientationClass.SENSE_PRESERVING
         return OrientationClass.SENSE_REVERSING
+
+
+def _newton_update(v: complex, fz: complex, gz: complex) -> complex:
+    """The Newton update d, the step from z to its Newton iterate z + d,
+    given q(z) = v, h'(z) = fz and g'(z) = gz where `_Majorant.margin` at z
+    is positive: d = (conj(gz)*conj(v) - conj(fz)*v)/J, J = |h'|^2 - |g'|^2
+    the real system's Jacobian.  The margin gives ||h'| - |g'|| >
+    gamma*M'(|z|) >= gamma, so |J| > gamma^2, far above underflow, and the
+    computed J, within |J|/3 of J (below), has J's sign.
+
+    Rounding, u the unit roundoff: let d* be the computed update, d^ the
+    exact update from the computed v, h' and g', delta = ||h'| - |g'|| and
+    s = |h'| + |g'|, so J = s*delta.  The numerator rounds by at most
+    4u*s|v| (two complex products, sqrt(2)*gamma_2 each, and a difference),
+    J by at most t|J| with t = 4u*s/delta (squares within an ulp, as from
+    pow, their sums and the difference), and the quotient by u per part.
+    So |d* - d^| <= u|d*| + (4u|v|/delta + t|d*|)/(1 - 2t), up to O(u^2).
+    A positive margin needs delta above gamma*M'(|z|) less the margin's own
+    rounding, about 3u*s; with gamma >= 16u and M'(|z|) >= s up to
+    rounding, delta > 12u*s, so t <= 1/3 and
+    |d* - d^| <= (13u*s|d*| + 12u|v|)/delta <= gamma*(M'(|z|)|d*| + |v|)/sigma
+    for the margin sigma."""
+    fzb = gz.conjugate()
+    j = (fz.real**2 + fz.imag**2) - (fzb.real**2 + fzb.imag**2)
+    return (fzb * v.conjugate() - fz.conjugate() * v) / j
+
+
+def _kantorovich(
+    maj: _Majorant, z0: complex, r: float, sigma: float, d: complex
+) -> Optional[complex]:
+    """The Newton iterate z0 + d if D(z0, r) provably holds exactly one
+    zero of q, else None; sigma is `_Majorant.margin` at z0 and d the
+    computed Newton update there.
+
+    sigma = ||h'(z0)| - |g'(z0)|| - gamma*M'(|z0|) is under rounding at
+    most the real Jacobian's smallest singular value and L = M''(|z0| + r)
+    bounds its Lipschitz constant on the disk, so the simplified Newton map
+    z - DF(z0)^-1 F(z) moves by at most kappa = L*r/sigma per unit on
+    D(z0, r).  With kappa < 1/2 and eta + kappa*r < r (eta the first Newton
+    step) it maps the disk into itself as a contraction: exactly one zero.
+    eta adds gamma*M(|z0|)/sigma for the rounding of q(z0), whose computed
+    value can vanish; the margins absorb the rest.  Kantorovich's
+    h = kappa*eta/r is then at most about 0.2 < 1/2, so plain Newton from
+    z0 converges to that zero.
+    """
+    lr = maj.curvature(abs(z0) + r) * r  # kappa = lr / sigma
+    if not lr < 0.5 * sigma:
+        return None
+    if abs(d) + (maj.gamma * maj.value(abs(z0)) + lr * r) / sigma < 0.9 * r:
+        return z0 + d
+    return None
 
 
 def classify_point(p: HarmonicQuadrinomial, z: complex) -> OrientationClass:

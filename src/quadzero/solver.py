@@ -40,11 +40,11 @@ near the singular origin of |c| = 1, m = 1, where h' ~ 1 and g' ~ c.
 
 The cell test, `_cell_test`, is one flat function for speed: it inlines
 `_Majorant.value`, `slope`, `margin` and `curvature`, the corner gain,
-`_newton_update` and `_kantorovich`, and calls only q, h' and g'.  Each
-inlined helper keeps its float expressions, operands and order, so the
-cell answers bitwise as their composition does; tests/test_solver.py's
-`TestFlatCell` checks that against a reference cell built from the
-helpers.
+and `model`'s `_newton_update` and `_kantorovich`, and calls only q, h'
+and g'.  Each inlined helper keeps its float expressions, operands and
+order, so the cell answers bitwise as their composition does;
+tests/test_solver.py's `TestFlatCell` checks that against a reference
+cell built from the helpers.
 
 Exclusion is certified under rounding too (`model`'s rounding bounds):
 |q(c)| is lowered by gamma*M(a), stage 2 allows 2*gamma*M'(a)r for h'
@@ -71,20 +71,13 @@ rho that bound with stage 2's allowances and the rounding of d*.  Stage 4
 reuses d*.  Along curves where |q| is small next to a large gradient, the
 rays of Re z^3 ~ 0 at k = n with |b| near 1, it drops cells stage 2 keeps.
 
-`_newton_update` computes d* = (conj(g'v) - conj(h')v)/J with
-J = |h'|^2 - |g'|^2 = s*delta, s = |h'| + |g'|.  The numerator rounds by at
-most 4u*s|v| (two complex products, sqrt(2)*gamma_2 each, and a
-difference), J by at most t|J| with t = 4u*s/delta (squares within an
-ulp, as from pow, their sums and the difference), and the quotient by u
-per part.  So |d* - d^| <= u|d*| + (4u|v|/delta + t|d*|)/(1 - 2t), up to
-O(u^2).  A positive margin needs delta above gamma*M'(a) less the
-margin's own rounding, about 3u*s; with gamma >= 16u and M'(a) >= s up to
-rounding, delta > 12u*s, so t <= 1/3 and
-|d* - d^| <= (13u*s|d*| + 12u|v|)/delta <= gamma*(M'(a)|d*| + |v|)/sigma.
-rho's numerator carries gamma*(m1 + m0 + d0) twice, m1 = M(a + r),
-m0 = M(a), d0 = M'(a)r: once for the bracket, as in stage 2, and once
-more, at least 16u*m1, for the few roundings of rho's sum and quotient,
-each at most u of a sum of terms no larger than m1 or than their own
+`model._newton_update` computes d* = (conj(g'v) - conj(h')v)/J,
+J = |h'|^2 - |g'|^2, and its docstring bounds the rounding where sigma is
+positive: |d* - d^| <= gamma*(M'(a)|d*| + |v|)/sigma.  rho's numerator
+carries gamma*(m1 + m0 + d0) twice, m1 = M(a + r), m0 = M(a),
+d0 = M'(a)r: once for the bracket, as in stage 2, and once more, at
+least 16u*m1, for the few roundings of rho's sum and quotient, each at
+most u of a sum of terms no larger than m1 or than their own
 allowances; they take at most about 2u*m1.  A float above the rounded
 e + rho is above e + rho.
 
@@ -162,7 +155,9 @@ from .model import (
     _UNIT_ROUNDOFF,
     HarmonicQuadrinomial,
     OrientationClass,
+    _kantorovich,
     _Majorant,
+    _newton_update,
     analytic_derivative,
     classify_point,  # noqa: F401  perfbench/run.py traces it here
     coanalytic_derivative,
@@ -209,18 +204,6 @@ class ZeroSetReport:
         return self.count - self.n_singular
 
 
-def _newton_update(v: complex, fz: complex, gz: complex) -> complex:
-    """The Newton update d, the step from z to its Newton iterate z + d,
-    given q(z) = v, h'(z) = fz and g'(z) = gz where `_Majorant.margin` at z
-    is positive: d = (conj(gz)*conj(v) - conj(fz)*v)/J, J = |h'|^2 - |g'|^2
-    the real system's Jacobian.  The margin gives ||h'| - |g'|| >
-    gamma*M'(|z|) >= gamma, so |J| > gamma^2, far above underflow, and the
-    computed J, within |J|/3 of J (module docstring), has J's sign."""
-    fzb = gz.conjugate()
-    j = (fz.real**2 + fz.imag**2) - (fzb.real**2 + fzb.imag**2)
-    return (fzb * v.conjugate() - fz.conjugate() * v) / j
-
-
 def newton_step(p: HarmonicQuadrinomial, z: complex) -> complex:
     """One full Newton update on the real 2x2 system, in complex form;
     raises `DegenerateJacobian` where `classify_point(p, z)` is SINGULAR,
@@ -229,32 +212,6 @@ def newton_step(p: HarmonicQuadrinomial, z: complex) -> complex:
     if not _Majorant(p).margin(z, fz, gz) > 0:
         raise DegenerateJacobian(f"no positive margin at z = {z!r}")
     return z + _newton_update(evaluate(p, z), fz, gz)
-
-
-def _kantorovich(
-    maj: _Majorant, z0: complex, r: float, sigma: float, d: complex
-) -> Optional[complex]:
-    """The Newton iterate z0 + d if D(z0, r) provably holds exactly one
-    zero of q, else None; sigma is `_Majorant.margin` at z0 and d the
-    computed Newton update there.
-
-    sigma = ||h'(z0)| - |g'(z0)|| - gamma*M'(|z0|) is under rounding at
-    most the real Jacobian's smallest singular value and L = M''(|z0| + r)
-    bounds its Lipschitz constant on the disk, so the simplified Newton map
-    z - DF(z0)^-1 F(z) moves by at most kappa = L*r/sigma per unit on
-    D(z0, r).  With kappa < 1/2 and eta + kappa*r < r (eta the first Newton
-    step) it maps the disk into itself as a contraction: exactly one zero.
-    eta adds gamma*M(|z0|)/sigma for the rounding of q(z0), whose computed
-    value can vanish; the margins absorb the rest.  Kantorovich's
-    h = kappa*eta/r is then at most about 0.2 < 1/2, so plain Newton from
-    z0 converges to that zero.
-    """
-    lr = maj.curvature(abs(z0) + r) * r  # kappa = lr / sigma
-    if not lr < 0.5 * sigma:
-        return None
-    if abs(d) + (maj.gamma * maj.value(abs(z0)) + lr * r) / sigma < 0.9 * r:
-        return z0 + d
-    return None
 
 
 def _certify(

@@ -532,10 +532,14 @@ def test_command_returns_its_answer_and_main_prints_it(capsys, command, flags):
          "--re", "1e100"],
         ["winding", *QUINTET, "--radius", "1e200"],
         ["circle-image", *QUINTET, "--radius", "1e200"],
+        # every z^3 is finite, b*z^3 is not
+        ["circle-image", "--b", "1e300", "--c", "1", "--k", "3", "--n", "2", "--m", "1",
+         "--radius", "1e10", "--samples", "16"],
         ["sweep", "--b-range", "1e-90:1e-90:1", "--c-range", "2:2:1",
          "--k", "4", "--n", "3", "--m", "1", "--threads", "1"],
     ],
-    ids=["zeros", "classify", "classify-nan", "winding", "circle-image", "sweep"],
+    ids=["zeros", "classify", "classify-nan", "winding", "circle-image",
+         "circle-image-inf", "sweep"],
 )
 def test_overflow_exits_3(capsys, argv):
     code, out, err = run(capsys, argv)

@@ -11,6 +11,10 @@ import quadzero
 # the subcommands that run them.
 SOLVING = {"quadzero.solver", "quadzero.contour", "quadzero.critical",
            "quadzero.sweep", "quadzero.svg"}
+# What the closed forms of `critical` need not load: the solver and the
+# modules it alone imports, the sweep and the plot.
+NOT_CRITICAL = {"quadzero.solver", "quadzero.contour", "quadzero.bounds",
+                "quadzero.realroots", "quadzero.sweep", "quadzero.svg"}
 
 
 def fresh(code, *argv):
@@ -57,12 +61,11 @@ def test_import_loads_no_submodule():
 @pytest.mark.parametrize("argv, left_out", [
     (["radius", "--b", "0.5", "--c", "2", "--k", "4", "--n", "2", "--m", "1"], SOLVING),
     (["--help"], SOLVING),
-    (["critical-circle", "--b", "2", "--c", "3", "--k", "2"],
-     {"quadzero.sweep", "quadzero.svg"}),
+    (["critical-circle", "--b", "2", "--c", "3", "--k", "2"], NOT_CRITICAL),
     (["zeros", "--b", "2", "--c", "3", "--k", "4", "--n", "3", "--m", "1"],
      {"quadzero.sweep", "quadzero.svg", "quadzero.critical"}),
     (["circle-image", "--b", "0", "--c", "0", "--k", "1", "--n", "3", "--m", "1",
-      "--radius", "1"], {"quadzero.sweep", "quadzero.svg"}),
+      "--radius", "1"], NOT_CRITICAL),
 ], ids=["radius", "help", "critical-circle", "zeros", "circle-image"])
 def test_cli_loads_only_its_subcommands_modules(argv, left_out):
     code = f"import sys; from quadzero.cli import main; print(main(sys.argv[1:]), *{LOADED})"
@@ -70,6 +73,12 @@ def test_cli_loads_only_its_subcommands_modules(argv, left_out):
     assert status == "0"
     assert "quadzero.cli" in loaded
     assert left_out.isdisjoint(loaded)
+
+
+def test_critical_loads_no_solver():
+    # The solver is imported only by a census that is given no report.
+    code = f"import sys, quadzero.critical; print(*{LOADED})"
+    assert fresh(code).split() == ["quadzero.critical", "quadzero.errors", "quadzero.model"]
 
 
 def test_exports_are_their_home_modules_objects():

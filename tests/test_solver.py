@@ -17,9 +17,10 @@ from quadzero import (
     evaluate,
     find_zeros,
     newton_step,
+    modular_root_census,
     radius_bound,
 )
-from quadzero import solver
+from quadzero import critical, solver
 from quadzero.errors import BoundUnavailable, DegenerateJacobian
 from quadzero.model import analytic_derivative, coanalytic_derivative
 from quadzero.solver import _Majorant, _cell_test, _certify
@@ -27,6 +28,7 @@ from quadzero.solver import _Majorant, _cell_test, _certify
 CUBIC = HarmonicQuadrinomial(b=0.0, c=0.0, k=1, n=3, m=1)  # conj(z)^3 + z
 CUBIC_SINGULAR_RADIUS = 9.0 ** (-0.25)  # CUBIC's |h'| = |g'| = 1 on |z| = 3^(-1/2)
 UNIT_C = HarmonicQuadrinomial(b=2.0, c=1.0, k=3, n=3, m=1)  # |h'| = |g'| = 1 at 0
+CENSUS_CASE = HarmonicQuadrinomial(b=1.01, c=2.0, k=3, n=3, m=1)  # n = k, m = 1
 # (b, c, k, n, count) with |c| = 1 and m = 1: the origin is a singular zero.
 SINGULAR_ORIGINS = [
     (2.0, 1.0, 3, 3, 5),
@@ -333,15 +335,16 @@ def test_newton_step_refuses_exactly_the_singular_points(p, z):
 @pytest.mark.parametrize(
     "p",
     [HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=1) for b, c, k, n, _ in SINGULAR_ORIGINS]
-    + [HarmonicQuadrinomial(b=1.01, c=2.0, k=3, n=3, m=1)],
+    + [CENSUS_CASE],
     ids=lambda p: f"{p.b!r},{p.c!r},{p.k},{p.n},{p.m}",
 )
 def test_newton_updates_follow_a_positive_margin(monkeypatch, p):
     # Every caller reads the margin at h' and g' and takes the Newton
     # update with those same values only where it is positive.  The
-    # callers here are newton_step, _certify and _mirror; the cell test
-    # inlines both helpers, and TestFlatCell checks that path against
-    # `_reference_cell`, which calls them.
+    # callers here are the solver's newton_step, _certify and _mirror and,
+    # on CENSUS_CASE, whose critical circle exists, critical._zero_disk;
+    # the cell test inlines both helpers, and TestFlatCell checks that
+    # path against `_reference_cell`, which calls them.
     last = {}
     calls = []
     real_margin, real_update = _Majorant.margin, solver._newton_update
@@ -358,8 +361,13 @@ def test_newton_updates_follow_a_positive_margin(monkeypatch, p):
 
     monkeypatch.setattr(_Majorant, "margin", margin)
     monkeypatch.setattr(solver, "_newton_update", update)
-    find_zeros(p)
+    monkeypatch.setattr(critical, "_newton_update", update)
+    report = find_zeros(p)
     assert calls
+    if p == CENSUS_CASE:
+        calls.clear()
+        modular_root_census(p, report)
+        assert calls
 
 
 class TestFindZeros:

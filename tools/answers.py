@@ -10,6 +10,13 @@ exception's class name instead.  The cases are perfbench's batch and
 degenerate pools (read from perfbench/workloads.py, not changed), the
 tiny-|b| families and the q(1) = J(1) = 0 family.
 
+Then one line per Theorem 3.4 case: `census`, the parameters b,c,k,k,1,
+then `modular_root_census`'s on, inside and outside counts and
+`verify_theorem_34(b, c, k).passed`; a case that raises prints the
+exception's class name instead, as where the circle does not exist.
+The cases are the n = k, m = 1 grid of k from 2 to 6,
+b in {0.5, 0.9, 1.5, 2, 3} and c in {-3, -1.5, -0.5, 0.5, 1.5, 3}.
+
 Then one line per CLI case: `cli`, the arguments, the exit code and the
 md5 of stdout, of stderr and of the SVG (`-` where none is written).
 The cases are every `quadzero` example of the README, a sweep SVG whose
@@ -37,7 +44,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
 
-from quadzero import HarmonicQuadrinomial, find_zeros  # noqa: E402
+from quadzero import (  # noqa: E402
+    HarmonicQuadrinomial,
+    find_zeros,
+    modular_root_census,
+    verify_theorem_34,
+)
 from quadzero.cli import main as cli_main  # noqa: E402
 from quadzero.errors import QuadzeroError  # noqa: E402
 
@@ -93,6 +105,26 @@ def answer(params: tuple) -> str:
     )
 
 
+def census_cases() -> list[tuple]:
+    """(b, c, k, k, 1) per Theorem 3.4 case, in a fixed order."""
+    return [
+        (b, c, k, k, 1)
+        for k in range(2, 7)
+        for b in (0.5, 0.9, 1.5, 2.0, 3.0)
+        for c in (-3.0, -1.5, -0.5, 0.5, 1.5, 3.0)
+    ]
+
+
+def census_answer(params: tuple) -> str:
+    p = HarmonicQuadrinomial(*params)
+    try:
+        on, inside, outside = modular_root_census(p)
+        passed = verify_theorem_34(p.b, p.c, p.k).passed
+    except QuadzeroError as exc:
+        return f"census {workloads.case_key(params)} {type(exc).__name__}"
+    return f"census {workloads.case_key(params)} {on} {inside} {outside} {passed}"
+
+
 def md5(data: str) -> str:
     return hashlib.md5(data.encode()).hexdigest()
 
@@ -128,6 +160,8 @@ def sweep_md5(workers: int) -> str:
 if __name__ == "__main__":
     for params in cases():
         print(answer(params))
+    for params in census_cases():
+        print(census_answer(params))
     for case in CLI_CASES:
         print(cli_answer(case))
     for workers in (1, 2):

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import HypothesisViolation
 from .model import _UNIT_ROUNDOFF, HarmonicQuadrinomial
@@ -37,8 +36,7 @@ class CountBranch(enum.Enum):
     B_NONZERO_WILMSHURST = "BNonzeroWilmshurst"
 
 
-@dataclass(frozen=True)
-class DiskBound:
+class DiskBound(NamedTuple):
     """Closed disk D(0, radius) containing every zero of q.
 
     source names the paper's theorem (`radius_delta`) where it applies.
@@ -52,8 +50,7 @@ class DiskBound:
     winding: Optional[int]
 
 
-@dataclass(frozen=True)
-class CountBound:
+class CountBound(NamedTuple):
     upper: int
     upper_is_proven: bool
     lower: int

@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import SampleCapExceeded, ZeroOnContour
 from .model import HarmonicQuadrinomial, _Majorant, evaluate
@@ -48,16 +47,16 @@ from .model import HarmonicQuadrinomial, _Majorant, evaluate
 _SAMPLE_CAP = 2**20
 
 
-@dataclass(frozen=True)
-class Circle:
-    center: complex
-    radius: float
+class Circle(NamedTuple("Circle", [("center", complex), ("radius", float)])):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, center: complex, radius: float):
+        self = super().__new__(cls, center, radius)
         if not self.radius > 0:
             raise ValueError("circle radius must be positive")
         if not (cmath.isfinite(self.center) and math.isfinite(self.length)):
             raise ValueError("circle center and circumference must be finite")
+        return self
 
     @property
     def length(self) -> float:
@@ -67,18 +66,18 @@ class Circle:
         return self.center + self.radius * cmath.exp(2j * math.pi * t)
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(NamedTuple("Rectangle", [("lo", complex), ("hi", complex)])):
     """Axis-aligned rectangle with corners lo (bottom-left), hi (top-right)."""
 
-    lo: complex
-    hi: complex
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, lo: complex, hi: complex):
+        self = super().__new__(cls, lo, hi)
         if not (self.hi.real > self.lo.real and self.hi.imag > self.lo.imag):
             raise ValueError("rectangle must be nondegenerate with lo < hi")
         if not math.isfinite(self.length):
             raise ValueError("rectangle corners and perimeter must be finite")
+        return self
 
     @property
     def length(self) -> float:
@@ -103,8 +102,7 @@ class Rectangle:
 Contour = Union[Circle, Rectangle]
 
 
-@dataclass(frozen=True)
-class WindingReport:
+class WindingReport(NamedTuple):
     winding: int
     min_modulus: float
     samples_used: int

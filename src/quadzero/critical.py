@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import BEqualsOne, BZero, HypothesisViolation
 from .model import HarmonicQuadrinomial, OrientationClass, _Majorant, evaluate
@@ -28,36 +27,44 @@ if TYPE_CHECKING:
     from .solver import ZeroSetReport
 
 
-@dataclass(frozen=True)
-class CriticalCircle:
+class CriticalCircle(NamedTuple):
     radius: float
     k: int
     exists: bool
 
 
-@dataclass(frozen=True)
-class RayCheck:
+class RayCheck(NamedTuple):
     angle: float
     inside: OrientationClass  # classify_point at radius/1.1 * e^{i angle}
     on: OrientationClass  # at radius * e^{i angle}
     outside: OrientationClass  # at 1.1 * radius * e^{i angle}
 
 
-@dataclass(frozen=True)
-class CriticalCircleReport:
+class CriticalCircleReport(NamedTuple):
     circle: CriticalCircle
     checks: tuple[RayCheck, ...]
     passed: bool
 
 
-def _circle_ratio(b: float, c: float, k: int) -> float:
-    """(c^2 - 1)/(b^2 - 1): the circle exists where it is positive.
+def _circle_ratio(b: float, c: float, k: int) -> tuple[float, float]:
+    """(c^2 - 1)/(b^2 - 1) as (r, x), the ratio being r * 2^(x(2k - 2)):
+    the circle exists where r is positive, and 2^x scales its radius.
+    x = 0 unless b*b or the ratio overflows.  Then c and b, where not
+    below 1, are scaled into [0.5, 1) by 2^-u and 2^-v; powers of two
+    change no rounding, so r is the ratio, rounded as it would be without
+    overflow, times 2^(2v - 2u).
     Raises ValueError for k < 2 and BEqualsOne for |b| = 1."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if abs(b) == 1.0:
         raise BEqualsOne("Theorem 3.4 requires b ≠ ±1")
-    return (c * c - 1.0) / (b * b - 1.0)
+    ratio = (c * c - 1.0) / (b * b - 1.0)
+    if math.isfinite(ratio) and math.isfinite(b * b):
+        return ratio, 0.0
+    u, v = max(math.frexp(c)[1], 0), max(math.frexp(b)[1], 0)
+    c, b = math.ldexp(c, -u), math.ldexp(b, -v)
+    r = (c * c - math.ldexp(1.0, -2 * u)) / (b * b - math.ldexp(1.0, -2 * v))
+    return r, (u - v) / (k - 1)
 
 
 def critical_radius(b: float, c: float, k: int) -> CriticalCircle:
@@ -66,10 +73,10 @@ def critical_radius(b: float, c: float, k: int) -> CriticalCircle:
     The circle exists iff (c^2 - 1)/(b^2 - 1) > 0; c^2 = 1 makes the
     radius degenerate to 0 and is reported as non-existent.
     """
-    ratio = _circle_ratio(b, c, k)
+    ratio, x = _circle_ratio(b, c, k)
     if ratio <= 0.0:
         return CriticalCircle(0.0, k, False)
-    radius = (ratio / (k * k)) ** (1.0 / (2 * k - 2))
+    radius = (ratio / (k * k)) ** (1.0 / (2 * k - 2)) * 2.0**x
     return CriticalCircle(radius, k, True)
 
 
@@ -77,10 +84,10 @@ def critical_radius_alt(b: float, c: float, k: int) -> float:
     """`critical_radius(b, c, k).radius` by an algebraically identical
     second closed form, kept for cross-checking; 0.0 where no circle
     exists, and the same errors."""
-    ratio = _circle_ratio(b, c, k)
+    ratio, x = _circle_ratio(b, c, k)
     if ratio <= 0.0:
         return 0.0
-    return (1.0 / k) ** (1.0 / (k - 1)) * ratio ** (1.0 / (2 * k - 2))
+    return (1.0 / k) ** (1.0 / (k - 1)) * ratio ** (1.0 / (2 * k - 2)) * 2.0**x
 
 
 def pure_imaginary_rays(k: int) -> list[float]:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PoleAtCriticalPoint
@@ -36,31 +35,55 @@ class OrientationClass(enum.Enum):
     SINGULAR = "singular"
 
 
-@dataclass(frozen=True)
 class HarmonicQuadrinomial:
     """Parameter tuple (b, c, k, n, m) with n > m >= 1 and k >= 1.
 
     b = 0 and c = 0 are admitted; theorem-specific hypotheses (b,c != 0,
     k > n, ...) are checked by the operations that need them.
+
+    Immutable, compared and hashed by value.  A slotted class, not a named
+    tuple: q, h' and g' read its fields on every evaluation, and a slot is
+    read faster than a tuple item.
     """
 
-    b: float
-    c: float
-    k: int
-    n: int
-    m: int
+    __slots__ = ("b", "c", "k", "n", "m")
 
-    def __post_init__(self):
-        for name in ("k", "n", "m"):
-            v = getattr(self, name)
+    def __init__(self, b: float, c: float, k: int, n: int, m: int):
+        for name, v in (("k", k), ("n", n), ("m", m)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise TypeError(f"{name} must be an integer, got {v!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not (self.n > self.m >= 1):
-            raise ValueError(f"need n > m >= 1, got n={self.n}, m={self.m}")
-        if not (math.isfinite(self.b) and math.isfinite(self.c)):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if not (n > m >= 1):
+            raise ValueError(f"need n > m >= 1, got n={n}, m={m}")
+        if not (math.isfinite(b) and math.isfinite(c)):
             raise ValueError("coefficients b, c must be finite")
+        for name, v in (("b", b), ("c", c), ("k", k), ("n", n), ("m", m)):
+            object.__setattr__(self, name, v)
+
+    def _key(self) -> tuple:
+        return (self.b, self.c, self.k, self.n, self.m)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(b={self.b!r}, c={self.c!r}, "
+                f"k={self.k!r}, n={self.n!r}, m={self.m!r})")
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # z**0 == 1 for every z in Python (including 0j), which is the convention

@@ -8,25 +8,25 @@ test on the positive reals switches from false to true.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NoSignChange, NonConvergence, NotARootAtOne, ZeroPolynomial
 
 
-@dataclass(frozen=True)
-class RealPoly:
+class RealPoly(NamedTuple("RealPoly", [("coeffs", tuple[float, ...])])):
     """Dense real polynomial, coefficients in ascending degree order."""
 
-    coeffs: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __new__(cls, coeffs: tuple[float, ...]):
+        if not coeffs:
             raise ZeroPolynomial("empty coefficient list")
-        for a in self.coeffs:
+        for a in coeffs:
             if not math.isfinite(a):
                 raise ValueError("coefficients must be finite")
-        if self.coeffs[-1] == 0.0:
+        if coeffs[-1] == 0.0:
             raise ValueError("leading coefficient must be nonzero (trim first)")
+        return super().__new__(cls, coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "RealPoly":

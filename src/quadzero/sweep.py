@@ -29,9 +29,8 @@ worker must call ``run_sweep`` under ``if __name__ == "__main__":``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BoundUnavailable
 from .model import HarmonicQuadrinomial
@@ -42,15 +41,13 @@ from .solver import ZeroSetReport, find_zeros
 _MIN_CELLS_PER_WORKER = 48
 
 
-@dataclass(frozen=True)
-class Axis:
-    lo: float
-    hi: float
-    steps: int
+class Axis(NamedTuple("Axis", [("lo", float), ("hi", float), ("steps", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.steps < 1:
+    def __new__(cls, lo: float, hi: float, steps: int):
+        if steps < 1:
             raise ValueError("steps must be >= 1")
+        return super().__new__(cls, lo, hi, steps)
 
     def values(self) -> list[float]:
         if self.steps == 1:
@@ -59,8 +56,7 @@ class Axis:
         return [self.lo + i * d for i in range(self.steps)]
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(NamedTuple):
     b: float
     c: float
     report: Optional[ZeroSetReport]  # None: no inclusion disk (BoundUnavailable)
@@ -70,8 +66,7 @@ class SweepCell:
         return "unavailable" if self.report is None else self.report.winding_check
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(NamedTuple):
     b_axis: Axis
     c_axis: Axis
     k: int

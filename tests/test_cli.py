@@ -270,6 +270,18 @@ class TestCriticalCircle:
         assert doc["radius"] == pytest.approx(math.sqrt(2.0 / 3.0))
         assert doc["k"] == 2
 
+    @pytest.mark.parametrize(
+        "b, c, k, radius",
+        [("2", "1e160", "2", 1e160 / (2.0 * math.sqrt(3.0))), ("1e200", "1e200", "3", 3.0**-0.5)],
+        ids=["ratio-inf", "ratio-nan"],
+    )
+    def test_radius_where_the_squares_overflow(self, capsys, b, c, k, radius):
+        code, out, _ = run(capsys, ["critical-circle", "--b", b, "--c", c, "--k", k])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["exists"] is True
+        assert doc["radius"] == pytest.approx(radius, rel=1e-14)
+
     def test_b_equals_one_exits_2(self, capsys):
         code, _, err = run(
             capsys, ["critical-circle", "--b", "1", "--c", "3", "--k", "2"]

@@ -58,6 +58,40 @@ class TestCriticalRadius:
                     assert abs(cc.radius - alt) <= 1e-12 * alt
                     assert (alt > 0) == cc.exists
 
+    @given(
+        st.floats(-1e100, 1e100).filter(lambda b: abs(b) != 1.0),
+        st.floats(-1e100, 1e100),
+        st.integers(2, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_plain_formulas_where_nothing_overflows(self, b, c, k):
+        # Bit for bit the closed forms on the unscaled ratio.
+        ratio = (c * c - 1.0) / (b * b - 1.0)
+        cc = critical_radius(b, c, k)
+        assert cc.exists == (ratio > 0)
+        if cc.exists:
+            e = 2 * k - 2
+            assert cc.radius == (ratio / (k * k)) ** (1.0 / e)
+            alt = (1.0 / k) ** (1.0 / (k - 1)) * ratio ** (1.0 / e)
+            assert critical_radius_alt(b, c, k) == alt
+
+    @pytest.mark.parametrize(
+        "b, c, k, radius",
+        [
+            (2.0, 1e160, 2, 1e160 / (2.0 * math.sqrt(3.0))),  # ratio inf
+            (1e200, 1e200, 3, 3.0**-0.5),  # inf/inf
+            (1e200, 3.0, 2, math.sqrt(2.0) * 1e-200),  # 8/inf = 0
+            (1e200, 0.5, 2, 0.0),  # no circle: c^2 - 1 < 0 < b^2 - 1
+            (1.5, 1.7e308, 3, math.sqrt(1.7e308) / 11.25**0.25),  # (c^2/11.25)^(1/4)
+        ],
+        ids=["ratio-inf", "ratio-nan", "ratio-zero", "no-circle", "c-squared-inf"],
+    )
+    def test_squares_overflow_but_not_the_radius(self, b, c, k, radius):
+        cc = critical_radius(b, c, k)
+        assert cc.exists == (radius > 0)
+        assert cc.radius == pytest.approx(radius, rel=1e-14)
+        assert critical_radius_alt(b, c, k) == pytest.approx(radius, rel=1e-14)
+
     @pytest.mark.parametrize(
         "b, c, k, error",
         [

@@ -59,20 +59,28 @@ def test_import_loads_no_submodule():
 
 
 @pytest.mark.parametrize("argv, left_out", [
-    (["radius", "--b", "0.5", "--c", "2", "--k", "4", "--n", "2", "--m", "1"], SOLVING),
-    (["--help"], SOLVING),
-    (["critical-circle", "--b", "2", "--c", "3", "--k", "2"], NOT_CRITICAL),
+    (["radius", "--b", "0.5", "--c", "2", "--k", "4", "--n", "2", "--m", "1"],
+     SOLVING | {"dataclasses"}),
+    (["--help"], SOLVING | {"dataclasses"}),
+    (["critical-circle", "--b", "2", "--c", "3", "--k", "2"], NOT_CRITICAL | {"dataclasses"}),
     (["zeros", "--b", "2", "--c", "3", "--k", "4", "--n", "3", "--m", "1"],
      {"quadzero.sweep", "quadzero.svg", "quadzero.critical"}),
     (["circle-image", "--b", "0", "--c", "0", "--k", "1", "--n", "3", "--m", "1",
-      "--radius", "1"], NOT_CRITICAL),
-], ids=["radius", "help", "critical-circle", "zeros", "circle-image"])
+      "--radius", "1"], NOT_CRITICAL | {"dataclasses"}),
+    (["classify", "--b", "0.5", "--c", "2", "--k", "4", "--n", "2", "--m", "1", "--re", "0.5"],
+     SOLVING | {"quadzero.bounds", "quadzero.realroots", "dataclasses"}),
+    (["winding", "--b", "0.5", "--c", "2", "--k", "4", "--n", "2", "--m", "1", "--radius", "3"],
+     {"quadzero.solver", "quadzero.critical", "quadzero.bounds", "quadzero.realroots",
+      "quadzero.sweep", "quadzero.svg", "dataclasses"}),
+], ids=["radius", "help", "critical-circle", "zeros", "circle-image", "classify", "winding"])
 def test_cli_loads_only_its_subcommands_modules(argv, left_out):
-    code = f"import sys; from quadzero.cli import main; print(main(sys.argv[1:]), *{LOADED})"
-    status, *loaded = fresh(code, *argv).splitlines()[-1].split()
+    # Only what the command adds counts, not what `site` imported before it.
+    code = ("import sys; before = set(sys.modules); from quadzero.cli import main; "
+            "status = main(sys.argv[1:]); print(status, *sorted(set(sys.modules) - before))")
+    status, *added = fresh(code, *argv).splitlines()[-1].split()
     assert status == "0"
-    assert "quadzero.cli" in loaded
-    assert left_out.isdisjoint(loaded)
+    assert "quadzero.cli" in added
+    assert left_out.isdisjoint(added)
 
 
 def test_critical_loads_no_solver():

@@ -21,8 +21,9 @@ Then one line per CLI case: `cli`, the arguments, the exit code and the
 md5 of stdout, of stderr and of the SVG (`-` where none is written).
 The cases are every `quadzero` example of the README, a sweep SVG whose
 b = 1 column has no disk and whose six n = k, m = 1 cells draw critical
-circles, an unwritable `--svg` path (exit 2) and a critical circle whose
-radius is NaN (exit 3).
+circles, an unwritable `--svg` path (exit 2), a critical circle whose
+b*b and c*c overflow though its radius does not (exit 0) and a circle
+image whose samples of q overflow (exit 3).
 Each runs in process through `quadzero.cli.main`, in an empty temporary
 directory, so its relative `--svg` path lands there.
 
@@ -72,6 +73,7 @@ CLI_CASES = [
     "sweep --b-range 0:2:5 --c-range 1.5:3:3 --k 3 --n 3 --m 1 --svg sweep.svg",
     "zeros --b 0 --c 0 --k 1 --n 3 --m 1 --svg no/such/dir/zeros.svg",
     "critical-circle --b 1e200 --c 1e200 --k 3",
+    "circle-image --b 1e300 --c 1 --k 3 --n 2 --m 1 --radius 1e10 --samples 16",
 ]
 
 

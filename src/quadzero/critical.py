@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import BEqualsOne, BZero, HypothesisViolation
@@ -49,17 +50,18 @@ class CriticalCircleReport(NamedTuple):
 def _circle_ratio(b: float, c: float, k: int) -> tuple[float, float]:
     """(c^2 - 1)/(b^2 - 1) as (r, x), the ratio being r * 2^(x(2k - 2)):
     the circle exists where r is positive, and 2^x scales its radius.
-    x = 0 unless b*b or the ratio overflows.  Then c and b, where not
-    below 1, are scaled into [0.5, 1) by 2^-u and 2^-v; powers of two
-    change no rounding, so r is the ratio, rounded as it would be without
-    overflow, times 2^(2v - 2u).
+    x = 0 unless b*b overflows or the ratio is not a normal float
+    (infinite, NaN, zero or subnormal).  Then c and b, where not below 1,
+    are scaled into [0.5, 1) by 2^-u and 2^-v; powers of two change no
+    rounding, so r is the ratio, rounded as it would be without overflow
+    or underflow, times 2^(2v - 2u).
     Raises ValueError for k < 2 and BEqualsOne for |b| = 1."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if abs(b) == 1.0:
         raise BEqualsOne("Theorem 3.4 requires b ≠ ±1")
     ratio = (c * c - 1.0) / (b * b - 1.0)
-    if math.isfinite(ratio) and math.isfinite(b * b):
+    if sys.float_info.min <= abs(ratio) < math.inf and math.isfinite(b * b):
         return ratio, 0.0
     u, v = max(math.frexp(c)[1], 0), max(math.frexp(b)[1], 0)
     c, b = math.ldexp(c, -u), math.ldexp(b, -v)

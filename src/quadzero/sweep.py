@@ -9,16 +9,25 @@ worker processes asked for, at least 1 (``run_sweep`` raises
 b-row and one per ``_MIN_CELLS_PER_WORKER`` cells, and with one it
 starts no pool.
 
-A pool must earn its start-up.  On a 2-vCPU Linux VM (Python 3.11,
-``k=3 n=2 m=1``, about 0.8 ms a cell) an empty 2-worker pool costs
-11-13 ms under fork and 150-180 ms under forkserver, its server
-included.  Under fork, in a process that has solved before, two
-workers take a median 0.76-1.10 of the serial wall time at 100 cells
-(three sets of 20 runs), 0.67-0.71 at 196 and 0.64-0.65 at 400: they
-match one at about 100 cells.  Under forkserver they take 1.5 of it at
-100 cells, 1.05 at 196 and 0.84 at 400 (10 runs each).  Hence 48 cells
-a worker: a 16-cell grid runs in this process and a 100-cell one on two
-workers.
+A pool must earn its start-up, and that is measured, not assumed:
+``tools/pool_break_even.py`` times 1 worker against a forced 2-worker
+pool on the criterion-9 family (``k=3 n=2 m=1``, about 0.7 ms a cell),
+one sweep per fresh interpreter as the CLI runs, under fork and under
+forkserver.  On a 2-vCPU Linux VM (Python 3.11, medians of 10 pairs,
+``BENCH_34.json``) an empty 2-worker pool costs 22 ms under fork and
+140 ms under forkserver, its server included.  Two workers at best
+halve the serial time T, so with a start cost S they pay only where
+T/2 + S < T, that is T > 2S: under forkserver about 280 ms, or 400
+cells.  Measured, two workers take 2.77 of the serial wall time at 100
+cells, 1.83 at 196, 1.47 at 256 and 1.14 at 400 under forkserver, and
+1.46 at 100 cells, 0.79 at 144 and 196 and 0.68 at 400 under fork.
+The VM adds a cost of its own: two processes that start after a few
+idle seconds get about one CPU between them for their first 1.1-1.3 s,
+so a short sweep that starts from idle gains little from a second
+worker of either kind.  Hence 200 cells a worker, for both start
+methods: a pool starts from 400 cells, where fork saves about a third
+and forkserver is within 15 % of one worker, and a 10x10 grid runs in
+this process.
 
 Workers start by the platform's default method.  Where that is ``spawn``
 (Windows, macOS) or ``forkserver`` (Linux from Python 3.14), each worker
@@ -38,7 +47,7 @@ from .solver import ZeroSetReport, find_zeros
 
 # One worker per this many cells at most; the module docstring gives the
 # break-even it comes from.
-_MIN_CELLS_PER_WORKER = 48
+_MIN_CELLS_PER_WORKER = 200
 
 
 class Axis(NamedTuple("Axis", [("lo", float), ("hi", float), ("steps", int)])):

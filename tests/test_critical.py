@@ -1,6 +1,8 @@
 import cmath
 import dataclasses
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -91,6 +93,19 @@ class TestCriticalRadius:
         assert cc.exists == (radius > 0)
         assert cc.radius == pytest.approx(radius, rel=1e-14)
         assert critical_radius_alt(b, c, k) == pytest.approx(radius, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "b, c", [(1.3e154, 1.0000000001), (1e154, 1.0000001)], ids=["2e-318", "2e-315"]
+    )
+    def test_subnormal_ratio_keeps_its_precision(self, b, c):
+        # The ratio (c*c - 1)/(b*b - 1) is subnormal; the radius is normal
+        # and within a few ulps of the one from the exact quotient of the
+        # two rounded differences.
+        exact = Fraction(c * c - 1.0) / Fraction(b * b - 1.0)
+        assert 0 < exact < sys.float_info.min
+        radius = math.ldexp(math.sqrt(float(exact * 4**540)), -541)  # sqrt(exact/4)
+        assert critical_radius(b, c, 2).radius == pytest.approx(radius, abs=4 * math.ulp(radius))
+        assert critical_radius_alt(b, c, 2) == pytest.approx(radius, abs=4 * math.ulp(radius))
 
     @pytest.mark.parametrize(
         "b, c, k, error",

@@ -80,11 +80,15 @@ def pool_sizes(monkeypatch):
         pytest.param(8, None, 1, 3, 1, None, id="8-None-None"),
         pytest.param(1, 64, 1, 3, 1, None, id="1-64-None"),
         # One worker per _MIN_CELLS_PER_WORKER cells at most: none below
-        # one share, two for exactly two shares (the constant is even).
+        # one share, two for two shares (two b-rows of one share each).
         pytest.param(8, 64, None, 4, (sweep._MIN_CELLS_PER_WORKER - 1) // 4, None,
                      id="8-64-None-below-one-share"),
-        pytest.param(8, 64, None, 4, sweep._MIN_CELLS_PER_WORKER // 2, 2,
+        pytest.param(8, 64, None, 2, sweep._MIN_CELLS_PER_WORKER, 2,
                      id="8-64-2-two-shares"),
+        # The real constant on a 2-CPU host asked for 2 workers: a 10x10
+        # grid runs in this process, a 20x20 one on two workers.
+        pytest.param(2, 2, None, 10, 10, None, id="2-2-None-10x10"),
+        pytest.param(2, 2, None, 20, 20, 2, id="2-2-2-20x20"),
     ],
 )
 def test_worker_count_is_capped(

@@ -6,28 +6,35 @@ across a pool of worker processes, and always reported in row-major
 worker count.  ``threads`` (the CLI's ``--threads``) is the number of
 worker processes asked for, at least 1 (``run_sweep`` raises
 ``ValueError`` below that); a sweep uses at most one per CPU, one per
-b-row and one per ``_MIN_CELLS_PER_WORKER`` cells, and with one it
-starts no pool.
+b-row and one per ``_MIN_CELLS_PER_WORKER`` cells, and it starts no
+pool with one worker or below ``_MIN_POOL_CELLS`` cells.
 
-A pool must earn its start-up, and that is measured, not assumed:
-``tools/pool_break_even.py`` times 1 worker against a forced 2-worker
-pool on the criterion-9 family (``k=3 n=2 m=1``, about 0.7 ms a cell),
-one sweep per fresh interpreter as the CLI runs, under fork and under
-forkserver.  On a 2-vCPU Linux VM (Python 3.11, medians of 10 pairs,
-``BENCH_34.json``) an empty 2-worker pool costs 22 ms under fork and
-140 ms under forkserver, its server included.  Two workers at best
-halve the serial time T, so with a start cost S they pay only where
-T/2 + S < T, that is T > 2S: under forkserver about 280 ms, or 400
-cells.  Measured, two workers take 2.77 of the serial wall time at 100
-cells, 1.83 at 196, 1.47 at 256 and 1.14 at 400 under forkserver, and
-1.46 at 100 cells, 0.79 at 144 and 196 and 0.68 at 400 under fork.
-The VM adds a cost of its own: two processes that start after a few
-idle seconds get about one CPU between them for their first 1.1-1.3 s,
-so a short sweep that starts from idle gains little from a second
-worker of either kind.  Hence 200 cells a worker, for both start
-methods: a pool starts from 400 cells, where fork saves about a third
-and forkserver is within 15 % of one worker, and a 10x10 grid runs in
-this process.
+A pool must earn its start-up.  ``tools/pool_break_even.py`` times 1
+worker against a forced 2-worker pool on the criterion-9 family
+(``k=3 n=2 m=1``, about 0.7 ms a cell), one sweep per fresh interpreter
+as the CLI runs, under fork and under forkserver.  On a 2-vCPU Linux VM
+(Python 3.11, medians of 10 pairs, ``BENCH_34.json``) an empty 2-worker
+pool costs 22 ms under fork and 140 ms under forkserver, its server
+included.  Two workers at best halve the serial time T, so with a start
+cost S they pay only where T/2 + S < T, that is T > 2S: under
+forkserver about 280 ms, or 400 cells.  Measured, two workers take 2.77
+of the serial wall time at 100 cells, 1.83 at 196, 1.47 at 256 and 1.14
+at 400 under forkserver, and 1.46 at 100 cells, 0.79 at 144 and 196,
+0.61 at 256 and 0.68 at 400 under fork.  The VM adds a cost of its own:
+two processes that start after a few idle seconds get about one CPU
+between them for their first 1.1-1.3 s, so a short sweep that starts
+from idle gains little from a second worker of either kind.
+
+One threshold serves both start methods, and neither break-even is met
+exactly: a pool starts from 400 cells.  A 10x10 grid runs in this
+process, where both methods lose with two workers.  Under fork a
+144-399-cell grid also runs here, though two workers would take about
+0.6-0.8 of its time; under forkserver the 400-cell grid still starts a
+pool, at about 1.14 of one worker's time.  Above the threshold each
+worker needs a share of 48 cells, fork's 100-cell break-even split
+between two workers, so the 400-cell grid may use up to 8.  Only 1
+worker against 2 was measured, on 2 vCPUs: whether 4 or 8 workers pay
+at that share is not known.
 
 Workers start by the platform's default method.  Where that is ``spawn``
 (Windows, macOS) or ``forkserver`` (Linux from Python 3.14), each worker
@@ -45,9 +52,10 @@ from .errors import BoundUnavailable
 from .model import HarmonicQuadrinomial
 from .solver import ZeroSetReport, find_zeros
 
-# One worker per this many cells at most; the module docstring gives the
-# break-even it comes from.
-_MIN_CELLS_PER_WORKER = 200
+# No pool below this many cells, and one worker per _MIN_CELLS_PER_WORKER
+# cells at most; the module docstring gives the measurements behind both.
+_MIN_POOL_CELLS = 400
+_MIN_CELLS_PER_WORKER = 48
 
 
 class Axis(NamedTuple("Axis", [("lo", float), ("hi", float), ("steps", int)])):
@@ -110,9 +118,10 @@ def run_sweep(
     rows = (bs, repeat(cs), repeat(k), repeat(n), repeat(m))
     # A forking pool starts all its workers at once: no more than can run,
     # and none that would cost more to start than its share of the cells.
+    size = len(bs) * len(cs)
     workers = min(threads, len(bs), os.cpu_count() or 1,
-                  len(bs) * len(cs) // _MIN_CELLS_PER_WORKER)
-    if workers <= 1:
+                  size // _MIN_CELLS_PER_WORKER)
+    if workers <= 1 or size < _MIN_POOL_CELLS:
         solved = list(map(_solve_row, *rows))
     else:
         # Imported here: it pulls in multiprocessing, which would add about

@@ -70,33 +70,38 @@ def pool_sizes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "threads, cpus, min_cells, b_steps, c_steps, pool_size",
+    "threads, cpus, constants, b_steps, c_steps, pool_size",
     [
-        # A 3-cell grid at one cell per worker, so the other caps decide:
-        # one worker per b-row at most, one per CPU at most, and no pool
-        # when the CPU count is unknown.
-        pytest.param(10_000, 64, 1, 3, 1, 3, id="10000-64-3"),
-        pytest.param(8, 2, 1, 3, 1, 2, id="8-2-2"),
-        pytest.param(8, None, 1, 3, 1, None, id="8-None-None"),
-        pytest.param(1, 64, 1, 3, 1, None, id="1-64-None"),
-        # One worker per _MIN_CELLS_PER_WORKER cells at most: none below
-        # one share, two for two shares (two b-rows of one share each).
-        pytest.param(8, 64, None, 4, (sweep._MIN_CELLS_PER_WORKER - 1) // 4, None,
-                     id="8-64-None-below-one-share"),
-        pytest.param(8, 64, None, 2, sweep._MIN_CELLS_PER_WORKER, 2,
-                     id="8-64-2-two-shares"),
-        # The real constant on a 2-CPU host asked for 2 workers: a 10x10
-        # grid runs in this process, a 20x20 one on two workers.
+        # A 3-cell grid with a pool from one cell at one cell per worker,
+        # so the other caps decide: one worker per b-row at most, one per
+        # CPU at most, and no pool when the CPU count is unknown.
+        pytest.param(10_000, 64, (1, 1), 3, 1, 3, id="10000-64-3"),
+        pytest.param(8, 2, (1, 1), 3, 1, 2, id="8-2-2"),
+        pytest.param(8, None, (1, 1), 3, 1, None, id="8-None-None"),
+        pytest.param(1, 64, (1, 1), 3, 1, None, id="1-64-None"),
+        # (_MIN_POOL_CELLS, _MIN_CELLS_PER_WORKER) on a 12-cell grid: one
+        # worker per share at most, and no pool below the threshold.
+        pytest.param(8, 64, (1, 13), 4, 3, None, id="8-64-None-below-one-share"),
+        pytest.param(8, 64, (1, 6), 4, 3, 2, id="8-64-2-two-shares"),
+        pytest.param(8, 64, (13, 1), 4, 3, None, id="8-64-None-below-threshold"),
+        # The real constants: a 10x10 grid runs in this process, and a
+        # 20x20 one on as many workers as asked for, up to 8.
         pytest.param(2, 2, None, 10, 10, None, id="2-2-None-10x10"),
         pytest.param(2, 2, None, 20, 20, 2, id="2-2-2-20x20"),
+        pytest.param(8, 8, None, 20, 20, 8, id="8-8-8-20x20"),
     ],
 )
 def test_worker_count_is_capped(
-    monkeypatch, pool_sizes, threads, cpus, min_cells, b_steps, c_steps, pool_size
+    monkeypatch, pool_sizes, threads, cpus, constants, b_steps, c_steps, pool_size
 ):
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
-    if min_cells is not None:
-        monkeypatch.setattr(sweep, "_MIN_CELLS_PER_WORKER", min_cells)
+    if constants is not None:
+        monkeypatch.setattr(sweep, "_MIN_POOL_CELLS", constants[0])
+        monkeypatch.setattr(sweep, "_MIN_CELLS_PER_WORKER", constants[1])
+    # Only the rows' order matters here, so no cell is solved.
+    monkeypatch.setattr(
+        sweep, "_solve_row", lambda b, cs, k, n, m: [sweep.SweepCell(b, c, None) for c in cs]
+    )
     b_axis, c_axis = Axis(2, 4, b_steps), Axis(3, 4, c_steps)
     grid = run_sweep(b_axis, c_axis, 3, 2, 1, threads=threads)
     assert pool_sizes == ([] if pool_size is None else [pool_size])
@@ -117,6 +122,7 @@ def test_process_pool_returns_the_serial_reports(monkeypatch):
     # (|c| = 1, m = 1), b = 2 or 3 with c = 3 regular cells.
     # A real pool on any host, for all six cells.
     monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep, "_MIN_POOL_CELLS", 1)
     monkeypatch.setattr(sweep, "_MIN_CELLS_PER_WORKER", 1)
     args = (Axis(1, 3, 3), Axis(-1, 3, 2), 3, 3, 1)
     serial = run_sweep(*args, threads=1)
@@ -130,6 +136,7 @@ def test_process_pool_returns_the_serial_reports(monkeypatch):
 
 def test_invalid_degrees_fail_alike_in_workers(capsys, monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep, "_MIN_POOL_CELLS", 1)
     monkeypatch.setattr(sweep, "_MIN_CELLS_PER_WORKER", 1)
     results = []
     for threads in ("1", "2"):

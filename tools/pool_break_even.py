@@ -7,8 +7,9 @@ and under forkserver, to find the grid size from which the pool pays.
 The grids are the criterion-9 family (b from 0.5 to 3, c from -2 to 2,
 k=3 n=2 m=1) at SIDE x SIDE cells, 10 12 14 16 20 by default: 100, 144,
 196, 256 and 400 cells.  The pool is forced by setting
-`sweep._MIN_CELLS_PER_WORKER = 1` in this tool's processes only, so the
-measurement does not depend on the constant it is used to set.  For each
+`sweep._MIN_POOL_CELLS` and `sweep._MIN_CELLS_PER_WORKER` to 1 in this
+tool's processes only, so the measurement does not depend on the
+constants it is used to set.  For each
 start method and size it runs two kinds of set, PAIRS pairs each, the
 1-worker sweep first in odd pairs and the 2-worker one first in even
 pairs:
@@ -27,7 +28,7 @@ ratio of each pair, and of each side's seconds.  It also times an empty
 shutdown) PAIRS times per method, once per fresh interpreter and in the
 warm process.  `break_even` gives, per method, the largest size whose
 fresh median ratio is 1 or more and the smallest from which every fresh
-median is below 1; a pool starts at 2 * _MIN_CELLS_PER_WORKER cells.
+median is below 1; a pool starts at _MIN_POOL_CELLS cells.
 
 Every sweep's CSV must be byte-identical to the 1-worker one of its
 size: the tool exits 1 on the first mismatch.  It makes no timing
@@ -73,7 +74,7 @@ def sweep_once(side: int, workers: int) -> tuple[float, str]:
         return time.perf_counter() - t0, ""
     from quadzero import sweep
 
-    sweep._MIN_CELLS_PER_WORKER = 1
+    sweep._MIN_POOL_CELLS = sweep._MIN_CELLS_PER_WORKER = 1
     b_axis, c_axis = sweep.Axis(0.5, 3.0, side), sweep.Axis(-2.0, 2.0, side)
     t0 = time.perf_counter()
     grid = sweep.run_sweep(b_axis, c_axis, *DEGREES, threads=workers)

@@ -8,15 +8,17 @@ do; this module sets no tolerance.  `verify_theorem_34` proves, on every
 ray, opposite orientations on the two sides of the circle;
 `modular_root_census` places each certified zero whose Kantorovich disk
 misses the circle, and loads the solver only to find the zeros when no
-report is passed.  The two closed forms of the radius,
-`univalence_radius` and `circle_image` are plain formulas.
+report is passed.  The two closed forms of the radius and
+`univalence_radius` form no square and no power that could overflow or
+underflow before the result does: each is a root of a mantissa scaled by
+a power of two (`_circle_ratio`, `_root`), within a few ulps where the
+result is a normal float.  `circle_image` samples q on a circle.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import BEqualsOne, BZero, HypothesisViolation
@@ -47,26 +49,36 @@ class CriticalCircleReport(NamedTuple):
     passed: bool
 
 
-def _circle_ratio(b: float, c: float, k: int) -> tuple[float, float]:
-    """(c^2 - 1)/(b^2 - 1) as (r, x), the ratio being r * 2^(x(2k - 2)):
-    the circle exists where r is positive, and 2^x scales its radius.
-    x = 0 unless b*b overflows or the ratio is not a normal float
-    (infinite, NaN, zero or subnormal).  Then c and b, where not below 1,
-    are scaled into [0.5, 1) by 2^-u and 2^-v; powers of two change no
-    rounding, so r is the ratio, rounded as it would be without overflow
-    or underflow, times 2^(2v - 2u).
+def _circle_ratio(b: float, c: float, k: int) -> tuple[float, int]:
+    """(c^2 - 1)/(b^2 - 1) as (r, e), the ratio being r * 2^e with
+    1/4 < |r| < 4: the circle exists where r is positive.  No square is
+    formed: r = n1*n2/(d1*d2) from the `math.frexp` mantissas of c - 1,
+    c + 1, b - 1 and b + 1, and e sums their exponents.  Each difference
+    is one rounding of exact operands, so it is exact or within u = 2^-53
+    of its value; near c = +-1, where c*c - 1 would cancel, c -+ 1 is
+    exact (Sterbenz's lemma), and so for b.  The two products and the
+    quotient add 3u: r * 2^e is within 7u of the ratio, relatively.
     Raises ValueError for k < 2 and BEqualsOne for |b| = 1."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if abs(b) == 1.0:
         raise BEqualsOne("Theorem 3.4 requires b ≠ ±1")
-    ratio = (c * c - 1.0) / (b * b - 1.0)
-    if sys.float_info.min <= abs(ratio) < math.inf and math.isfinite(b * b):
-        return ratio, 0.0
-    u, v = max(math.frexp(c)[1], 0), max(math.frexp(b)[1], 0)
-    c, b = math.ldexp(c, -u), math.ldexp(b, -v)
-    r = (c * c - math.ldexp(1.0, -2 * u)) / (b * b - math.ldexp(1.0, -2 * v))
-    return r, (u - v) / (k - 1)
+    (n1, e1), (n2, e2) = math.frexp(c - 1.0), math.frexp(c + 1.0)
+    (d1, e3), (d2, e4) = math.frexp(b - 1.0), math.frexp(b + 1.0)
+    return n1 * n2 / (d1 * d2), e1 + e2 - e3 - e4
+
+
+def _root(r: float, e: int, d: int, scale: float = 1.0) -> float:
+    """scale * (r * 2^e)^(1/d), for r > 0 of moderate size, as from
+    `_circle_ratio`.  e splits as q*d + s with 0 <= s < d, so the power is
+    of r * 2^s alone and `math.ldexp` applies 2^q last: nothing overflows
+    or underflows before the result does.  The root divides r's relative
+    error by d and adds about u, as the rounding of 1/d and the product
+    with scale do; the ldexp is exact where the result is normal.  So a
+    ratio within 7u gives a result within a few u.  Raises OverflowError
+    where the result overflows."""
+    q, s = divmod(e, d)
+    return math.ldexp(scale * math.ldexp(r, s) ** (1.0 / d), q)
 
 
 def critical_radius(b: float, c: float, k: int) -> CriticalCircle:
@@ -74,22 +86,22 @@ def critical_radius(b: float, c: float, k: int) -> CriticalCircle:
 
     The circle exists iff (c^2 - 1)/(b^2 - 1) > 0; c^2 = 1 makes the
     radius degenerate to 0 and is reported as non-existent.
+    Raises OverflowError where the radius overflows.
     """
-    ratio, x = _circle_ratio(b, c, k)
-    if ratio <= 0.0:
+    r, e = _circle_ratio(b, c, k)
+    if r <= 0.0:
         return CriticalCircle(0.0, k, False)
-    radius = (ratio / (k * k)) ** (1.0 / (2 * k - 2)) * 2.0**x
-    return CriticalCircle(radius, k, True)
+    return CriticalCircle(_root(r / (k * k), e, 2 * k - 2), k, True)
 
 
 def critical_radius_alt(b: float, c: float, k: int) -> float:
     """`critical_radius(b, c, k).radius` by an algebraically identical
-    second closed form, kept for cross-checking; 0.0 where no circle
-    exists, and the same errors."""
-    ratio, x = _circle_ratio(b, c, k)
-    if ratio <= 0.0:
+    second closed form, (1/k)^(1/(k-1)) * ratio^(1/(2k-2)), kept for
+    cross-checking; 0.0 where no circle exists, and the same errors."""
+    r, e = _circle_ratio(b, c, k)
+    if r <= 0.0:
         return 0.0
-    return (1.0 / k) ** (1.0 / (k - 1)) * ratio ** (1.0 / (2 * k - 2)) * 2.0**x
+    return _root(r, e, 2 * k - 2, (1.0 / k) ** (1.0 / (k - 1)))
 
 
 def pure_imaginary_rays(k: int) -> list[float]:
@@ -144,12 +156,11 @@ def univalence_radius(b: float, k: int) -> tuple[float, list[complex]]:
         raise ValueError("k must be >= 2")
     if b == 0.0:
         raise BZero("the analytic derivative never vanishes when b = 0")
-    radius = (1.0 / (k * abs(b))) ** (1.0 / (k - 1))
-    w = -1.0 / (b * k)
-    phase = 0.0 if w > 0 else math.pi
+    m, e = math.frexp(b)
+    radius = _root(1.0 / (k * abs(m)), -e, k - 1)
+    phase = 0.0 if b < 0 else math.pi  # the argument of -1/(bk)
     points = [
-        abs(w) ** (1.0 / (k - 1))
-        * cmath.exp(1j * (phase + 2.0 * math.pi * j) / (k - 1))
+        radius * cmath.exp(1j * (phase + 2.0 * math.pi * j) / (k - 1))
         for j in range(k - 1)
     ]
     return radius, points

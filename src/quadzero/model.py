@@ -204,9 +204,9 @@ def _newton_update(v: complex, fz: complex, gz: complex) -> complex:
     rounding, delta > 12u*s, so t <= 1/3 and
     |d* - d^| <= (13u*s|d*| + 12u|v|)/delta <= gamma*(M'(|z|)|d*| + |v|)/sigma
     for the margin sigma."""
-    fzb = gz.conjugate()
-    j = (fz.real**2 + fz.imag**2) - (fzb.real**2 + fzb.imag**2)
-    return (fzb * v.conjugate() - fz.conjugate() * v) / j
+    gzb = gz.conjugate()
+    j = (fz.real**2 + fz.imag**2) - (gzb.real**2 + gzb.imag**2)
+    return (gzb * v.conjugate() - fz.conjugate() * v) / j
 
 
 def _kantorovich(

@@ -549,9 +549,11 @@ def test_command_returns_its_answer_and_main_prints_it(capsys, command, flags):
          "--radius", "1e10", "--samples", "16"],
         ["sweep", "--b-range", "1e-90:1e-90:1", "--c-range", "2:2:1",
          "--k", "4", "--n", "3", "--m", "1", "--threads", "1"],
+        # the radius itself, about 2^1024.05, overflows
+        ["critical-circle", "--b", "1.1", "--c", "1.7e308", "--k", "2"],
     ],
     ids=["zeros", "classify", "classify-nan", "winding", "circle-image",
-         "circle-image-inf", "sweep"],
+         "circle-image-inf", "sweep", "critical-circle"],
 )
 def test_overflow_exits_3(capsys, argv):
     code, out, err = run(capsys, argv)

@@ -1,11 +1,12 @@
 import cmath
 import dataclasses
 import math
+import random
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadzero import (
@@ -27,6 +28,29 @@ from quadzero.errors import BEqualsOne, BZero, HypothesisViolation
 
 SINGULAR = OrientationClass.SINGULAR
 GRID = (1.25, 1.5, 2.0, 3.0, 5.0)  # criterion 6's b and c, k in 2..6
+U = Fraction(1, 2**53)  # the unit roundoff
+near_unit = st.sampled_from((-1.0, 1.0)).flatmap(
+    lambda s: st.floats(-1e-3, 1e-3).map(lambda e: s * (1.0 + e))
+)
+
+
+def exact_ratio(b: float, c: float) -> Fraction:
+    """(c^2 - 1)/(b^2 - 1) of the float inputs, in exact arithmetic."""
+    return (Fraction(c) ** 2 - 1) / (Fraction(b) ** 2 - 1)
+
+
+def within_ulps(rho: float, ulps: int, target: Fraction, d: int) -> bool:
+    """rho is within `ulps` ulps of target^(1/d), in exact arithmetic."""
+    step = ulps * Fraction(math.ulp(rho))
+    rho = Fraction(rho)
+    return (rho - step) ** d <= target <= (rho + step) ** d
+
+
+def brackets(rho: float, tol: Fraction, target: Fraction, d: int) -> bool:
+    """(rho(1 - tol))^d <= target <= (rho(1 + tol))^d: rho is within tol,
+    relatively, of target^(1/d)."""
+    rho = Fraction(rho)
+    return (rho * (1 - tol)) ** d <= target <= (rho * (1 + tol)) ** d
 
 
 class TestCriticalRadius:
@@ -61,21 +85,23 @@ class TestCriticalRadius:
                     assert (alt > 0) == cc.exists
 
     @given(
-        st.floats(-1e100, 1e100).filter(lambda b: abs(b) != 1.0),
-        st.floats(-1e100, 1e100),
+        st.one_of(st.floats(-1e100, 1e100), near_unit).filter(lambda b: abs(b) != 1.0),
+        st.one_of(st.floats(-1e100, 1e100), near_unit),
         st.integers(2, 8),
     )
+    @example(1.00000001, 3.0, 2)  # the plain (c*c - 1)/(b*b - 1) is 2.5e-9 off
     @settings(max_examples=300, deadline=None)
     def test_plain_formulas_where_nothing_overflows(self, b, c, k):
-        # Bit for bit the closed forms on the unscaled ratio.
-        ratio = (c * c - 1.0) / (b * b - 1.0)
+        # Within 4u of the exact radius of the float inputs, u = 2^-53:
+        # k^2 (rho(1 -+ 4u))^(2k-2) brackets (c^2 - 1)/(b^2 - 1) in exact
+        # arithmetic; 8u for the second closed form.
+        ratio = exact_ratio(b, c)
         cc = critical_radius(b, c, k)
         assert cc.exists == (ratio > 0)
         if cc.exists:
-            e = 2 * k - 2
-            assert cc.radius == (ratio / (k * k)) ** (1.0 / e)
-            alt = (1.0 / k) ** (1.0 / (k - 1)) * ratio ** (1.0 / e)
-            assert critical_radius_alt(b, c, k) == alt
+            alt = critical_radius_alt(b, c, k)
+            assert brackets(cc.radius, 4 * U, ratio / (k * k), 2 * k - 2)
+            assert brackets(alt, 8 * U, ratio / (k * k), 2 * k - 2)
 
     @pytest.mark.parametrize(
         "b, c, k, radius",
@@ -85,8 +111,10 @@ class TestCriticalRadius:
             (1e200, 3.0, 2, math.sqrt(2.0) * 1e-200),  # 8/inf = 0
             (1e200, 0.5, 2, 0.0),  # no circle: c^2 - 1 < 0 < b^2 - 1
             (1.5, 1.7e308, 3, math.sqrt(1.7e308) / 11.25**0.25),  # (c^2/11.25)^(1/4)
+            (1.1, 1.5e308, 2, 1.5e308 / (2.0 * math.sqrt(0.21))),  # 2^1024 > radius
         ],
-        ids=["ratio-inf", "ratio-nan", "ratio-zero", "no-circle", "c-squared-inf"],
+        ids=["ratio-inf", "ratio-nan", "ratio-zero", "no-circle", "c-squared-inf",
+             "radius-near-max"],
     )
     def test_squares_overflow_but_not_the_radius(self, b, c, k, radius):
         cc = critical_radius(b, c, k)
@@ -94,18 +122,53 @@ class TestCriticalRadius:
         assert cc.radius == pytest.approx(radius, rel=1e-14)
         assert critical_radius_alt(b, c, k) == pytest.approx(radius, rel=1e-14)
 
+    def test_radius_overflow_raises(self):
+        # (c^2 - 1)/(b^2 - 1) is 2^2050.09, so the radius, sqrt(ratio/4), is
+        # 2^1024.05, past the largest float.
+        with pytest.raises(OverflowError):
+            critical_radius(1.1, 1.7e308, 2)
+        with pytest.raises(OverflowError):
+            critical_radius_alt(1.1, 1.7e308, 2)
+
     @pytest.mark.parametrize(
-        "b, c", [(1.3e154, 1.0000000001), (1e154, 1.0000001)], ids=["2e-318", "2e-315"]
+        "b, c",
+        [(1.3e154, 1.0000000001), (1e154, 1.0000001), (-1.3e154, -1.0000000001)],
+        ids=["2e-318", "2e-315", "2e-318-negative"],
     )
     def test_subnormal_ratio_keeps_its_precision(self, b, c):
-        # The ratio (c*c - 1)/(b*b - 1) is subnormal; the radius is normal
-        # and within a few ulps of the one from the exact quotient of the
-        # two rounded differences.
-        exact = Fraction(c * c - 1.0) / Fraction(b * b - 1.0)
-        assert 0 < exact < sys.float_info.min
-        radius = math.ldexp(math.sqrt(float(exact * 4**540)), -541)  # sqrt(exact/4)
-        assert critical_radius(b, c, 2).radius == pytest.approx(radius, abs=4 * math.ulp(radius))
-        assert critical_radius_alt(b, c, 2) == pytest.approx(radius, abs=4 * math.ulp(radius))
+        # The ratio (c^2 - 1)/(b^2 - 1) is subnormal, the radius normal and
+        # within 4u of the exact radius of the float inputs.
+        ratio = exact_ratio(b, c)
+        assert 0 < ratio < sys.float_info.min
+        assert brackets(critical_radius(b, c, 2).radius, 4 * U, ratio / 4, 2)
+        assert brackets(critical_radius_alt(b, c, 2), 8 * U, ratio / 4, 2)
+
+    def test_within_ulps_on_seeded_draws(self):
+        # 20 000 draws, k in 2..8, a quarter each with |b| near 1, |c| near
+        # 1, |b| and |c| in 1e+-300, and both in 1e+-3.  critical_radius is
+        # within 2 ulps of the exact radius of the float inputs, and
+        # critical_radius_alt within 4; every radius here is normal.
+        rng = random.Random(34)
+
+        def modulus(kind: str) -> float:
+            if kind == "near-1":
+                return 1.0 + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-16, -1)
+            return 10.0 ** rng.uniform(*{"wide": (-300, 300), "ordinary": (-3, 3)}[kind])
+
+        kinds = [("near-1", "ordinary"), ("ordinary", "near-1"), ("wide", "wide"),
+                 ("ordinary", "ordinary")]
+        for i in range(20_000):
+            b, c = (rng.choice((-1.0, 1.0)) * modulus(kind) for kind in kinds[i % 4])
+            k = rng.randint(2, 8)
+            if abs(b) == 1.0:
+                continue
+            ratio, d = exact_ratio(b, c), 2 * k - 2
+            if ratio <= 0:
+                assert not critical_radius(b, c, k).exists
+                assert critical_radius_alt(b, c, k) == 0.0
+                continue
+            assert within_ulps(critical_radius(b, c, k).radius, 2, ratio / (k * k), d)
+            assert within_ulps(critical_radius_alt(b, c, k), 4, ratio / (k * k), d)
 
     @pytest.mark.parametrize(
         "b, c, k, error",
@@ -200,6 +263,14 @@ class TestUnivalenceRadius:
         radius, points = univalence_radius(0.25, 2)
         assert radius == pytest.approx(2.0)
         assert points == [pytest.approx(-2.0 + 0j)]
+
+    def test_k_times_b_overflows(self):
+        # 3 * 1e308 overflows, but the radius 1/sqrt(3e308) is normal, and
+        # the two roots of z^2 = -1/(3e308) lie on the imaginary axis.
+        radius, points = univalence_radius(1e308, 3)
+        assert radius == 5.773502691896258e-155
+        assert within_ulps(radius, 1, Fraction(1, 3 * 10**308), 2)
+        assert points == [pytest.approx(radius * 1j), pytest.approx(-radius * 1j)]
 
     def test_b_zero_rejected(self):
         with pytest.raises(BZero):

@@ -17,6 +17,13 @@ exception's class name instead, as where the circle does not exist.
 The cases are the n = k, m = 1 grid of k from 2 to 6,
 b in {0.5, 0.9, 1.5, 2, 3} and c in {-3, -1.5, -0.5, 0.5, 1.5, 3}.
 
+Then one line per closed-form case: `critical`, the parameters b,c,k, then
+the reprs of `critical_radius(b, c, k).radius`, `critical_radius_alt(b, c,
+k)` and `univalence_radius(b, k)[0]`; a value that raises prints the
+exception's class name instead.  b and c run over 1 +- 1e-8, 1 +- 1e-12,
+3, 1e200 and 1e308, where the squares cancel or overflow, and k over 2,
+3 and 6.
+
 Then one line per CLI case: `cli`, the arguments, the exit code and the
 md5 of stdout, of stderr and of the SVG (`-` where none is written).
 The cases are every `quadzero` example of the README, a sweep SVG whose
@@ -47,8 +54,11 @@ import workloads  # noqa: E402
 
 from quadzero import (  # noqa: E402
     HarmonicQuadrinomial,
+    critical_radius,
+    critical_radius_alt,
     find_zeros,
     modular_root_census,
+    univalence_radius,
     verify_theorem_34,
 )
 from quadzero.cli import main as cli_main  # noqa: E402
@@ -127,6 +137,23 @@ def census_answer(params: tuple) -> str:
     return f"census {workloads.case_key(params)} {on} {inside} {outside} {passed}"
 
 
+CRITICAL_MODULI = (1 - 1e-8, 1 + 1e-8, 1 - 1e-12, 1 + 1e-12, 3.0, 1e200, 1e308)
+
+
+def critical_answer(b: float, c: float, k: int) -> str:
+    values = []
+    for f in (
+        lambda: critical_radius(b, c, k).radius,
+        lambda: critical_radius_alt(b, c, k),
+        lambda: univalence_radius(b, k)[0],
+    ):
+        try:
+            values.append(repr(f()))
+        except (QuadzeroError, ArithmeticError) as exc:
+            values.append(type(exc).__name__)
+    return f"critical {b!r},{c!r},{k} {' '.join(values)}"
+
+
 def md5(data: str) -> str:
     return hashlib.md5(data.encode()).hexdigest()
 
@@ -164,6 +191,10 @@ if __name__ == "__main__":
         print(answer(params))
     for params in census_cases():
         print(census_answer(params))
+    for k in (2, 3, 6):
+        for b in CRITICAL_MODULI:
+            for c in CRITICAL_MODULI:
+                print(critical_answer(b, c, k))
     for case in CLI_CASES:
         print(cli_answer(case))
     for workers in (1, 2):

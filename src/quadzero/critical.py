@@ -70,15 +70,19 @@ def _circle_ratio(b: float, c: float, k: int) -> tuple[float, int]:
 
 def _root(r: float, e: int, d: int, scale: float = 1.0) -> float:
     """scale * (r * 2^e)^(1/d), for r > 0 of moderate size, as from
-    `_circle_ratio`.  e splits as q*d + s with 0 <= s < d, so the power is
-    of r * 2^s alone and `math.ldexp` applies 2^q last: nothing overflows
-    or underflows before the result does.  The root divides r's relative
-    error by d and adds about u, as the rounding of 1/d and the product
-    with scale do; the ldexp is exact where the result is normal.  So a
-    ratio within 7u gives a result within a few u.  Raises OverflowError
-    where the result overflows."""
+    `_circle_ratio`, with |r| < 4.  e splits as q*d + s with 0 <= s < d,
+    and `math.ldexp` applies 2^q last.  Where s <= 1021, r * 2^s is exact
+    and below 2^1023, and the power is of it alone; past that (d > 1022,
+    k > 511 in the circle's radius) it would overflow, so the power is of
+    r, times 2^(s/d) in [1, 2): no intermediate overflows or underflows
+    before the result does.  The root divides r's relative error by d and
+    adds about u, as the rounding of 1/d and the product with scale do
+    (2^(s/d) adds about u more); the ldexp is exact where the result is
+    normal.  So a ratio within 7u gives a result within a few u.  Raises
+    OverflowError where the result overflows."""
     q, s = divmod(e, d)
-    return math.ldexp(scale * math.ldexp(r, s) ** (1.0 / d), q)
+    t = s if s <= 1021 else 0
+    return math.ldexp(scale * math.ldexp(r, t) ** (1.0 / d) * 2.0 ** ((s - t) / d), q)
 
 
 def critical_radius(b: float, c: float, k: int) -> CriticalCircle:
@@ -151,6 +155,7 @@ def univalence_radius(b: float, k: int) -> tuple[float, list[complex]]:
     """Modulus where h' can vanish, plus the k-1 exact critical points.
 
     Returns ((1/(k|b|))^(1/(k-1)), roots of z^(k-1) = -1/(b k)).
+    Raises OverflowError where the radius overflows.
     """
     if k < 2:
         raise ValueError("k must be >= 2")

@@ -282,6 +282,15 @@ class TestCriticalCircle:
         assert doc["exists"] is True
         assert doc["radius"] == pytest.approx(radius, rel=1e-14)
 
+    def test_large_k(self, capsys):
+        # The root's degree, 2k - 2 = 1198, is past the float exponent range.
+        code, out, _ = run(
+            capsys, ["critical-circle", "--b", "3", "--c", "2", "--k", "600"]
+        )
+        assert code == 0
+        radius = (3.0 / 8.0 / 600**2) ** (1 / 1198)
+        assert json.loads(out)["radius"] == pytest.approx(radius)
+
     def test_b_equals_one_exits_2(self, capsys):
         code, _, err = run(
             capsys, ["critical-circle", "--b", "1", "--c", "3", "--k", "2"]

@@ -28,7 +28,6 @@ from quadzero.errors import BEqualsOne, BZero, HypothesisViolation
 
 SINGULAR = OrientationClass.SINGULAR
 GRID = (1.25, 1.5, 2.0, 3.0, 5.0)  # criterion 6's b and c, k in 2..6
-U = Fraction(1, 2**53)  # the unit roundoff
 near_unit = st.sampled_from((-1.0, 1.0)).flatmap(
     lambda s: st.floats(-1e-3, 1e-3).map(lambda e: s * (1.0 + e))
 )
@@ -44,13 +43,6 @@ def within_ulps(rho: float, ulps: int, target: Fraction, d: int) -> bool:
     step = ulps * Fraction(math.ulp(rho))
     rho = Fraction(rho)
     return (rho - step) ** d <= target <= (rho + step) ** d
-
-
-def brackets(rho: float, tol: Fraction, target: Fraction, d: int) -> bool:
-    """(rho(1 - tol))^d <= target <= (rho(1 + tol))^d: rho is within tol,
-    relatively, of target^(1/d)."""
-    rho = Fraction(rho)
-    return (rho * (1 - tol)) ** d <= target <= (rho * (1 + tol)) ** d
 
 
 class TestCriticalRadius:
@@ -92,16 +84,16 @@ class TestCriticalRadius:
     @example(1.00000001, 3.0, 2)  # the plain (c*c - 1)/(b*b - 1) is 2.5e-9 off
     @settings(max_examples=300, deadline=None)
     def test_plain_formulas_where_nothing_overflows(self, b, c, k):
-        # Within 4u of the exact radius of the float inputs, u = 2^-53:
-        # k^2 (rho(1 -+ 4u))^(2k-2) brackets (c^2 - 1)/(b^2 - 1) in exact
-        # arithmetic; 8u for the second closed form.
+        # Within 2 ulps of the exact radius of the float inputs: k^2 (rho -+
+        # 2 ulp)^(2k-2) brackets (c^2 - 1)/(b^2 - 1) in exact arithmetic;
+        # 4 ulps for the second closed form.
         ratio = exact_ratio(b, c)
         cc = critical_radius(b, c, k)
         assert cc.exists == (ratio > 0)
         if cc.exists:
             alt = critical_radius_alt(b, c, k)
-            assert brackets(cc.radius, 4 * U, ratio / (k * k), 2 * k - 2)
-            assert brackets(alt, 8 * U, ratio / (k * k), 2 * k - 2)
+            assert within_ulps(cc.radius, 2, ratio / (k * k), 2 * k - 2)
+            assert within_ulps(alt, 4, ratio / (k * k), 2 * k - 2)
 
     @pytest.mark.parametrize(
         "b, c, k, radius",
@@ -137,11 +129,20 @@ class TestCriticalRadius:
     )
     def test_subnormal_ratio_keeps_its_precision(self, b, c):
         # The ratio (c^2 - 1)/(b^2 - 1) is subnormal, the radius normal and
-        # within 4u of the exact radius of the float inputs.
+        # within 2 ulps of the exact radius of the float inputs (4 for the
+        # second closed form).
         ratio = exact_ratio(b, c)
         assert 0 < ratio < sys.float_info.min
-        assert brackets(critical_radius(b, c, 2).radius, 4 * U, ratio / 4, 2)
-        assert brackets(critical_radius_alt(b, c, 2), 8 * U, ratio / 4, 2)
+        assert within_ulps(critical_radius(b, c, 2).radius, 2, ratio / 4, 2)
+        assert within_ulps(critical_radius_alt(b, c, 2), 4, ratio / 4, 2)
+
+    @pytest.mark.parametrize("k", [600, 2000])
+    def test_large_k(self, k):
+        # d = 2k - 2 > 1022, so r * 2^s would overflow inside the root
+        # although the radius is near 1.
+        target, d = Fraction(3, 8) / (k * k), 2 * k - 2  # c = 2, b = 3
+        assert within_ulps(critical_radius(3.0, 2.0, k).radius, 2, target, d)
+        assert within_ulps(critical_radius_alt(3.0, 2.0, k), 4, target, d)
 
     def test_within_ulps_on_seeded_draws(self):
         # 20 000 draws, k in 2..8, a quarter each with |b| near 1, |c| near
@@ -269,8 +270,20 @@ class TestUnivalenceRadius:
         # the two roots of z^2 = -1/(3e308) lie on the imaginary axis.
         radius, points = univalence_radius(1e308, 3)
         assert radius == 5.773502691896258e-155
-        assert within_ulps(radius, 1, Fraction(1, 3 * 10**308), 2)
+        assert within_ulps(radius, 1, Fraction(1, 3) / Fraction(1e308), 2)
         assert points == [pytest.approx(radius * 1j), pytest.approx(-radius * 1j)]
+
+    @pytest.mark.parametrize("k", [1100, 3000])
+    def test_large_k(self, k):
+        # d = k - 1 > 1022: the root is near 1, with no overflow on the way.
+        radius, points = univalence_radius(3.0, k)
+        assert within_ulps(radius, 2, Fraction(1, 3 * k), k - 1)
+        assert len(points) == k - 1
+
+    def test_radius_overflow_raises(self):
+        # 1/(2 * 5e-324) is past the largest float.
+        with pytest.raises(OverflowError):
+            univalence_radius(5e-324, 2)
 
     def test_b_zero_rejected(self):
         with pytest.raises(BZero):

@@ -5,9 +5,10 @@ leaves a minorant with one sign change, and the disk's radius is the
 least float >= 1 at which that minorant is provably positive under
 rounding.  k = n with |b| = 1 has none (unavailable).
 Where b, c != 0 and k > n the paper's radius equation |b|x^(k+1) -
-(|b|+|c|)x^k + |c| = 0 (|c| replaced by 1 when |c| <= 1), deflated at
-x = 1, gives delta, `radius_delta`; for k >= 4 the minorant's root is
-never larger.  The disk does not need delta, and `radius_bound` does not
+(|b|+C)x^k + C = 0, C = |c| (or 1 when |c| <= 1), is (x - 1) times
+|b|x^k - C(1 + x + ... + x^(k-1)); delta, `radius_delta`, is that exact
+quotient's one positive root, and for k >= 4 the minorant's root is never
+larger.  The disk does not need delta, and `radius_bound` does not
 solve for it.
 """
 
@@ -19,7 +20,7 @@ from typing import NamedTuple, Optional
 
 from .errors import HypothesisViolation
 from .model import _UNIT_ROUNDOFF, HarmonicQuadrinomial
-from .realroots import RealPoly, deflate_at_one, first_true, positive_root_bracketed
+from .realroots import RealPoly, first_true, positive_root_bracketed
 
 
 class BoundSource(enum.Enum):
@@ -140,10 +141,17 @@ def radius_bound(p: HarmonicQuadrinomial) -> DiskBound:
 def radius_delta(p: HarmonicQuadrinomial) -> Optional[float]:
     """delta, the non-unit positive root of the paper's radius equation
     (Theorems 3.1/3.2), or None where they do not apply (b = 0, c = 0 or
-    k <= n); `radius_bound` says which theorem as its source."""
+    k <= n); `radius_bound` says which theorem as its source.
+
+    delta is the root of the exact quotient |b|x^k - C(1 + ... + x^(k-1))
+    of the equation by x - 1, whose coefficients are the equation's outer
+    ones, C and |b|.  Deflating the equation numerically would round
+    -(|b| + C) + |b| for |b| much larger than C.
+    """
     if _theorem(p) is None:
         return None
-    return positive_root_bracketed(deflate_at_one(radius_polynomial(p)[0]))
+    const, *_, bb = radius_polynomial(p)[0].coeffs
+    return positive_root_bracketed(RealPoly((-const,) * p.k + (bb,)))
 
 
 def count_bound(p: HarmonicQuadrinomial) -> CountBound:

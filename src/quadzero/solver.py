@@ -131,13 +131,19 @@ the iterate.  Else z is kept as a singular zero, its disk of radius
 and |q(z)| <= 4*gamma*M(|z|), four times the rounding bound of q(z).
 
 Each found zero, centre w and radius r, is reported with its mirror image
-(`_mirror`).  A certified zeta lies within 0.9r of w: if |Im w| <= 0.05r,
-conj zeta lies in D(w, r) too, so zeta is real and is reported once, at
-the real part of the iterate, which is still in the disk; if
-|Im w| >= 0.9r, zeta is not real and the pair is reported.  Between the
-two, the Kantorovich test at Re w with radius r + |Im w|, a
-disk that covers D(w, r) and is its own mirror, proves zeta real when it
-passes; else zeta is reported once, uncertified.  An uncertified zero is
+(`_mirror`), by a rule on the disk alone.  A certified zeta lies within
+0.9r of w: if |Im w| >= 0.9r, zeta is not real and the pair is reported.
+Otherwise zeta is real, and is reported once, at the real part of the
+iterate, which is still in the disk.  For conj zeta, also a zero, lies
+within 0.9r + 2|Im w| < 2.7r of w.  `_certify` takes
+r <= min(s/3, sigma/(4L)), L = M''(|w| + s) a Lipschitz bound on D(w, s)
+for Dq, the derivative of q as a map of the real plane, and D(w, s) holds
+D(w, 2.7r).  There Dq stays within 2.7rL <= 0.675sigma of Dq(w), whose
+least singular value is at least sigma, so the mean of Dq over the
+segment from zeta to conj zeta is invertible, and
+q(zeta) = q(conj zeta) = 0 forces conj zeta = zeta: the uniqueness half
+of Newton-Kantorovich (Ortega and Rheinboldt, Iterative Solution of
+Nonlinear Equations in Several Variables, 1970).  An uncertified zero is
 its own mirror, reported once at its real part, when |Im w| < r, and is
 mirrored otherwise.
 """
@@ -321,30 +327,16 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
 
 
 def _mirror(
-    p: HarmonicQuadrinomial,
-    maj: _Majorant,
-    w: complex,
-    r: float,
-    z1: complex,
-    o: OrientationClass,
+    w: complex, r: float, z1: complex, o: OrientationClass
 ) -> list[tuple[complex, OrientationClass]]:
     """The reported zeros, (location, orientation), that a found zero
     (centre w, disk radius r, location z1, orientation o) and its mirror
-    image stand for; see the module docstring.  A zero that is its own
-    mirror is reported once, on the real axis."""
-    y = abs(w.imag)
-    if o is not OrientationClass.SINGULAR:
-        if y >= 0.9 * r:  # |zeta - w| < 0.9r: zeta is not real
-            return [(z1, o), (z1.conjugate(), o)]
-        if y > 0.05 * r:  # D(Re w, r + y) covers D(w, r) and is its own mirror
-            x = complex(w.real, 0.0)
-            fz, gz = analytic_derivative(p, x), coanalytic_derivative(p, x)
-            sigma = maj.margin(x, fz, gz)
-            if not sigma > 0 or _kantorovich(
-                maj, x, r + y, sigma, _newton_update(evaluate(p, x), fz, gz)
-            ) is None:
-                o = OrientationClass.SINGULAR  # zeta may or may not be real
-    elif y >= r:
+    image stand for: a pair when |Im w| >= 0.9r for a certified zero, or
+    >= r for an uncertified one, else one zero on the real axis at Re z1.
+    `_certify`'s disk holds no second zero, conj zeta included (module
+    docstring)."""
+    reach = r if o is OrientationClass.SINGULAR else 0.9 * r
+    if abs(w.imag) >= reach:
         return [(z1, o), (z1.conjugate(), o)]
     return [(complex(z1.real, 0.0), o)]
 
@@ -459,7 +451,7 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         )
         for w, r, z1, kind in found
         if kind is not singular or not any(abs(w - c) < d for c, d in disks)
-        for z, o in _mirror(p, maj, w, r, z1, kind)
+        for z, o in _mirror(w, r, z1, kind)
     ]
     records.sort(key=lambda r: (r.location.real, r.location.imag))
 

@@ -1,4 +1,6 @@
 import math
+import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -99,6 +101,45 @@ class TestRadiusBound:
         p = HarmonicQuadrinomial(b=0.0, c=3.0, k=5, n=3, m=1)
         with pytest.raises(HypothesisViolation):
             radius_polynomial(p)
+
+
+def _exact_root_rounded_up(bb, const, k):
+    """The least float at which bb*x^k - const*(1 + ... + x^(k-1)) is
+    positive, by bisection over the bit patterns of the positive floats
+    with exact signs: the quotient's root rounded up."""
+    (bn, bd), (cn, cd) = bb.as_integer_ratio(), const.as_integer_ratio()
+
+    def above(bits):
+        # Horner's rule on the quotient times bd*cd*d^k, x = n/d: integers.
+        n, d = struct.unpack("<d", struct.pack("<q", bits))[0].as_integer_ratio()
+        acc, scale = bn * cd, cn * bd
+        for _ in range(k):
+            scale *= d
+            acc = acc * n - scale
+        return acc > 0
+
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", math.inf))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return struct.unpack("<d", struct.pack("<q", hi))[0]
+
+
+def test_delta_within_an_ulp_of_the_exact_root():
+    # Seeded draws over k 3-10, |b| up to 1e16 and |c| up to 1e6, so
+    # |b| >> C often.  delta is where the quotient, as evaluated, turns
+    # positive; its rounding moves that by at most one float.
+    rng = random.Random(36)
+    for _ in range(1500):
+        k = rng.randint(3, 10)
+        b = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 16.0)
+        c = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 6.0)
+        p = HarmonicQuadrinomial(b=b, c=c, k=k, n=k - 1, m=1)
+        exact = _exact_root_rounded_up(abs(b), max(1.0, abs(c)), k)
+        assert abs(radius_delta(p) - exact) <= math.ulp(exact), (b, c, k)
 
 
 def _exact_minorant(p, x):

@@ -81,6 +81,17 @@ class TestRadius:
         assert code == 0
         assert json.loads(out)["radius"] >= 1e140
 
+    def test_delta_where_b_dwarfs_c(self, capsys):
+        # |b| = 1e16, C = 1: -(|b| + C) rounds to -|b|, so deflating the
+        # radius equation numerically loses the constant; the exact
+        # quotient keeps it.
+        code, out, _ = run(
+            capsys,
+            ["radius", "--b", "1e16", "--c", "0.5", "--k", "4", "--n", "3", "--m", "1"],
+        )
+        assert code == 0
+        assert json.loads(out)["delta"] == 0.00010000250021877501
+
     def test_unavailable_is_strict_json(self, capsys):
         code, out, _ = run(
             capsys,

@@ -341,7 +341,7 @@ def test_newton_step_refuses_exactly_the_singular_points(p, z):
 def test_newton_updates_follow_a_positive_margin(monkeypatch, p):
     # Every caller reads the margin at h' and g' and takes the Newton
     # update with those same values only where it is positive.  The
-    # callers here are the solver's newton_step, _certify and _mirror and,
+    # callers here are the solver's newton_step and _certify and,
     # on CENSUS_CASE, whose critical circle exists, critical._zero_disk;
     # the cell test inlines both helpers, and TestFlatCell checks that
     # path against `_reference_cell`, which calls them.
@@ -902,18 +902,20 @@ class TestFlatCell:
 
 
 class TestMirror:
-    # solver._mirror on synthetic found zeros (centre w, radius r, location
-    # z1, orientation o) of CUBIC, whose zeros are 0 and exp(i*pi/4)*i^j.
+    # solver._mirror on found zeros (centre w, radius r, location z1,
+    # orientation o): synthetic ones of CUBIC, whose zeros are 0 and
+    # exp(i*pi/4)*i^j, and disks that `_certify` builds.
     PLUS = OrientationClass.SENSE_PRESERVING
     MINUS = OrientationClass.SENSE_REVERSING
     SINGULAR = OrientationClass.SINGULAR
 
     def mirror(self, w, r, z1, o):
-        return solver._mirror(CUBIC, _Majorant(CUBIC), w, r, z1, o)
+        return solver._mirror(w, r, z1, o)
 
     def test_disk_near_the_axis_holds_a_real_zero(self):
-        # |Im w| <= 0.05r: the zero's mirror lies in the same disk, so the
-        # zero is real; counted once, on the axis.
+        # |Im w| < 0.9r: the zero's mirror is another zero near the disk,
+        # which the certificate rules out, so the zero is real; counted
+        # once, on the axis.
         z1 = complex(1e-17, 3e-18)
         got = self.mirror(0.04e-2j, 1e-2, z1, self.PLUS)
         assert got == [(complex(1e-17, 0.0), self.PLUS)]
@@ -927,16 +929,27 @@ class TestMirror:
         assert len(self.mirror(w, 1e-2, w, self.MINUS)) == 2
 
     def test_undecided_disk_proven_real_by_a_wider_test(self):
-        # 0.05r < |Im w| < 0.9r: the Kantorovich test at Re w = 0 passes
-        # with radius r + |Im w|, a disk that is its own mirror.
+        # 0.05r < |Im w| < 0.9r, for disks that `_certify` builds at
+        # w = i*t*r0 above the real zero 0, r0 its radius at 0.  Its zeta
+        # lies within 0.9r of w, so conj zeta, also a zero, lies within
+        # 0.9r + 2|Im w| < 2.7r.  r <= min(s/3, sigma/(4L)) keeps the
+        # Jacobian within 2.7rL <= 0.675sigma of its value at w, whose least
+        # singular value is at least sigma, on D(w, 2.7r): the mean Jacobian
+        # on the segment from zeta to conj zeta is invertible, so
+        # conj zeta = zeta, real, reported once.
         got = self.mirror(0.3e-2j, 1e-2, complex(0.0, 1e-18), self.PLUS)
         assert got == [(0j, self.PLUS)]
-
-    def test_undecided_disk_falls_back_to_singular(self):
-        # q(0.5) = 0.625: the test at Re w fails, so whether the zero is
-        # real is unknown; reported once, uncertified.
-        got = self.mirror(complex(0.5, 0.03), 0.1, complex(0.5, 0.02), self.PLUS)
-        assert got == [(complex(0.5, 0.0), self.SINGULAR)]
+        p = HarmonicQuadrinomial(b=2.0, c=0.5, k=6, n=5, m=1)
+        maj = _Majorant(p)
+        r0, _ = _certify(maj, 0j, *_jet(p, 0j))
+        for t in (0.1, 0.5, 0.89):
+            w = complex(0.0, t * r0)
+            v, fz, gz = _jet(p, w)
+            r, z1 = _certify(maj, w, v, fz, gz)
+            assert z1 is not None and 0.05 * r < w.imag < 0.9 * r
+            assert abs(z1) < 1e-12  # near the real zero 0
+            o = maj.orientation(w, fz, gz)
+            assert self.mirror(w, r, z1, o) == [(complex(z1.real, 0.0), o)]
 
     def test_singular_zero_is_its_own_mirror_within_its_disk(self):
         rho = 1e-7

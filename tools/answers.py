@@ -29,8 +29,10 @@ md5 of stdout, of stderr and of the SVG (`-` where none is written).
 The cases are every `quadzero` example of the README, a sweep SVG whose
 b = 1 column has no disk and whose six n = k, m = 1 cells draw critical
 circles, an unwritable `--svg` path (exit 2), a critical circle whose
-b*b and c*c overflow though its radius does not (exit 0) and a circle
-image whose samples of q overflow (exit 3).
+b*b and c*c overflow though its radius does not (exit 0), a circle
+image whose samples of q overflow (exit 3) and two radius cases whose
+|b| = 1e16 and 1e15 dwarf C, where |b| + C rounds and a numerically
+deflated radius equation loses C (`radius_delta`).
 Each runs in process through `quadzero.cli.main`, in an empty temporary
 directory, so its relative `--svg` path lands there.
 
@@ -84,6 +86,8 @@ CLI_CASES = [
     "zeros --b 0 --c 0 --k 1 --n 3 --m 1 --svg no/such/dir/zeros.svg",
     "critical-circle --b 1e200 --c 1e200 --k 3",
     "circle-image --b 1e300 --c 1 --k 3 --n 2 --m 1 --radius 1e10 --samples 16",
+    "radius --b 1e16 --c 0.5 --k 4 --n 3 --m 1",
+    "radius --b 1e15 --c 1.1 --k 4 --n 2 --m 1",
 ]
 
 

@@ -130,8 +130,18 @@ def radius_bound(p: HarmonicQuadrinomial) -> DiskBound:
         return DiskBound(math.inf, BoundSource.UNAVAILABLE, None)
     poly, winding = minorant
     gamma = 4.0 * (poly.degree + 2) * _UNIT_ROUNDOFF
-    size = RealPoly(tuple(abs(a) for a in poly.coeffs))
-    radius = first_true(lambda x: poly(x) > gamma * size(x), 1.0)
+    pairs = [(a, abs(a)) for a in reversed(poly.coeffs)]
+
+    def positive(x: float) -> bool:
+        """P(x) > gamma*sum |a_i| x^i, both by Horner's rule in one pass,
+        each with `RealPoly.__call__`'s operations in its order."""
+        acc = size = 0.0
+        for a, s in pairs:
+            acc = acc * x + a
+            size = size * x + s
+        return acc > gamma * size
+
+    radius = first_true(positive, 1.0)
     source = _theorem(p)
     if source is None:
         source = BoundSource.FALLBACK_CAUCHY

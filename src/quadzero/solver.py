@@ -38,13 +38,15 @@ G = sqrt(2(|h'|^2 + |g'|^2 + 2|Im(h'g')|)), the corner gain.  It never
 exceeds (|h'| + |g'|)r and is sqrt(2) smaller where h'g' is real, as
 near the singular origin of |c| = 1, m = 1, where h' ~ 1 and g' ~ c.
 
-The cell test, `_cell_test`, is one flat function for speed: it inlines
-`_Majorant.value`, `slope`, `margin` and `curvature`, the corner gain,
-and `model`'s `_newton_update` and `_kantorovich`, and calls only q, h'
-and g'.  Each inlined helper keeps its float expressions, operands and
-order, so the cell answers bitwise as their composition does;
-tests/test_solver.py's `TestFlatCell` checks that against a reference
-cell built from the helpers.
+The cell test, `_cell_test`, is one flat function for speed: it computes
+q, h' and g' at the centre itself and inlines `_Majorant.value`, `slope`,
+`margin` and `curvature`, the corner gain, and `model`'s `_newton_update`
+and `_kantorovich`, so it calls no function of this package.  Each
+inlined function keeps its float expressions, operands and order, and
+each power takes its exponent as the float or complex number that
+CPython converts an int exponent to, so the cell answers bitwise as
+their composition does; tests/test_solver.py's `TestFlatCell` checks
+that against a reference cell built from the functions.
 
 Exclusion is certified under rounding too (`model`'s rounding bounds):
 |q(c)| is lowered by gamma*M(a), stage 2 allows 2*gamma*M'(a)r for h'
@@ -260,22 +262,31 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
     of the cell lies within rho of center + d*.  It is (0j, inf) when
     stage 3 did not run, and None when the cell is dropped or certified.
 
-    The cell is one flat function: it inlines `_Majorant.value` (M(a),
-    M(a + r)), `_Majorant.slope` (M'(a), computed once and read by the
-    margin too), `_Majorant.margin`, the corner gain G, `_newton_update`
-    and `_kantorovich` with `_Majorant.curvature`.  Each keeps its float
+    The cell is one flat function: it computes q, h' and g' at the centre
+    itself, and inlines `_Majorant.value` (M(a), M(a + r)),
+    `_Majorant.slope` (M'(a), computed once and read by the margin too),
+    `_Majorant.margin`, the corner gain G, `_newton_update` and
+    `_kantorovich` with `_Majorant.curvature`.  Each keeps its float
     expressions, operands and evaluation order; a shared subexpression is
     reused only where left-to-right evaluation forms it anyway, so the
-    answers are bitwise those of the helpers composed, which
+    answers are bitwise those of `model`'s functions composed, which
     tests/test_solver.py's `TestFlatCell` checks against its reference
-    cell.  q, h' and g' stay calls, read from this module's globals when
-    the factory runs, so a test or a tracer that replaces them there
-    reaches the cell.
+    cell.  Every exponent is hoisted in the type that its pow converts an
+    int exponent to, float for M's powers and complex for those of q, h'
+    and g', so each pow gets the same operands as `model`'s and skips the
+    conversion (tests/test_model.py checks the powers bit for bit).  A
+    test or a tracer that replaces `evaluate` or a derivative in this
+    module does not reach the cell.
     """
-    q, hprime, gprime = evaluate, analytic_derivative, coanalytic_derivative
-    b, c, k, n, m = maj.b, maj.c, maj.k, maj.n, maj.m
-    kd, nd, md = k - 1, n - 1, m - 1  # exponents of M'
-    kdd, ndd, mdd = k - 2, n - 2, m - 2  # and of M''
+    qb, qc, n = p.b, p.c, p.n  # b and c with their signs, for q
+    hb, gc = qb * p.k, qc * p.m  # h' = hb*z^(k-1) + 1, g' = n*z^(n-1) + gc*z^(m-1)
+    b, c, k, m = maj.b, maj.c, maj.k, maj.m  # |b| and |c|, for M
+    # Exponents: complex for q, h' and g', float for M, M' and M''.
+    zk, zn, zm = complex(k), complex(n), complex(m)
+    zk1, zn1, zm1 = complex(k - 1), complex(n - 1), complex(m - 1)
+    ek, en, em = float(k), float(n), float(m)
+    ek1, en1, em1 = float(k - 1), float(n - 1), float(m - 1)
+    ek2, en2, em2 = float(k - 2), float(n - 2), float(m - 2)
     db, dc, ddb, ddn, ddc = maj.db, maj.dc, maj.ddb, maj.ddn, maj.ddc
     gamma = maj.gamma
     gamma2 = 2.0 * gamma
@@ -284,20 +295,21 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
     def cell(
         center: complex, half: float
     ) -> tuple[bool, Optional[complex], Optional[tuple[complex, float]]]:
-        v = q(p, center)
+        zb = center.conjugate()
+        v = qb * center**zk + zb**zn + qc * zb**zm + center  # q(center)
         a = abs(center)
         r = half * _SQRT2
         x = a + r
-        m0 = b * a**k + a**n + c * a**m + a  # M(a)
-        m1 = b * x**k + x**n + c * x**m + x  # M(a + r)
+        m0 = b * a**ek + a**en + c * a**em + a  # M(a)
+        m1 = b * x**ek + x**en + c * x**em + x  # M(a + r)
         av = abs(v)
         lower = av - gamma * m0  # |q(center)| is at least this
         diff, total = m1 - m0, m1 + m0
         if lower > diff + gamma * total:
             return False, None, None
-        fz = hprime(p, center)
-        gz = gprime(p, center)
-        s0 = db * a**kd + 1.0 + n * a**nd + dc * a**md  # M'(a)
+        fz = hb * center**zk1 + 1.0  # h'(center)
+        gz = n * center**zn1 + gc * center**zm1  # g'(center)
+        s0 = db * a**ek1 + 1.0 + n * a**en1 + dc * a**em1  # M'(a)
         d0 = s0 * r
         bracket = diff - d0
         total += d0
@@ -309,7 +321,7 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
         if not sigma > 0:
             return True, None, (0j, inf)
         gzb = gz.conjugate()
-        j = (fz.real**2 + fz.imag**2) - (gzb.real**2 + gzb.imag**2)
+        j = (fz.real**2.0 + fz.imag**2.0) - (gzb.real**2.0 + gzb.imag**2.0)
         d = (gzb * v.conjugate() - fz.conjugate() * v) / j
         ad = abs(d)
         # The offset d of any zero in the cell has |d - d*| <= rho.
@@ -318,7 +330,7 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
             return False, None, None
         rc = _CERT_RADIUS * r
         x = a + rc
-        lr = (ddb * x**kdd + ddn * x**ndd + ddc * x**mdd) * rc  # kappa = lr/sigma
+        lr = (ddb * x**ek2 + ddn * x**en2 + ddc * x**em2) * rc  # kappa = lr/sigma
         if lr < 0.5 * sigma and ad + (gamma * m0 + lr * rc) / sigma < 0.9 * rc:
             return True, center + d, None
         return True, None, (d, rho)

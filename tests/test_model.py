@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -195,3 +197,35 @@ def test_jacobian_nonnegative_without_coanalytic_part(b, z):
     p = HarmonicQuadrinomial(b=b, c=0.0, k=4, n=2, m=1)
     hp = analytic_derivative(p, z)
     assert abs(hp) ** 2 >= 0.0
+
+
+def _pow_bits(base, exponent):
+    """base**exponent as the bit patterns of its parts, or the class of
+    the exception it raises, such as OverflowError."""
+    try:
+        w = complex(base**exponent)
+    except ArithmeticError as exc:
+        return type(exc)
+    return struct.pack("<dd", w.real, w.imag)
+
+
+def test_hoisted_exponents_give_the_same_powers():
+    # The solver's cell test raises to exponents hoisted as complex (q, h'
+    # and g') or float (the majorant) numbers, where `model` passes ints:
+    # CPython converts an int exponent to that same value before the same
+    # pow call, so the bits must agree.  Exponents -2 to 130 cross the
+    # cutoff at 100 between complex pow's two algorithms; points in all
+    # four quadrants with |z| from 1e-3 to 1e3 reach overflow and
+    # underflow at the high exponents.
+    rng = random.Random(37)
+    points = [
+        cmath.rect(10.0 ** rng.uniform(-3.0, 3.0),
+                   rng.uniform(quadrant, quadrant + 1) * math.pi / 2)
+        for quadrant in range(4)
+        for _ in range(25)
+    ]
+    for j in range(-2, 131):
+        for z in points:
+            assert _pow_bits(z, complex(j)) == _pow_bits(z, j), (z, j)
+            for x in (z.real, abs(z)):
+                assert _pow_bits(x, float(j)) == _pow_bits(x, j), (x, j)

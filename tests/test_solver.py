@@ -221,6 +221,39 @@ def _bits(result):
     )
 
 
+def _switches(flat, ref, make, ladder):
+    """The switches (below, above) of the reference cell's answer, 0
+    certified, 1 split and 2 dropped, between neighbouring scales of the
+    increasing positive `ladder`, for the cell make(t) at scale t.  Each is
+    bisected over the scale's bit patterns down to two adjacent floats,
+    and at both the flat cell must answer bit for bit as the reference."""
+
+    def scale(i):  # non-negative floats order as their bit patterns
+        return struct.unpack("<d", struct.pack("<q", i))[0]
+
+    def stage(i):
+        kept, z1, _ = ref(*make(scale(i)))
+        return 2 if not kept else 0 if z1 is not None else 1
+
+    found = set()
+    ladder = [struct.unpack("<q", struct.pack("<d", t))[0] for t in ladder]
+    for lo, hi in zip(ladder, ladder[1:]):
+        below = stage(lo)
+        if stage(hi) == below:
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if stage(mid) == below:
+                lo = mid
+            else:
+                hi = mid
+        for i in (lo, hi):
+            cell = make(scale(i))
+            assert _bits(flat(*cell)) == _bits(ref(*cell)), cell
+        found.add((below, stage(hi)))
+    return found
+
+
 def _workloads():
     """perfbench/workloads.py, the benchmark's seeded instance pools."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -733,9 +766,12 @@ class TestExclusion:
 
     @pytest.mark.parametrize("b, c, k, n, m", STAGE_CASES)
     def test_stage_bounds_cover_the_exact_drops(self, monkeypatch, b, c, k, n, m):
-        # The cell test is fed chosen values v of q at the centre, each a
-        # multiple t of a fixed direction; t is the least |v| at which it
-        # drops the cell.  Dropping at t is sound when every q(center)
+        # The reference cell, which reads q, h' and g' from the solver
+        # module as it runs, is fed chosen values v of q at the centre,
+        # each a multiple t of a fixed direction; t is the least |v| at
+        # which it drops the cell.  (The solver's flat cell computes q, h'
+        # and g' itself; `TestFlatCell` ties it to the reference bit for
+        # bit.)  Dropping at t is sound when every q(center)
         # within the rounding bound gamma*M(a) of v rules out a zero in the
         # cell, in rational arithmetic: stage 1 when t - gamma*M(a)
         # exceeds the drop D1 across the cell, stages 2 and 3 when the
@@ -759,7 +795,7 @@ class TestExclusion:
                 solver, name,
                 lambda p, z, real=real: fed["derivative"] or real(p, z),
             )
-        cell = _cell_test(p, maj)
+        cell = _reference_cell(p, maj)
         directions = [1.0, 1j, -0.6 + 0.8j, 0.28 - 0.96j]  # -v drops as v
 
         def dropped_at(i, u):  # non-negative floats order as their bit patterns
@@ -852,53 +888,47 @@ class TestFlatCell:
         assert seen == {(False, False), (True, False), (True, True)}, seen
 
     @pytest.mark.parametrize("b, c, k, n, m", STAGE_CASES)
-    def test_thresholds_match_the_reference(self, monkeypatch, work, b, c, k, n, m):
-        # The cells find_zeros keeps, fed values v of q at the centre along
-        # fixed directions: at the least |v| where the reference stops
-        # certifying the cell and where it drops it, and at the float
-        # below each, the two answers agree bit for bit.  A change of any
-        # bound, even by gamma*(M(a + r) - M(a)), moves a threshold by
-        # many floats, so it shows here where the cells of a real tree
-        # may not reach it.
+    def test_thresholds_match_the_reference(self, work, b, c, k, n, m):
+        # The cells find_zeros tests, each scaled in two ways: its
+        # half-width by 2^-30 to 2^8, its centre fixed, and its centre by
+        # 2^-2 to 2^2 in steps of 2^(1/4), its half-width fixed.  At every
+        # switch of the reference's answer between neighbouring scales
+        # the two cells agree bit for bit (`_switches`).  A change of any
+        # bound, even by gamma*(M(a + r) - M(a)), moves a switch by many
+        # floats, so it shows here where the cells of a real tree may not
+        # reach it.  Switches to a drop and to a certificate both occur.
         p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
         maj = _Majorant(p)
         find_zeros(p)
-        kept = [(center, half) for _, center, half, out in work.cells if out[0]]
-        fed = {"v": 0j}
-        monkeypatch.setattr(solver, "evaluate", lambda p, z: fed["v"])
         flat, ref = _cell_test(p, maj), _reference_cell(p, maj)
-        top = struct.unpack("<q", struct.pack("<d", 1e300))[0]
-        probed = 0
+        switches = set()
+        for center, half in {(center, half) for _, center, half, _ in work.cells}:
+            switches |= _switches(
+                flat, ref, lambda t: (center, t),
+                [math.ldexp(half, j) for j in range(-30, 9)],
+            )
+            switches |= _switches(
+                flat, ref, lambda t: (complex(t * center.real, t * center.imag), half),
+                [2.0 ** (j / 4) for j in range(-8, 9)],
+            )
+        assert [s for s in switches if 2 in s] and [s for s in switches if 0 in s]
 
-        def feed(i, u):  # non-negative floats order as their bit patterns
-            t = struct.unpack("<d", struct.pack("<q", i))[0]
-            fed["v"] = complex(t * u.real, t * u.imag)
-
-        def stage(i, u, center, half):  # 0 certified, 1 split, 2 dropped
-            feed(i, u)
-            kept, z1, _ = ref(center, half)
-            return 2 if not kept else 0 if z1 is not None else 1
-
-        for center, half in kept:
-            for u in (1.0, 1j, -0.6 + 0.8j):
-                assert stage(top, u, center, half) == 2
-                for past in (1, 2):
-                    lo, hi = 0, top
-                    if stage(lo, u, center, half) >= past:
-                        continue
-                    while hi - lo > 1:
-                        mid = (lo + hi) // 2
-                        if stage(mid, u, center, half) >= past:
-                            hi = mid
-                        else:
-                            lo = mid
-                    for i in (lo, hi):
-                        feed(i, u)
-                        assert _bits(flat(center, half)) == _bits(ref(center, half)), (
-                            center, half, u, past,
-                        )
-                    probed += 1
-        assert probed
+    def test_stage_one_threshold_matches_the_reference(self):
+        # Stage 1 decides a drop only where stages 2 and 3 cannot: the
+        # corner gain G reaches sqrt(2)*M'(a) and the margin is not
+        # positive.  On real cells stage 3 or stage 2 drops first almost
+        # everywhere, so this takes a centre where both conditions hold:
+        # CUBIC at (1 + i)/sqrt(6), on its diagonal and its critical circle
+        # (h' = 1, g' = 3z^2 = i).  There the switch from a drop to a split
+        # as the half-width grows is stage 1's, and both cells agree at it.
+        maj = _Majorant(CUBIC)
+        x = 1.0 / math.sqrt(6.0)
+        center = complex(x, x)
+        _, fz, gz = _jet(CUBIC, center)
+        assert not maj.margin(center, fz, gz) > 0
+        flat, ref = _cell_test(CUBIC, maj), _reference_cell(CUBIC, maj)
+        found = _switches(flat, ref, lambda t: (center, t), [1e-6, 1.0])
+        assert found == {(2, 1)}
 
 
 class TestMirror:

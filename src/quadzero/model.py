@@ -14,8 +14,9 @@ terms.  So ||h'| - |g'|| - gamma*M'(|z|), `_Majorant.margin`, is positive
 only where the sign of |h'| - |g'|, the orientation, is proven;
 `classify_point`, `newton_step` and the solver's certificate and cell
 test read it.  The Newton update and the Kantorovich test built on it,
-`_newton_update` and `_kantorovich`, sit here too: the solver and
-`critical` share them.
+`_newton_update` and `_kantorovich`, sit here too: `newton_step` and
+`critical` call them, and the solver's flat cell test and Newton run
+inline them.
 """
 
 from __future__ import annotations

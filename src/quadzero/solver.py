@@ -38,15 +38,21 @@ G = sqrt(2(|h'|^2 + |g'|^2 + 2|Im(h'g')|)), the corner gain.  It never
 exceeds (|h'| + |g'|)r and is sqrt(2) smaller where h'g' is real, as
 near the singular origin of |c| = 1, m = 1, where h' ~ 1 and g' ~ c.
 
-The cell test, `_cell_test`, is one flat function for speed: it computes
-q, h' and g' at the centre itself and inlines `_Majorant.value`, `slope`,
-`margin` and `curvature`, the corner gain, and `model`'s `_newton_update`
-and `_kantorovich`, so it calls no function of this package.  Each
-inlined function keeps its float expressions, operands and order, and
-each power takes its exponent as the float or complex number that
-CPython converts an int exponent to, so the cell answers bitwise as
-their composition does; tests/test_solver.py's `TestFlatCell` checks
-that against a reference cell built from the functions.
+The cell test, `_cell_test`, and the Newton run, `_newton_run`, are flat
+functions for speed.  The cell computes q, h' and g' at the centre itself
+and inlines `_Majorant.value`, `slope`, `margin` and `curvature`, the
+corner gain, and `model`'s `_newton_update` and `_kantorovich`.  The run
+inlines `newton_step`, its h', g', margin, q and `_newton_update`, at
+each step, and at its last point the certificate: the radius, the
+Kantorovich test and `_Majorant.orientation`.  Neither calls a function
+of this package.  Each inlined function keeps its float expressions,
+operands and order, and each power takes its exponent as the float or
+complex number that CPython converts an int exponent to (`_exponents`),
+so the cell and the run answer bitwise as the composition does;
+tests/test_solver.py's `TestFlatCell` and `TestFlatRun` check that
+against a reference cell and a reference run built from the functions.
+A test or a tracer that replaces `newton_step`, `evaluate` or a
+derivative in this module reaches neither.
 
 Exclusion is certified under rounding too (`model`'s rounding bounds):
 |q(c)| is lowered by gamma*M(a), stage 2 allows 2*gamma*M'(a)r for h'
@@ -137,7 +143,7 @@ Each found zero, centre w and radius r, is reported with its mirror image
 0.9r of w: if |Im w| >= 0.9r, zeta is not real and the pair is reported.
 Otherwise zeta is real, and is reported once, at the real part of the
 iterate, which is still in the disk.  For conj zeta, also a zero, lies
-within 0.9r + 2|Im w| < 2.7r of w.  `_certify` takes
+within 0.9r + 2|Im w| < 2.7r of w.  The run's certificate takes
 r <= min(s/3, sigma/(4L)), L = M''(|w| + s) a Lipschitz bound on D(w, s)
 for Dq, the derivative of q as a map of the real plane, and D(w, s) holds
 D(w, 2.7r).  There Dq stays within 2.7rL <= 0.675sigma of Dq(w), whose
@@ -163,7 +169,6 @@ from .model import (
     _UNIT_ROUNDOFF,
     HarmonicQuadrinomial,
     OrientationClass,
-    _kantorovich,
     _Majorant,
     _newton_update,
     analytic_derivative,
@@ -222,24 +227,19 @@ def newton_step(p: HarmonicQuadrinomial, z: complex) -> complex:
     return z + _newton_update(evaluate(p, z), fz, gz)
 
 
-def _certify(
-    maj: _Majorant, z: complex, v: complex, fz: complex, gz: complex
-) -> tuple[float, Optional[complex]]:
-    """(r, z1) at a run's last point z, given q, h' and g' there as v, fz
-    and gz: the radius r = min(s/3, sigma/(4*M''(|z| + s))), s = max(1, |z|)
-    and sigma = `_Majorant.margin` at z (module docstring), and
-    `_kantorovich`'s iterate for D(z, r), or None.  kappa <= 1/4 on that
-    disk.  Where sigma is not positive (the Jacobian singular within
-    rounding) there is no iterate.  A converged z with sigma > 0 can fail
-    the test too: r falls with the degree like 1/(n*2^n) on the unit
-    circle, below the test's rounding term gamma*M(|z|)/sigma for
-    conj(z)^n + z from n = 45 on."""
-    sigma = maj.margin(z, fz, gz)
-    s = max(1.0, abs(z))
-    r = min(s / 3.0, sigma / (4.0 * maj.curvature(abs(z) + s)))
-    if not sigma > 0:
-        return r, None
-    return r, _kantorovich(maj, z, r, sigma, _newton_update(v, fz, gz))
+def _exponents(p: HarmonicQuadrinomial) -> tuple:
+    """The exponents of the flat cell test and run, each in the type that
+    its pow converts an int exponent to: complex k, n, m for q and k - 1,
+    n - 1, m - 1 for h' and g', then float k, n, m for M, k - 1, n - 1,
+    m - 1 for M' and k - 2, n - 2, m - 2 for M''."""
+    k, n, m = p.k, p.n, p.m
+    return (
+        complex(k), complex(n), complex(m),
+        complex(k - 1), complex(n - 1), complex(m - 1),
+        float(k), float(n), float(m),
+        float(k - 1), float(n - 1), float(m - 1),
+        float(k - 2), float(n - 2), float(m - 2),
+    )
 
 
 def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
@@ -280,13 +280,8 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
     """
     qb, qc, n = p.b, p.c, p.n  # b and c with their signs, for q
     hb, gc = qb * p.k, qc * p.m  # h' = hb*z^(k-1) + 1, g' = n*z^(n-1) + gc*z^(m-1)
-    b, c, k, m = maj.b, maj.c, maj.k, maj.m  # |b| and |c|, for M
-    # Exponents: complex for q, h' and g', float for M, M' and M''.
-    zk, zn, zm = complex(k), complex(n), complex(m)
-    zk1, zn1, zm1 = complex(k - 1), complex(n - 1), complex(m - 1)
-    ek, en, em = float(k), float(n), float(m)
-    ek1, en1, em1 = float(k - 1), float(n - 1), float(m - 1)
-    ek2, en2, em2 = float(k - 2), float(n - 2), float(m - 2)
+    b, c = maj.b, maj.c  # |b| and |c|, for M
+    zk, zn, zm, zk1, zn1, zm1, ek, en, em, ek1, en1, em1, ek2, en2, em2 = _exponents(p)
     db, dc, ddb, ddn, ddc = maj.db, maj.dc, maj.ddb, maj.ddn, maj.ddc
     gamma = maj.gamma
     gamma2 = 2.0 * gamma
@@ -338,6 +333,105 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
     return cell
 
 
+def _newton_run(p: HarmonicQuadrinomial, maj: _Majorant):
+    """The module docstring's Newton run for p: run(z, step, found) runs
+    from z, whose last step was `step`, against the found zeros `found`,
+    (centre, radius, location, orientation) each, and gives
+    (hit, entry, steps).
+
+    hit is the entry whose disk dropped the run, or None.  entry is the
+    found zero the run adds, or None: its last point z, folded into the
+    upper half, certified by the Kantorovich test centred at z, of radius
+    r = min(s/3, sigma/(4*M''(|z| + s))), s = max(1, |z|), sigma the margin
+    at z, and reported at the test's Newton iterate with the orientation
+    of the sign of |h'| - |g'|; or, where that fails, kept as a singular
+    zero of radius 1e-7*s at z if the run settled (module docstring).
+    steps counts the Newton steps tried, the last refused or rejected one
+    included: the calls of `newton_step` that the run stands for.
+
+    Like `_cell_test`, the run is one flat function.  Each step is
+    `newton_step`'s: h' and g', the margin, then q and `_newton_update`'s
+    formula.  At its last point it computes q, h', g' and the margin once
+    and inlines what `_certify` in tests/test_solver.py, `_kantorovich`
+    with `_Majorant.curvature` and `value`, and `_Majorant.orientation`
+    compute from them, with their float expressions, operands and order
+    and `_exponents`' powers, so every answer is bitwise theirs, as
+    `TestFlatRun` there checks against a reference run built from them.
+    Unlike `_certify`, it takes M'' only where sigma is positive, where
+    the radius is used.  A test or a tracer that replaces `newton_step`,
+    `evaluate` or a derivative in this module does not reach the run.
+    """
+    qb, qc, n = p.b, p.c, p.n  # b and c with their signs, for q
+    hb, gc = qb * p.k, qc * p.m  # h' = hb*z^(k-1) + 1, g' = n*z^(n-1) + gc*z^(m-1)
+    b, c = maj.b, maj.c  # |b| and |c|, for M
+    zk, zn, zm, zk1, zn1, zm1, ek, en, em, ek1, en1, em1, ek2, en2, em2 = _exponents(p)
+    db, dc, ddb, ddn, ddc = maj.db, maj.dc, maj.ddb, maj.ddn, maj.ddc
+    gamma = maj.gamma
+    plus = OrientationClass.SENSE_PRESERVING
+    minus = OrientationClass.SENSE_REVERSING
+    singular = OrientationClass.SINGULAR
+
+    def run(
+        z: complex, step: float, found: list
+    ) -> tuple[Optional[tuple], Optional[tuple], int]:
+        taken = 0
+        while True:
+            w = complex(z.real, abs(z.imag))  # the nearer of z, conj(z) to any w
+            for entry in found:
+                if abs(w - entry[0]) < entry[1]:  # dropped as known
+                    return entry, None, taken
+            a = abs(z)
+            s = a if a > 1.0 else 1.0  # max(1, |z|)
+            # The step cap, or the rounding floor: a last step of at most
+            # the unit roundoff times max(1, |z|).
+            if taken == _NEWTON_CAP or step <= _UNIT_ROUNDOFF * s:
+                break
+            taken += 1
+            fz = hb * z**zk1 + 1.0  # h'(z)
+            gz = n * z**zn1 + gc * z**zm1  # g'(z)
+            s1 = db * a**ek1 + 1.0 + n * a**en1 + dc * a**em1  # M'(a)
+            if not abs(abs(fz) - abs(gz)) - gamma * s1 > 0:  # NaN fails it too
+                break
+            zb = z.conjugate()
+            v = qb * z**zk + zb**zn + qc * zb**zm + z  # q(z)
+            gzb = gz.conjugate()
+            j = (fz.real**2.0 + fz.imag**2.0) - (gzb.real**2.0 + gzb.imag**2.0)
+            z1 = z + (gzb * v.conjugate() - fz.conjugate() * v) / j
+            d = abs(z1 - z)
+            if not d < step:  # NaN fails it too
+                break
+            z, step = z1, d
+        if z.imag < 0:  # its mirror image is as good a result: keep it folded
+            z = z.conjugate()
+        a = abs(z)
+        s = a if a > 1.0 else 1.0
+        fz = hb * z**zk1 + 1.0
+        gz = n * z**zn1 + gc * z**zm1
+        zb = z.conjugate()
+        v = qb * z**zk + zb**zn + qc * zb**zm + z
+        m0 = b * a**ek + a**en + c * a**em + a  # M(a)
+        u, w = abs(fz), abs(gz)
+        sigma = abs(u - w) - gamma * (db * a**ek1 + 1.0 + n * a**en1 + dc * a**em1)
+        if sigma > 0:
+            x = a + s
+            l2 = ddb * x**ek2 + ddn * x**en2 + ddc * x**em2  # M''(a + s)
+            r = min(s / 3.0, sigma / (4.0 * l2))
+            x = a + r
+            lr = (ddb * x**ek2 + ddn * x**en2 + ddc * x**em2) * r  # kappa = lr/sigma
+            if lr < 0.5 * sigma:
+                gzb = gz.conjugate()
+                j = (fz.real**2.0 + fz.imag**2.0) - (gzb.real**2.0 + gzb.imag**2.0)
+                d = (gzb * v.conjugate() - fz.conjugate() * v) / j
+                if abs(d) + (gamma * m0 + lr * r) / sigma < 0.9 * r:
+                    return None, (z, r, z + d, plus if u > w else minus), taken
+        rho = 1e-7 * s  # an uncertified zero's disk
+        if step <= rho and abs(v) <= 4.0 * gamma * m0:
+            return None, (z, rho, z, singular), taken
+        return None, None, taken
+
+    return run
+
+
 def _mirror(
     w: complex, r: float, z1: complex, o: OrientationClass
 ) -> list[tuple[complex, OrientationClass]]:
@@ -345,8 +439,8 @@ def _mirror(
     (centre w, disk radius r, location z1, orientation o) and its mirror
     image stand for: a pair when |Im w| >= 0.9r for a certified zero, or
     >= r for an uncertified one, else one zero on the real axis at Re z1.
-    `_certify`'s disk holds no second zero, conj zeta included (module
-    docstring)."""
+    The run's certified disk holds no second zero, conj zeta included
+    (module docstring)."""
     reach = r if o is OrientationClass.SINGULAR else 0.9 * r
     if abs(w.imag) >= reach:
         return [(z1, o), (z1.conjugate(), o)]
@@ -369,48 +463,19 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         )
     maj = _Majorant(p)
     cell = _cell_test(p, maj)
+    run = _newton_run(p, maj)
     singular = OrientationClass.SINGULAR
     # (centre, radius, location, orientation) per found zero, each with its
     # centre in the closed upper half-plane; its mirror image is implied.
     found = []
 
-    def known(z: complex) -> Optional[tuple]:  # the run's drop test
-        z = complex(z.real, abs(z.imag))  # the nearer of z, conj(z) to any w
-        for entry in found:
-            if abs(z - entry[0]) < entry[1]:
-                return entry
-        return None
-
     def settle(z: complex, step: float) -> bool:
-        """The module docstring's run from z, whose last step was `step`;
-        True when a certified zero's disk dropped it."""
-        for taken in range(_NEWTON_CAP + 1):
-            hit = known(z)
-            if hit:  # dropped as known
-                return hit[3] is not singular
-            # The step cap, or the rounding floor: a last step of at most
-            # the unit roundoff times max(1, |z|).
-            if taken == _NEWTON_CAP or step <= _UNIT_ROUNDOFF * max(1.0, abs(z)):
-                break
-            try:
-                z1 = newton_step(p, z)
-            except DegenerateJacobian:
-                break
-            d = abs(z1 - z)
-            if not d < step:  # NaN fails it too
-                break
-            z, step = z1, d
-        if z.imag < 0:  # its mirror image is as good a result: keep it folded
-            z = z.conjugate()
-        fz, gz = analytic_derivative(p, z), coanalytic_derivative(p, z)
-        v = evaluate(p, z)
-        r, z1 = _certify(maj, z, v, fz, gz)
-        rho = 1e-7 * max(1.0, abs(z))  # an uncertified zero's disk
-        if z1 is not None:  # sigma > 0: the margin is positive
-            found.append((z, r, z1, maj.orientation(z, fz, gz)))
-        elif step <= rho and abs(v) <= 4.0 * maj.gamma * maj.value(abs(z)):
-            found.append((z, rho, z, singular))
-        return False
+        """The run from z, whose last step was `step`, recording the zero it
+        finds; True when a certified zero's disk dropped it."""
+        hit, entry, _ = run(z, step, found)
+        if entry:
+            found.append(entry)
+        return hit is not None and hit[3] is not singular
 
     settle(0j, 0.0)  # q(0) = 0: every term has z or zbar
     # Quadtree over [-R', R'] x [0, R'], the upper half of a square that

@@ -22,8 +22,13 @@ from quadzero import (
 )
 from quadzero import critical, solver
 from quadzero.errors import BoundUnavailable, DegenerateJacobian
-from quadzero.model import analytic_derivative, coanalytic_derivative
-from quadzero.solver import _Majorant, _cell_test, _certify
+from quadzero.model import (
+    _UNIT_ROUNDOFF,
+    _kantorovich,
+    analytic_derivative,
+    coanalytic_derivative,
+)
+from quadzero.solver import _Majorant, _cell_test
 
 CUBIC = HarmonicQuadrinomial(b=0.0, c=0.0, k=1, n=3, m=1)  # conj(z)^3 + z
 CUBIC_SINGULAR_RADIUS = 9.0 ** (-0.25)  # CUBIC's |h'| = |g'| = 1 on |z| = 3^(-1/2)
@@ -46,6 +51,26 @@ SINGULAR_ORIGINS = [
 def _jet(p, z):
     """q, h' and g' at z, as the Kantorovich test takes them."""
     return evaluate(p, z), analytic_derivative(p, z), coanalytic_derivative(p, z)
+
+
+def _certify(maj, z, v, fz, gz):
+    """(r, z1) at a run's last point z, given q, h' and g' there as v, fz
+    and gz: the radius r = min(s/3, sigma/(4*M''(|z| + s))), s = max(1, |z|)
+    and sigma = `_Majorant.margin` at z (solver module docstring), and
+    `_kantorovich`'s iterate for D(z, r), or None.  kappa <= 1/4 on that
+    disk.  Where sigma is not positive (the Jacobian singular within
+    rounding) there is no iterate.  A converged z with sigma > 0 can fail
+    the test too: r falls with the degree like 1/(n*2^n) on the unit
+    circle, below the test's rounding term gamma*M(|z|)/sigma for
+    conj(z)^n + z from n = 45 on.  The solver's run inlines it; this is
+    the reference that `TestFlatRun` holds the run to, and it takes the
+    Newton update from the solver module as it runs."""
+    sigma = maj.margin(z, fz, gz)
+    s = max(1.0, abs(z))
+    r = min(s / 3.0, sigma / (4.0 * maj.curvature(abs(z) + s)))
+    if not sigma > 0:
+        return r, None
+    return r, _kantorovich(maj, z, r, sigma, solver._newton_update(v, fz, gz))
 
 
 def _sqrt_above(x):
@@ -136,10 +161,12 @@ def _exact_stage_bounds(p, center, half, part=None):
 @pytest.fixture
 def work(monkeypatch):
     """What find_zeros does as it runs: each cell it tests, as
-    (p, center, half, result) in test order, in `cells`, and the number of
-    its Newton steps in `steps`."""
-    work = SimpleNamespace(cells=[], steps=0)
-    real_cell, real_step = solver._cell_test, solver.newton_step
+    (p, center, half, result) in test order, in `cells`; each Newton run,
+    as (p, z, step, found, result) in run order, found the found zeros it
+    ran against, in `runs`; and the Newton steps the runs tried in
+    `steps`."""
+    work = SimpleNamespace(cells=[], runs=[], steps=0)
+    real_cell, real_run = solver._cell_test, solver._newton_run
 
     def recording_cell_test(p, maj):
         cell = real_cell(p, maj)
@@ -151,12 +178,19 @@ def work(monkeypatch):
 
         return recorded
 
-    def counting_step(p, z):
-        work.steps += 1
-        return real_step(p, z)
+    def recording_run(p, maj):
+        run = real_run(p, maj)
+
+        def recorded(z, step, found):
+            result = run(z, step, found)
+            work.runs.append((p, z, step, tuple(found), result))
+            work.steps += result[2]
+            return result
+
+        return recorded
 
     monkeypatch.setattr(solver, "_cell_test", recording_cell_test)
-    monkeypatch.setattr(solver, "newton_step", counting_step)
+    monkeypatch.setattr(solver, "_newton_run", recording_run)
     return work
 
 
@@ -171,7 +205,7 @@ def _corner_gain(hp, gp):
 def _reference_cell(p, maj):
     """The cell test composed from its helpers, `_Majorant.value`, `slope`
     and `margin`, `_corner_gain`, `solver._newton_update` and
-    `solver._kantorovich`, as the solver's docstrings state it; q, h' and
+    `_kantorovich`, as the solver's docstrings state it; q, h' and
     g' are read from the solver module when the cell runs.  The solver's
     flat cell must give bitwise the same (kept, z1, box)."""
     value, slope, gamma = maj.value, maj.slope, maj.gamma
@@ -200,40 +234,85 @@ def _reference_cell(p, maj):
         rho = (m1 - m0 - d0 + gamma * slack) / sigma
         if max(abs(d.real), abs(d.imag)) > half + rho:
             return False, None, None
-        z1 = solver._kantorovich(maj, center, solver._CERT_RADIUS * r, sigma, d)
+        z1 = _kantorovich(maj, center, solver._CERT_RADIUS * r, sigma, d)
         return True, z1, None if z1 is not None else (d, rho)
 
     return cell
 
 
-def _bits(result):
-    """A cell test's (kept, z1, box) with every float as its bit pattern,
-    so that -0.0 and NaN compare exactly."""
+def _reference_run(p, maj):
+    """The Newton run composed from `newton_step`, `_certify`,
+    `_Majorant.orientation` and `_Majorant.value`, as the solver's
+    docstrings state it: run(z, step, found) is (hit, entry, steps) as for
+    `solver._newton_run`, steps the calls of `newton_step`, which is read
+    from the solver module as the run steps.  The solver's flat run must
+    give bitwise the same."""
+    cap = solver._NEWTON_CAP
 
-    def f(x):
+    def run(z, step, found):
+        steps = 0
+        for taken in range(cap + 1):
+            w = complex(z.real, abs(z.imag))
+            for entry in found:
+                if abs(w - entry[0]) < entry[1]:
+                    return entry, None, steps
+            if taken == cap or step <= _UNIT_ROUNDOFF * max(1.0, abs(z)):
+                break
+            steps += 1
+            try:
+                z1 = solver.newton_step(p, z)
+            except DegenerateJacobian:
+                break
+            d = abs(z1 - z)
+            if not d < step:
+                break
+            z, step = z1, d
+        if z.imag < 0:
+            z = z.conjugate()
+        v, fz, gz = _jet(p, z)
+        r, z1 = _certify(maj, z, v, fz, gz)
+        rho = 1e-7 * max(1.0, abs(z))
+        if z1 is not None:
+            return None, (z, r, z1, maj.orientation(z, fz, gz)), steps
+        if step <= rho and abs(v) <= 4.0 * maj.gamma * maj.value(abs(z)):
+            return None, (z, rho, z, OrientationClass.SINGULAR), steps
+        return None, None, steps
+
+    return run
+
+
+def _bits(x):
+    """x, a cell test's (kept, z1, box) or a run's (hit, entry, steps),
+    with every float, complex parts included, as its bit pattern, so that
+    -0.0 and NaN compare exactly."""
+    if isinstance(x, float):
         return struct.pack("<d", x)
-
-    kept, z1, box = result
-    return (
-        kept,
-        None if z1 is None else (f(z1.real), f(z1.imag)),
-        None if box is None else (f(box[0].real), f(box[0].imag), f(box[1])),
-    )
+    if isinstance(x, complex):
+        return _bits(x.real), _bits(x.imag)
+    if isinstance(x, tuple):
+        return tuple(_bits(y) for y in x)
+    return x
 
 
-def _switches(flat, ref, make, ladder):
-    """The switches (below, above) of the reference cell's answer, 0
-    certified, 1 split and 2 dropped, between neighbouring scales of the
-    increasing positive `ladder`, for the cell make(t) at scale t.  Each is
-    bisected over the scale's bit patterns down to two adjacent floats,
-    and at both the flat cell must answer bit for bit as the reference."""
+def _cell_stage(result):
+    """A cell test's answer: 0 certified, 1 split and 2 dropped."""
+    kept, z1, _ = result
+    return 2 if not kept else 0 if z1 is not None else 1
+
+
+def _switches(flat, ref, make, ladder, kind=_cell_stage):
+    """The switches (below, above) of kind(answer) for the reference's
+    answer, by default a cell's `_cell_stage`, between neighbouring scales
+    of the increasing positive `ladder`, for the arguments make(t) at scale
+    t.  Each is bisected over the scale's bit patterns down to two adjacent
+    floats, and at both the flat function must answer bit for bit as the
+    reference."""
 
     def scale(i):  # non-negative floats order as their bit patterns
         return struct.unpack("<d", struct.pack("<q", i))[0]
 
     def stage(i):
-        kept, z1, _ = ref(*make(scale(i)))
-        return 2 if not kept else 0 if z1 is not None else 1
+        return kind(ref(*make(scale(i))))
 
     found = set()
     ladder = [struct.unpack("<q", struct.pack("<d", t))[0] for t in ladder]
@@ -374,10 +453,11 @@ def test_newton_step_refuses_exactly_the_singular_points(p, z):
 def test_newton_updates_follow_a_positive_margin(monkeypatch, p):
     # Every caller reads the margin at h' and g' and takes the Newton
     # update with those same values only where it is positive.  The
-    # callers here are the solver's newton_step and _certify and,
-    # on CENSUS_CASE, whose critical circle exists, critical._zero_disk;
-    # the cell test inlines both helpers, and TestFlatCell checks that
-    # path against `_reference_cell`, which calls them.
+    # callers here are newton_step and _certify, in find_zeros's runs made
+    # by `_reference_run`, and, on CENSUS_CASE, whose critical circle
+    # exists, critical._zero_disk.  The solver's cell test and run inline
+    # both helpers; TestFlatCell and TestFlatRun check them against
+    # `_reference_cell` and `_reference_run`, which call them.
     last = {}
     calls = []
     real_margin, real_update = _Majorant.margin, solver._newton_update
@@ -395,6 +475,7 @@ def test_newton_updates_follow_a_positive_margin(monkeypatch, p):
     monkeypatch.setattr(_Majorant, "margin", margin)
     monkeypatch.setattr(solver, "_newton_update", update)
     monkeypatch.setattr(critical, "_newton_update", update)
+    monkeypatch.setattr(solver, "_newton_run", _reference_run)
     report = find_zeros(p)
     assert calls
     if p == CENSUS_CASE:
@@ -694,6 +775,7 @@ class TestExclusion:
         report = find_zeros(HarmonicQuadrinomial(b=b, c=2.0, k=3, n=3, m=1))
         assert report.n_certified == report.count == 5
         assert len(work.cells) <= cells
+        assert work.steps > 0
         assert steps is None or work.steps <= steps
 
     def test_newton_box_screens_the_quarters(self, work):
@@ -856,16 +938,22 @@ class TestExclusion:
         assert screened
 
 
+_POOLS = {
+    "stage": lambda: STAGE_CASES,
+    "degenerate": lambda: _workloads().degenerate_pool(),
+    "batch": lambda: _workloads().batch_pool(100),
+    "batch-720": lambda: _workloads().batch_pool(720),
+    "singular-origins": lambda: [(b, c, k, n, 1) for b, c, k, n, _ in SINGULAR_ORIGINS],
+    "conj-45": lambda: [(0.0, 0.0, 1, 45, 1)],  # conj(z)^45 + z
+}
+
+
 def _pool(name):
-    """The instances of a named pool: STAGE_CASES, perfbench's
-    degenerate pool, or the first 100 of its batch pool."""
-    if name == "stage":
-        params = STAGE_CASES
-    elif name == "degenerate":
-        params = _workloads().degenerate_pool()
-    else:
-        params = _workloads().batch_pool(100)
-    return [HarmonicQuadrinomial(*t) for t in params]
+    """The instances of a named pool: STAGE_CASES, perfbench's degenerate
+    pool, the first 100 or 720 of its batch pool, the SINGULAR_ORIGINS
+    cases, or conj(z)^45 + z, whose converged runs can fail the
+    certificate with a positive margin (`_certify`)."""
+    return [HarmonicQuadrinomial(*t) for t in _POOLS[name]()]
 
 
 class TestFlatCell:
@@ -929,6 +1017,102 @@ class TestFlatCell:
         flat, ref = _cell_test(CUBIC, maj), _reference_cell(CUBIC, maj)
         found = _switches(flat, ref, lambda t: (center, t), [1e-6, 1.0])
         assert found == {(2, 1)}
+
+
+def _outcome(result):
+    """A run's (hit, entry, steps) by kind: dropped by a certified or a
+    singular disk, or adding a certified or a singular zero, or neither."""
+    hit, entry, _ = result
+    zero = hit or entry
+    if zero is None:
+        return "none"
+    kind = "singular" if zero[3] is OrientationClass.SINGULAR else "certified"
+    return f"{'dropped' if hit else 'adds'}-{kind}"
+
+
+EVERY_OUTCOME = {
+    "dropped-certified", "dropped-singular", "adds-certified", "adds-singular", "none",
+}
+
+
+class TestFlatRun:
+    """The solver's Newton run inlines `newton_step` and the certificate;
+    it must answer bitwise as `_reference_run`, their composition, does."""
+
+    @pytest.mark.parametrize(
+        "pool, outcomes",
+        [
+            ("batch-720", {"dropped-certified", "adds-certified"}),
+            ("degenerate", EVERY_OUTCOME),
+            ("singular-origins", EVERY_OUTCOME),
+            ("conj-45", EVERY_OUTCOME - {"none"}),
+        ],
+    )
+    def test_every_run_matches_the_reference(self, work, pool, outcomes):
+        # Through the factory seam: each run find_zeros makes is also put
+        # to the reference, from the same point and last step against the
+        # same found zeros, and the two (hit, entry, steps) must agree bit
+        # for bit: the entry's centre, radius, location and orientation,
+        # and the number of Newton steps tried.
+        for p in _pool(pool):
+            find_zeros(p)
+        seen, refs = set(), {}
+        for p, z, step, found, out in work.runs:
+            if p not in refs:
+                refs[p] = _reference_run(p, _Majorant(p))
+            assert _bits(out) == _bits(refs[p](z, step, list(found))), (p, z, step)
+            seen.add(_outcome(out))
+        assert seen == outcomes
+
+    @pytest.mark.parametrize("pool", ["stage", "singular-origins", "conj-45"])
+    def test_thresholds_match_the_reference(self, pool):
+        # Runs near each zero find_zeros reports, z0 with s0 = max(1, |z0|),
+        # along four directions u, against no found zero.  From
+        # z0 + t*s0*u with a last step of 0 a run takes no step and tests
+        # the certificate at its start: t runs over 2^-60 to 2^-1.  From
+        # z0 + 2^-20*s0*u with a last step of t*s0 it meets the rounding
+        # floor and the longer-step stop: t runs over 2^-60 to 1.  From
+        # conj(w) + t*s0*u, against the one zero (w, r, ...) that the first
+        # kind of run finds at z0, it is dropped by w's mirror image up to
+        # about t = r/s0.  At every switch of the reference's outcome and
+        # step count between neighbouring scales the two runs agree bit for
+        # bit (`_switches`).  Real runs end where the certificate passes by
+        # far; a change of its bounds moves these switches.
+        switches = set()
+        for p in _pool(pool):
+            maj = _Majorant(p)
+            flat, ref = solver._newton_run(p, maj), _reference_run(p, maj)
+            for rec in find_zeros(p).zeros:
+                z0, s0 = rec.location, max(1.0, abs(rec.location))
+                for u in (1.0, 1j, -0.6 + 0.8j, 0.28 - 0.96j):
+                    switches |= _switches(
+                        flat, ref, lambda t: (z0 + t * s0 * u, 0.0, []),
+                        [2.0**j for j in range(-60, 0)], _outcome,
+                    )
+                    z = z0 + 2.0**-20 * s0 * u
+                    switches |= _switches(
+                        flat, ref, lambda t: (z, t * s0, []),
+                        [2.0**j for j in range(-60, 1)],
+                        lambda out: (_outcome(out), out[2]),
+                    )
+                    entry = ref(z0, 0.0, [])[1]
+                    if entry:
+                        switches |= _switches(
+                            flat, ref,
+                            lambda t: (entry[0].conjugate() + t * s0 * u, 0.0, [entry]),
+                            [2.0**j for j in range(-60, 0)], _outcome,
+                        )
+        assert {("adds-certified", "none"), ("adds-singular", "none")} <= switches
+        assert any(a in ("dropped-certified", "dropped-singular") for a, _ in switches)
+        assert any(isinstance(a, tuple) and a[1] != b[1] for a, b in switches)
+
+    def test_degenerate_pool_work_is_pinned(self, work):
+        # Cell tests and Newton steps tried on perfbench's degenerate pool,
+        # as tools/answers.py lists them: a change that keeps the answers
+        # but does more or less work shows here.
+        for p in _pool("degenerate"):
+            find_zeros(p)
+        assert (len(work.cells), work.steps) == (9_361, 1_428)
 
 
 class TestMirror:
@@ -1104,7 +1288,7 @@ class TestCertification:
         p = HarmonicQuadrinomial(b=4.768, c=-1.00146, k=4, n=3, m=1)
         report = find_zeros(p)
         assert report.n_certified == report.count == 8
-        assert work.steps <= 12_000
+        assert 0 < work.steps <= 12_000
 
     def test_tiny_b_keeps_far_zeros(self):
         # R = 1/b: near |z| = R rounding keeps |q| near 1e-4 (b = 1e-4) or

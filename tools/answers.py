@@ -36,8 +36,14 @@ deflated radius equation loses C (`radius_delta`).
 Each runs in process through `quadzero.cli.main`, in an empty temporary
 directory, so its relative `--svg` path lands there.
 
-The last two lines are the md5 of the criterion-9 sweep CSV, as
+Then two lines give the md5 of the criterion-9 sweep CSV, as
 `quadzero sweep` prints it, at 1 and at 2 workers.
+
+The last two lines are the work: `work`, the pool, then the cell tests
+and the Newton steps tried that find_zeros makes on perfbench's
+`batch_pool(720)` and `degenerate_pool()`, counted through the solver's
+`_cell_test` and `_newton_run` factories as tests/test_solver.py's `work`
+fixture counts them.  So one diff shows both same answers and same work.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from quadzero import (  # noqa: E402
     critical_radius_alt,
     find_zeros,
     modular_root_census,
+    solver,
     univalence_radius,
     verify_theorem_34,
 )
@@ -190,6 +197,38 @@ def sweep_md5(workers: int) -> str:
     return md5(out.getvalue())
 
 
+def work_answer(name: str, params: list[tuple]) -> str:
+    counts = {"cells": 0, "steps": 0}
+    real_cell, real_run = solver._cell_test, solver._newton_run
+
+    def counting_cell_test(p, maj):
+        cell = real_cell(p, maj)
+
+        def counted(center, half):
+            counts["cells"] += 1
+            return cell(center, half)
+
+        return counted
+
+    def counting_run(p, maj):
+        run = real_run(p, maj)
+
+        def counted(z, step, found):
+            result = run(z, step, found)
+            counts["steps"] += result[2]
+            return result
+
+        return counted
+
+    solver._cell_test, solver._newton_run = counting_cell_test, counting_run
+    try:
+        for t in params:
+            find_zeros(HarmonicQuadrinomial(*t))
+    finally:
+        solver._cell_test, solver._newton_run = real_cell, real_run
+    return f"work {name} cells={counts['cells']} newton_steps={counts['steps']}"
+
+
 if __name__ == "__main__":
     for params in cases():
         print(answer(params))
@@ -203,3 +242,5 @@ if __name__ == "__main__":
         print(cli_answer(case))
     for workers in (1, 2):
         print(f"criterion-9 csv md5 threads={workers} {sweep_md5(workers)}")
+    print(work_answer("batch_pool(720)", workloads.batch_pool(720)))
+    print(work_answer("degenerate_pool()", workloads.degenerate_pool()))

@@ -38,21 +38,9 @@ G = sqrt(2(|h'|^2 + |g'|^2 + 2|Im(h'g')|)), the corner gain.  It never
 exceeds (|h'| + |g'|)r and is sqrt(2) smaller where h'g' is real, as
 near the singular origin of |c| = 1, m = 1, where h' ~ 1 and g' ~ c.
 
-The cell test, `_cell_test`, and the Newton run, `_newton_run`, are flat
-functions for speed.  The cell computes q, h' and g' at the centre itself
-and inlines `_Majorant.value`, `slope`, `margin` and `curvature`, the
-corner gain, and `model`'s `_newton_update` and `_kantorovich`.  The run
-inlines `newton_step`, its h', g', margin, q and `_newton_update`, at
-each step, and at its last point the certificate: the radius, the
-Kantorovich test and `_Majorant.orientation`.  Neither calls a function
-of this package.  Each inlined function keeps its float expressions,
-operands and order, and each power takes its exponent as the float or
-complex number that CPython converts an int exponent to (`_exponents`),
-so the cell and the run answer bitwise as the composition does;
-tests/test_solver.py's `TestFlatCell` and `TestFlatRun` check that
-against a reference cell and a reference run built from the functions.
-A test or a tracer that replaces `newton_step`, `evaluate` or a
-derivative in this module reaches neither.
+The cell test and the Newton run are flat closures for speed, built
+together by `_kernels`, whose docstring states what they inline and why
+they answer bitwise as `model`'s functions composed.
 
 Exclusion is certified under rounding too (`model`'s rounding bounds):
 |q(c)| is lowered by gamma*M(a), stage 2 allows 2*gamma*M'(a)r for h'
@@ -227,65 +215,84 @@ def newton_step(p: HarmonicQuadrinomial, z: complex) -> complex:
     return z + _newton_update(evaluate(p, z), fz, gz)
 
 
-def _exponents(p: HarmonicQuadrinomial) -> tuple:
-    """The exponents of the flat cell test and run, each in the type that
-    its pow converts an int exponent to: complex k, n, m for q and k - 1,
-    n - 1, m - 1 for h' and g', then float k, n, m for M, k - 1, n - 1,
-    m - 1 for M' and k - 2, n - 2, m - 2 for M''."""
-    k, n, m = p.k, p.n, p.m
-    return (
-        complex(k), complex(n), complex(m),
-        complex(k - 1), complex(n - 1), complex(m - 1),
-        float(k), float(n), float(m),
-        float(k - 1), float(n - 1), float(m - 1),
-        float(k - 2), float(n - 2), float(m - 2),
-    )
+def _kernels(p: HarmonicQuadrinomial):
+    """The quadtree's cell test and the Newton run for p, as (cell, run).
 
+    cell(center, half) is stages 1 to 4 of the module docstring for the
+    closed cell center +- half (both axes), of half-diagonal r, which the
+    quadtree gives as exact floats, and gives (kept, z1, box).  Stages 1,
+    3 and 4 take r = half*`_SQRT2`, at least half*sqrt(2) after rounding.
+    Stage 2 bounds the linear term by its value half*G at the worse
+    corner, half*(1 + i) or half*(1 - i), and allows 2*gamma*M'(a)r for
+    the rounding of h', g' and that value.  Stage 3 runs where the margin
+    sigma is positive and shares its Newton update with stage 4.  kept is
+    False when the cell provably holds no zero; z1 is the Kantorovich
+    iterate when the disk of radius `_CERT_RADIUS`*r at the centre
+    provably holds exactly one zero, else None.  box is (d*, rho) when
+    stage 3 kept the cell and stage 4 did not certify it: every zero of
+    the cell lies within rho of center + d*.  It is (0j, inf) when stage 3
+    did not run, and None when the cell is dropped or certified.
 
-def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
-    """The quadtree's cell test for p, stages 1 to 4 of the module
-    docstring: cell(center, half) is (kept, z1, box) for the closed cell
-    center +- half (both axes), of half-diagonal r, which the quadtree
-    gives as exact floats.
+    run(z, step, found) is the module docstring's Newton run from z, whose
+    last step was `step`, against the found zeros `found`, (centre,
+    radius, location, orientation) each, and gives (hit, entry, steps).
+    hit is the entry whose disk dropped the run, or None.  entry is the
+    found zero the run adds, or None: its last point z, folded into the
+    upper half, certified by the Kantorovich test centred at z, of radius
+    r = min(s/3, sigma/(4*M''(|z| + s))), s = max(1, |z|), sigma the margin
+    at z, and reported at the test's Newton iterate with the orientation
+    of the sign of |h'| - |g'|; or, where that fails, kept as a singular
+    zero of radius 1e-7*s at z if the run settled.  steps counts the
+    Newton steps tried, the last refused or rejected one included: the
+    calls of `newton_step` that the run stands for.
 
-    Stages 1, 3 and 4 take r = half*`_SQRT2`, at least half*sqrt(2) after
-    rounding.  Stage 2 bounds the linear term by its value half*G at the
-    worse corner, half*(1 + i) or half*(1 - i), and allows
-    2*gamma*M'(a)r for the rounding of h', g' and that value.  Stage 3
-    runs where the margin sigma is positive and shares its Newton update
-    with stage 4 (module docstring).
-
-    kept is False when the cell provably holds no zero; z1 is the
-    Kantorovich iterate when the disk of radius `_CERT_RADIUS`*r at the
-    centre provably holds exactly one zero, else None.  box is (d*, rho)
-    when stage 3 kept the cell and stage 4 did not certify it: every zero
-    of the cell lies within rho of center + d*.  It is (0j, inf) when
-    stage 3 did not run, and None when the cell is dropped or certified.
-
-    The cell is one flat function: it computes q, h' and g' at the centre
-    itself, and inlines `_Majorant.value` (M(a), M(a + r)),
-    `_Majorant.slope` (M'(a), computed once and read by the margin too),
-    `_Majorant.margin`, the corner gain G, `_newton_update` and
-    `_kantorovich` with `_Majorant.curvature`.  Each keeps its float
-    expressions, operands and evaluation order; a shared subexpression is
-    reused only where left-to-right evaluation forms it anyway, so the
-    answers are bitwise those of `model`'s functions composed, which
-    tests/test_solver.py's `TestFlatCell` checks against its reference
-    cell.  Every exponent is hoisted in the type that its pow converts an
-    int exponent to, float for M's powers and complex for those of q, h'
-    and g', so each pow gets the same operands as `model`'s and skips the
-    conversion (tests/test_model.py checks the powers bit for bit).  A
-    test or a tracer that replaces `evaluate` or a derivative in this
-    module does not reach the cell.
+    Both are flat closures: neither calls a function of this package.
+    The factory builds `_Majorant(p)` and hoists, once per instance, b and
+    c with their signs for q, |b| and |c| for M, b*k and c*m for h' and
+    g', the coefficients of M' and M'', gamma and every exponent, each in
+    the type that its pow converts an int exponent to: complex for the
+    powers of q, h' and g', float for those of M, M' and M''.  So each pow
+    gets the same operands as `model`'s and skips the conversion
+    (tests/test_model.py checks the powers bit for bit).  The cell
+    computes q, h' and g' at the centre itself and inlines
+    `_Majorant.value` (M(a), M(a + r)), `slope` (M'(a), computed once and
+    read by the margin too), `margin` and `curvature`, the corner gain G,
+    `_newton_update` and `_kantorovich`.  The run computes each point's
+    jet once, at the top of each pass after the drop test, as
+    `newton_step` does: h', g', the margin, q and, where the margin is
+    positive, `_newton_update`'s update.  It steps with that update, and
+    its certificate reads the last point's jet and inlines `_certify` in
+    tests/test_solver.py, `_kantorovich` with `_Majorant.curvature` and
+    `value`, and `_Majorant.orientation`; unlike `_certify`, it takes M''
+    only where sigma is positive, where the radius is used.  A run that
+    ends in the lower half is folded with its update conjugated: q, h' and
+    g' are conjugate bit for bit there, so |h'|, |g'|, |q|, |z| and sigma
+    keep their bits and the update is conjugate.  Each inlined function
+    keeps its float expressions, operands and evaluation order; a shared
+    subexpression is reused only where left-to-right evaluation forms it
+    anyway, so the answers are bitwise those of `model`'s functions
+    composed, which tests/test_solver.py's `TestFlatCell` and `TestFlatRun`
+    check against a reference cell and run built from them.  The jet is
+    written out in each closure, not shared through a function, which
+    would cost a call per cell and per step.  A test or a tracer that
+    replaces `newton_step`, `evaluate` or a derivative in this module
+    reaches neither closure.
     """
-    qb, qc, n = p.b, p.c, p.n  # b and c with their signs, for q
-    hb, gc = qb * p.k, qc * p.m  # h' = hb*z^(k-1) + 1, g' = n*z^(n-1) + gc*z^(m-1)
+    maj = _Majorant(p)
+    qb, qc, k, n, m = p.b, p.c, p.k, p.n, p.m  # b and c with their signs, for q
+    hb, gc = qb * k, qc * m  # h' = hb*z^(k-1) + 1, g' = n*z^(n-1) + gc*z^(m-1)
     b, c = maj.b, maj.c  # |b| and |c|, for M
-    zk, zn, zm, zk1, zn1, zm1, ek, en, em, ek1, en1, em1, ek2, en2, em2 = _exponents(p)
+    zk, zn, zm, zk1, zn1, zm1 = map(complex, (k, n, m, k - 1, n - 1, m - 1))
+    ek, en, em, ek1, en1, em1, ek2, en2, em2 = map(
+        float, (k, n, m, k - 1, n - 1, m - 1, k - 2, n - 2, m - 2)
+    )
     db, dc, ddb, ddn, ddc = maj.db, maj.dc, maj.ddb, maj.ddn, maj.ddc
     gamma = maj.gamma
     gamma2 = 2.0 * gamma
     sqrt, inf = math.sqrt, math.inf
+    plus = OrientationClass.SENSE_PRESERVING
+    minus = OrientationClass.SENSE_REVERSING
+    singular = OrientationClass.SINGULAR
 
     def cell(
         center: complex, half: float
@@ -330,47 +337,6 @@ def _cell_test(p: HarmonicQuadrinomial, maj: _Majorant):
             return True, center + d, None
         return True, None, (d, rho)
 
-    return cell
-
-
-def _newton_run(p: HarmonicQuadrinomial, maj: _Majorant):
-    """The module docstring's Newton run for p: run(z, step, found) runs
-    from z, whose last step was `step`, against the found zeros `found`,
-    (centre, radius, location, orientation) each, and gives
-    (hit, entry, steps).
-
-    hit is the entry whose disk dropped the run, or None.  entry is the
-    found zero the run adds, or None: its last point z, folded into the
-    upper half, certified by the Kantorovich test centred at z, of radius
-    r = min(s/3, sigma/(4*M''(|z| + s))), s = max(1, |z|), sigma the margin
-    at z, and reported at the test's Newton iterate with the orientation
-    of the sign of |h'| - |g'|; or, where that fails, kept as a singular
-    zero of radius 1e-7*s at z if the run settled (module docstring).
-    steps counts the Newton steps tried, the last refused or rejected one
-    included: the calls of `newton_step` that the run stands for.
-
-    Like `_cell_test`, the run is one flat function.  Each step is
-    `newton_step`'s: h' and g', the margin, then q and `_newton_update`'s
-    formula.  At its last point it computes q, h', g' and the margin once
-    and inlines what `_certify` in tests/test_solver.py, `_kantorovich`
-    with `_Majorant.curvature` and `value`, and `_Majorant.orientation`
-    compute from them, with their float expressions, operands and order
-    and `_exponents`' powers, so every answer is bitwise theirs, as
-    `TestFlatRun` there checks against a reference run built from them.
-    Unlike `_certify`, it takes M'' only where sigma is positive, where
-    the radius is used.  A test or a tracer that replaces `newton_step`,
-    `evaluate` or a derivative in this module does not reach the run.
-    """
-    qb, qc, n = p.b, p.c, p.n  # b and c with their signs, for q
-    hb, gc = qb * p.k, qc * p.m  # h' = hb*z^(k-1) + 1, g' = n*z^(n-1) + gc*z^(m-1)
-    b, c = maj.b, maj.c  # |b| and |c|, for M
-    zk, zn, zm, zk1, zn1, zm1, ek, en, em, ek1, en1, em1, ek2, en2, em2 = _exponents(p)
-    db, dc, ddb, ddn, ddc = maj.db, maj.dc, maj.ddb, maj.ddn, maj.ddc
-    gamma = maj.gamma
-    plus = OrientationClass.SENSE_PRESERVING
-    minus = OrientationClass.SENSE_REVERSING
-    singular = OrientationClass.SINGULAR
-
     def run(
         z: complex, step: float, found: list
     ) -> tuple[Optional[tuple], Optional[tuple], int]:
@@ -380,56 +346,49 @@ def _newton_run(p: HarmonicQuadrinomial, maj: _Majorant):
             for entry in found:
                 if abs(w - entry[0]) < entry[1]:  # dropped as known
                     return entry, None, taken
+            # The jet at z, which the step and the certificate both read.
             a = abs(z)
             s = a if a > 1.0 else 1.0  # max(1, |z|)
+            fz = hb * z**zk1 + 1.0  # h'(z)
+            gz = n * z**zn1 + gc * z**zm1  # g'(z)
+            u, w = abs(fz), abs(gz)
+            sigma = abs(u - w) - gamma * (db * a**ek1 + 1.0 + n * a**en1 + dc * a**em1)
+            zb = z.conjugate()
+            v = qb * z**zk + zb**zn + qc * zb**zm + z  # q(z)
+            d = 0j  # the Newton update, where sigma > 0
+            if sigma > 0:
+                gzb = gz.conjugate()
+                j = (fz.real**2.0 + fz.imag**2.0) - (gzb.real**2.0 + gzb.imag**2.0)
+                d = (gzb * v.conjugate() - fz.conjugate() * v) / j
             # The step cap, or the rounding floor: a last step of at most
             # the unit roundoff times max(1, |z|).
             if taken == _NEWTON_CAP or step <= _UNIT_ROUNDOFF * s:
                 break
             taken += 1
-            fz = hb * z**zk1 + 1.0  # h'(z)
-            gz = n * z**zn1 + gc * z**zm1  # g'(z)
-            s1 = db * a**ek1 + 1.0 + n * a**en1 + dc * a**em1  # M'(a)
-            if not abs(abs(fz) - abs(gz)) - gamma * s1 > 0:  # NaN fails it too
+            if not sigma > 0:  # NaN fails it too
                 break
-            zb = z.conjugate()
-            v = qb * z**zk + zb**zn + qc * zb**zm + z  # q(z)
-            gzb = gz.conjugate()
-            j = (fz.real**2.0 + fz.imag**2.0) - (gzb.real**2.0 + gzb.imag**2.0)
-            z1 = z + (gzb * v.conjugate() - fz.conjugate() * v) / j
-            d = abs(z1 - z)
-            if not d < step:  # NaN fails it too
+            z1 = z + d
+            t = abs(z1 - z)
+            if not t < step:  # NaN fails it too
                 break
-            z, step = z1, d
+            z, step = z1, t
         if z.imag < 0:  # its mirror image is as good a result: keep it folded
-            z = z.conjugate()
-        a = abs(z)
-        s = a if a > 1.0 else 1.0
-        fz = hb * z**zk1 + 1.0
-        gz = n * z**zn1 + gc * z**zm1
-        zb = z.conjugate()
-        v = qb * z**zk + zb**zn + qc * zb**zm + z
+            z, d = z.conjugate(), d.conjugate()
         m0 = b * a**ek + a**en + c * a**em + a  # M(a)
-        u, w = abs(fz), abs(gz)
-        sigma = abs(u - w) - gamma * (db * a**ek1 + 1.0 + n * a**en1 + dc * a**em1)
         if sigma > 0:
             x = a + s
             l2 = ddb * x**ek2 + ddn * x**en2 + ddc * x**em2  # M''(a + s)
             r = min(s / 3.0, sigma / (4.0 * l2))
             x = a + r
             lr = (ddb * x**ek2 + ddn * x**en2 + ddc * x**em2) * r  # kappa = lr/sigma
-            if lr < 0.5 * sigma:
-                gzb = gz.conjugate()
-                j = (fz.real**2.0 + fz.imag**2.0) - (gzb.real**2.0 + gzb.imag**2.0)
-                d = (gzb * v.conjugate() - fz.conjugate() * v) / j
-                if abs(d) + (gamma * m0 + lr * r) / sigma < 0.9 * r:
-                    return None, (z, r, z + d, plus if u > w else minus), taken
+            if lr < 0.5 * sigma and abs(d) + (gamma * m0 + lr * r) / sigma < 0.9 * r:
+                return None, (z, r, z + d, plus if u > w else minus), taken
         rho = 1e-7 * s  # an uncertified zero's disk
         if step <= rho and abs(v) <= 4.0 * gamma * m0:
             return None, (z, rho, z, singular), taken
         return None, None, taken
 
-    return run
+    return cell, run
 
 
 def _mirror(
@@ -461,9 +420,7 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         raise BoundUnavailable(
             "no zero-inclusion disk available (k = n with |b| = 1)"
         )
-    maj = _Majorant(p)
-    cell = _cell_test(p, maj)
-    run = _newton_run(p, maj)
+    cell, run = _kernels(p)
     singular = OrientationClass.SINGULAR
     # (centre, radius, location, orientation) per found zero, each with its
     # centre in the closed upper half-plane; its mirror image is implied.

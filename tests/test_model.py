@@ -210,8 +210,9 @@ def _pow_bits(base, exponent):
 
 
 def test_hoisted_exponents_give_the_same_powers():
-    # The solver's cell test raises to exponents hoisted as complex (q, h'
-    # and g') or float (the majorant) numbers, where `model` passes ints:
+    # The solver's cell test and Newton run, both built by `_kernels`,
+    # raise to exponents hoisted as complex (q, h' and g') or float (the
+    # majorant M, M' and M'') numbers, where `model` passes ints:
     # CPython converts an int exponent to that same value before the same
     # pow call, so the bits must agree.  Exponents -2 to 130 cross the
     # cutoff at 100 between complex pow's two algorithms; points in all

@@ -28,7 +28,7 @@ from quadzero.model import (
     analytic_derivative,
     coanalytic_derivative,
 )
-from quadzero.solver import _Majorant, _cell_test
+from quadzero.solver import _Majorant, _kernels
 
 CUBIC = HarmonicQuadrinomial(b=0.0, c=0.0, k=1, n=3, m=1)  # conj(z)^3 + z
 CUBIC_SINGULAR_RADIUS = 9.0 ** (-0.25)  # CUBIC's |h'| = |g'| = 1 on |z| = 3^(-1/2)
@@ -166,31 +166,25 @@ def work(monkeypatch):
     ran against, in `runs`; and the Newton steps the runs tried in
     `steps`."""
     work = SimpleNamespace(cells=[], runs=[], steps=0)
-    real_cell, real_run = solver._cell_test, solver._newton_run
+    real_kernels = solver._kernels
 
-    def recording_cell_test(p, maj):
-        cell = real_cell(p, maj)
+    def recording_kernels(p):
+        cell, run = real_kernels(p)
 
-        def recorded(center, half):
+        def recorded_cell(center, half):
             result = cell(center, half)
             work.cells.append((p, center, half, result))
             return result
 
-        return recorded
-
-    def recording_run(p, maj):
-        run = real_run(p, maj)
-
-        def recorded(z, step, found):
+        def recorded_run(z, step, found):
             result = run(z, step, found)
             work.runs.append((p, z, step, tuple(found), result))
             work.steps += result[2]
             return result
 
-        return recorded
+        return recorded_cell, recorded_run
 
-    monkeypatch.setattr(solver, "_cell_test", recording_cell_test)
-    monkeypatch.setattr(solver, "_newton_run", recording_run)
+    monkeypatch.setattr(solver, "_kernels", recording_kernels)
     return work
 
 
@@ -244,7 +238,7 @@ def _reference_run(p, maj):
     """The Newton run composed from `newton_step`, `_certify`,
     `_Majorant.orientation` and `_Majorant.value`, as the solver's
     docstrings state it: run(z, step, found) is (hit, entry, steps) as for
-    `solver._newton_run`, steps the calls of `newton_step`, which is read
+    `solver._kernels`' run, steps the calls of `newton_step`, which is read
     from the solver module as the run steps.  The solver's flat run must
     give bitwise the same."""
     cap = solver._NEWTON_CAP
@@ -475,7 +469,12 @@ def test_newton_updates_follow_a_positive_margin(monkeypatch, p):
     monkeypatch.setattr(_Majorant, "margin", margin)
     monkeypatch.setattr(solver, "_newton_update", update)
     monkeypatch.setattr(critical, "_newton_update", update)
-    monkeypatch.setattr(solver, "_newton_run", _reference_run)
+    real_kernels = solver._kernels
+
+    def kernels(p):
+        return real_kernels(p)[0], _reference_run(p, _Majorant(p))
+
+    monkeypatch.setattr(solver, "_kernels", kernels)
     report = find_zeros(p)
     assert calls
     if p == CENSUS_CASE:
@@ -685,7 +684,7 @@ class TestExclusion:
         # Without the rounding margins either stage would prune the cell.
         assert abs(v) > drop
         assert abs(v) > drop2
-        kept, _, _ = _cell_test(p, maj)(center, half)
+        kept, _, _ = _kernels(p)[0](center, half)
         assert kept
 
     def test_second_order_stage_prunes_what_the_first_keeps(self):
@@ -698,7 +697,7 @@ class TestExclusion:
         a, r = abs(center), half * math.sqrt(2.0)
         m0, m1 = maj.value(a), maj.value(a + r)
         assert abs(evaluate(p, center)) - maj.gamma * m0 < m1 - m0
-        kept, z1, _ = _cell_test(p, maj)(center, half)
+        kept, z1, _ = _kernels(p)[0](center, half)
         assert not kept
         assert z1 is None
 
@@ -713,7 +712,7 @@ class TestExclusion:
         _, fz, gz = _jet(p, center)
         assert abs(fz) == abs(gz) == 1.0
         assert maj.margin(center, fz, gz) < 0
-        kept, z1, box = _cell_test(p, maj)(center, half)
+        kept, z1, box = _kernels(p)[0](center, half)
         assert kept
         assert z1 is None
         assert box is not None
@@ -723,7 +722,7 @@ class TestExclusion:
         # The cell test's Newton iterate comes from the q, h' and g' it
         # evaluated for exclusion, by the formula newton_step uses.
         center = 0.7 + 0.7j  # 0.01 from the zero exp(i*pi/4) per axis
-        kept, z1, _ = _cell_test(CUBIC, _Majorant(CUBIC))(center, 0.01)
+        kept, z1, _ = _kernels(CUBIC)[0](center, 0.01)
         assert kept
         assert z1 is not None
         assert z1 == newton_step(CUBIC, center)
@@ -753,7 +752,7 @@ class TestExclusion:
         a, r = abs(center), half * math.sqrt(2.0)
         bracket = maj.value(a + r) - maj.value(a) - maj.slope(a) * r
         assert abs(v) < (abs(fz) + abs(gz)) * r + bracket
-        kept, z1, _ = _cell_test(p, maj)(center, half)
+        kept, z1, _ = _kernels(p)[0](center, half)
         assert not kept
         assert z1 is None
 
@@ -924,7 +923,7 @@ class TestExclusion:
         zeros = [rec.location for rec in find_zeros(p).zeros if rec.certified]
         maj = _Majorant(p)
         gamma = Fraction(maj.gamma)
-        cell = _cell_test(p, maj)
+        cell = _kernels(p)[0]
         screened = 0
         for z0 in zeros:
             for center, half in _cells_around(z0):
@@ -988,7 +987,7 @@ class TestFlatCell:
         p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
         maj = _Majorant(p)
         find_zeros(p)
-        flat, ref = _cell_test(p, maj), _reference_cell(p, maj)
+        flat, ref = _kernels(p)[0], _reference_cell(p, maj)
         switches = set()
         for center, half in {(center, half) for _, center, half, _ in work.cells}:
             switches |= _switches(
@@ -1014,7 +1013,7 @@ class TestFlatCell:
         center = complex(x, x)
         _, fz, gz = _jet(CUBIC, center)
         assert not maj.margin(center, fz, gz) > 0
-        flat, ref = _cell_test(CUBIC, maj), _reference_cell(CUBIC, maj)
+        flat, ref = _kernels(CUBIC)[0], _reference_cell(CUBIC, maj)
         found = _switches(flat, ref, lambda t: (center, t), [1e-6, 1.0])
         assert found == {(2, 1)}
 
@@ -1081,7 +1080,7 @@ class TestFlatRun:
         switches = set()
         for p in _pool(pool):
             maj = _Majorant(p)
-            flat, ref = solver._newton_run(p, maj), _reference_run(p, maj)
+            flat, ref = _kernels(p)[1], _reference_run(p, maj)
             for rec in find_zeros(p).zeros:
                 z0, s0 = rec.location, max(1.0, abs(rec.location))
                 for u in (1.0, 1j, -0.6 + 0.8j, 0.28 - 0.96j):
@@ -1106,13 +1105,19 @@ class TestFlatRun:
         assert any(a in ("dropped-certified", "dropped-singular") for a, _ in switches)
         assert any(isinstance(a, tuple) and a[1] != b[1] for a, b in switches)
 
-    def test_degenerate_pool_work_is_pinned(self, work):
-        # Cell tests and Newton steps tried on perfbench's degenerate pool,
-        # as tools/answers.py lists them: a change that keeps the answers
-        # but does more or less work shows here.
-        for p in _pool("degenerate"):
+    @pytest.mark.parametrize(
+        "pool, cells, steps",
+        [("batch-720", 109_865, 12_055), ("degenerate", 9_361, 1_428)],
+        ids=["batch-720", "degenerate"],
+    )
+    def test_pool_work_is_pinned(self, work, pool, cells, steps):
+        # Cell tests and Newton steps tried on perfbench's first 720 batch
+        # instances and its degenerate pool, as tools/answers.py lists
+        # them: a change that keeps the answers but does more or less work
+        # shows here.
+        for p in _pool(pool):
             find_zeros(p)
-        assert (len(work.cells), work.steps) == (9_361, 1_428)
+        assert (len(work.cells), work.steps) == (cells, steps)
 
 
 class TestMirror:
@@ -1425,7 +1430,7 @@ def test_cells_holding_a_certified_zero_are_kept(p, offsets):
     # the zero's scale max(1, |z0|), which reaches 1e16 at tiny |b|.
     report = find_zeros(p)
     maj = _Majorant(p)
-    cell = _cell_test(p, maj)
+    cell = _kernels(p)[0]
     tested = 0
     for rec in report.zeros:
         if not rec.certified:

@@ -41,9 +41,9 @@ Then two lines give the md5 of the criterion-9 sweep CSV, as
 
 The last two lines are the work: `work`, the pool, then the cell tests
 and the Newton steps tried that find_zeros makes on perfbench's
-`batch_pool(720)` and `degenerate_pool()`, counted through the solver's
-`_cell_test` and `_newton_run` factories as tests/test_solver.py's `work`
-fixture counts them.  So one diff shows both same answers and same work.
+`batch_pool(720)` and `degenerate_pool()`, counted through the cell test
+and the Newton run that the solver's `_kernels` factory builds, as
+tests/test_solver.py's `work` fixture counts them.  So one diff shows both same answers and same work.
 """
 
 from __future__ import annotations
@@ -199,33 +199,28 @@ def sweep_md5(workers: int) -> str:
 
 def work_answer(name: str, params: list[tuple]) -> str:
     counts = {"cells": 0, "steps": 0}
-    real_cell, real_run = solver._cell_test, solver._newton_run
+    real_kernels = solver._kernels
 
-    def counting_cell_test(p, maj):
-        cell = real_cell(p, maj)
+    def counting_kernels(p):
+        cell, run = real_kernels(p)
 
-        def counted(center, half):
+        def counted_cell(center, half):
             counts["cells"] += 1
             return cell(center, half)
 
-        return counted
-
-    def counting_run(p, maj):
-        run = real_run(p, maj)
-
-        def counted(z, step, found):
+        def counted_run(z, step, found):
             result = run(z, step, found)
             counts["steps"] += result[2]
             return result
 
-        return counted
+        return counted_cell, counted_run
 
-    solver._cell_test, solver._newton_run = counting_cell_test, counting_run
+    solver._kernels = counting_kernels
     try:
         for t in params:
             find_zeros(HarmonicQuadrinomial(*t))
     finally:
-        solver._cell_test, solver._newton_run = real_cell, real_run
+        solver._kernels = real_kernels
     return f"work {name} cells={counts['cells']} newton_steps={counts['steps']}"
 
 

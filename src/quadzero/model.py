@@ -15,8 +15,8 @@ only where the sign of |h'| - |g'|, the orientation, is proven;
 `classify_point`, `newton_step` and the solver's certificate and cell
 test read it.  The Newton update and the Kantorovich test built on it,
 `_newton_update` and `_kantorovich`, sit here too: `newton_step` and
-`critical` call them, and the cell test and the Newton run that the
-solver's `_kernels` builds inline them.
+`critical` call them, and the quadtree walk, whose cell test is inline,
+and the Newton run that the solver's `_kernels` builds inline them.
 """
 
 from __future__ import annotations

@@ -38,9 +38,10 @@ G = sqrt(2(|h'|^2 + |g'|^2 + 2|Im(h'g')|)), the corner gain.  It never
 exceeds (|h'| + |g'|)r and is sqrt(2) smaller where h'g' is real, as
 near the singular origin of |c| = 1, m = 1, where h' ~ 1 and g' ~ c.
 
-The cell test and the Newton run are flat closures for speed, built
-together by `_kernels`, whose docstring states what they inline and why
-they answer bitwise as `model`'s functions composed.
+The quadtree walk, which pops each cell, tests it and pushes its
+quarters in one loop, and the Newton run are flat closures for speed,
+built together by `_kernels`, whose docstring states what they inline
+and why they answer bitwise as `model`'s functions composed.
 
 Exclusion is certified under rounding too (`model`'s rounding bounds):
 |q(c)| is lowered by gamma*M(a), stage 2 allows 2*gamma*M'(a)r for h'
@@ -148,7 +149,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .bounds import BoundSource, CountBound, DiskBound, count_bound, radius_bound
 from .contour import winding_number  # noqa: F401  perfbench/run.py traces it here
@@ -216,22 +217,32 @@ def newton_step(p: HarmonicQuadrinomial, z: complex) -> complex:
 
 
 def _kernels(p: HarmonicQuadrinomial):
-    """The quadtree's cell test and the Newton run for p, as (cell, run).
+    """The quadtree walk and the Newton run for p, as (walk, run).
 
-    cell(center, half) is stages 1 to 4 of the module docstring for the
-    closed cell center +- half (both axes), of half-diagonal r, which the
-    quadtree gives as exact floats, and gives (kept, z1, box).  Stages 1,
-    3 and 4 take r = half*`_SQRT2`, at least half*sqrt(2) after rounding.
-    Stage 2 bounds the linear term by its value half*G at the worse
-    corner, half*(1 + i) or half*(1 - i), and allows 2*gamma*M'(a)r for
-    the rounding of h', g' and that value.  Stage 3 runs where the margin
-    sigma is positive and shares its Newton update with stage 4.  kept is
-    False when the cell provably holds no zero; z1 is the Kantorovich
-    iterate when the disk of radius `_CERT_RADIUS`*r at the centre
-    provably holds exactly one zero, else None.  box is (d*, rho) when
-    stage 3 kept the cell and stage 4 did not certify it: every zero of
-    the cell lies within rho of center + d*.  It is (0j, inf) when stage 3
-    did not run, and None when the cell is dropped or certified.
+    walk(stack, settle) pops cells (center, half) from `stack` until it is
+    empty, and decides each closed cell center +- half (both axes), of
+    half-diagonal r, with exact floats for centre and half-width, by stages
+    1 to 4 of the module docstring.  The stack's cells are the tree's
+    roots, at depth 1, all of one half-width h; a cell at depth d has
+    half-width h/2^(d - 1) exactly, so the walk compares half-widths with
+    those of `_FLOOR_DEPTH` and `_MAX_DEPTH` in place of counting depths.
+    Stages 1, 3 and 4 take r = half*`_SQRT2`, at least half*sqrt(2) after
+    rounding.  Stage 2 bounds the linear term by its value half*G at the
+    worse corner, half*(1 + i) or half*(1 - i), and allows 2*gamma*M'(a)r
+    for the rounding of h', g' and that value.  Stage 3 runs where the
+    margin sigma is positive and shares its Newton update d* with stage 4.
+    A cell that provably holds no zero is dropped.  Where the disk of
+    radius `_CERT_RADIUS`*r at the centre provably holds exactly one zero,
+    the walk calls settle(z1, inf) at the Kantorovich iterate z1.  Else,
+    at the floor, it calls settle(center, inf), which answers True when a
+    certified zero's disk dropped that run; the walk splits a floor cell
+    only then, and only above `_MAX_DEPTH`.  A split pushes, in a fixed
+    order, the quarters that the Newton box center + d* +- rho meets,
+    every zero of the cell lying within rho of center + d* on both axes;
+    where stage 3 did not run, the box is the whole plane and all four
+    are pushed.  A test may pass a list subclass as the stack to record
+    its pops and pushes: the walk binds `stack.pop` and `stack.append`
+    once, so that seam costs the loop nothing.
 
     run(z, step, found) is the module docstring's Newton run from z, whose
     last step was `step`, against the found zeros `found`, (centre,
@@ -253,18 +264,23 @@ def _kernels(p: HarmonicQuadrinomial):
     the type that its pow converts an int exponent to: complex for the
     powers of q, h' and g', float for those of M, M' and M''.  So each pow
     gets the same operands as `model`'s and skips the conversion
-    (tests/test_model.py checks the powers bit for bit).  The cell
-    computes q, h' and g' at the centre itself and inlines
-    `_Majorant.value` (M(a), M(a + r)), `slope` (M'(a), computed once and
-    read by the margin too), `margin` and `curvature`, the corner gain G,
-    `_newton_update` and `_kantorovich`.  The run computes each point's
-    jet once, at the top of each pass after the drop test, as
-    `newton_step` does: h', g', the margin, q and, where the margin is
-    positive, `_newton_update`'s update.  It steps with that update, and
-    its certificate reads the last point's jet and inlines `_certify` in
-    tests/test_solver.py, `_kantorovich` with `_Majorant.curvature` and
-    `value`, and `_Majorant.orientation`; unlike `_certify`, it takes M''
-    only where sigma is positive, where the radius is used.  A run that
+    (tests/test_model.py checks the powers bit for bit).  The walk runs
+    the cell test inline, in the loop that pops and splits, so a cell
+    costs no call and no result tuple.  It computes q, h' and g' at the
+    centre itself and inlines `_Majorant.value` (M(a), M(a + r)), `slope`
+    (M'(a), computed once and read by the margin too), `margin` and
+    `curvature`, the corner gain G, `_newton_update` and `_kantorovich`;
+    stage 3's max(|Re d*|, |Im d*|) is a conditional expression that
+    answers as `max` does, NaN included, and each quarter's centre is
+    built from the centre's parts, as center + o adds them.  The run
+    computes each point's jet once, at the top of each pass after the drop
+    test, as `newton_step` does: h', g', the margin, q and, where the
+    margin is positive, `_newton_update`'s update.  It steps with that
+    update, and its certificate reads the last point's jet and inlines
+    `_certify` in tests/test_solver.py, `_kantorovich` with
+    `_Majorant.curvature` and `value`, and `_Majorant.orientation`; unlike
+    `_certify`, it takes M'' only where sigma is positive, where the
+    radius is used.  A run that
     ends in the lower half is folded with its update conjugated: q, h' and
     g' are conjugate bit for bit there, so |h'|, |g'|, |q|, |z| and sigma
     keep their bits and the update is conjugate.  Each inlined function
@@ -272,7 +288,7 @@ def _kernels(p: HarmonicQuadrinomial):
     subexpression is reused only where left-to-right evaluation forms it
     anyway, so the answers are bitwise those of `model`'s functions
     composed, which tests/test_solver.py's `TestFlatCell` and `TestFlatRun`
-    check against a reference cell and run built from them.  The jet is
+    check against a reference walk and run built from them.  The jet is
     written out in each closure, not shared through a function, which
     would cost a call per cell and per step.  A test or a tracer that
     replaces `newton_step`, `evaluate` or a derivative in this module
@@ -294,48 +310,84 @@ def _kernels(p: HarmonicQuadrinomial):
     minus = OrientationClass.SENSE_REVERSING
     singular = OrientationClass.SINGULAR
 
-    def cell(
-        center: complex, half: float
-    ) -> tuple[bool, Optional[complex], Optional[tuple[complex, float]]]:
-        zb = center.conjugate()
-        v = qb * center**zk + zb**zn + qc * zb**zm + center  # q(center)
-        a = abs(center)
-        r = half * _SQRT2
-        x = a + r
-        m0 = b * a**ek + a**en + c * a**em + a  # M(a)
-        m1 = b * x**ek + x**en + c * x**em + x  # M(a + r)
-        av = abs(v)
-        lower = av - gamma * m0  # |q(center)| is at least this
-        diff, total = m1 - m0, m1 + m0
-        if lower > diff + gamma * total:
-            return False, None, None
-        fz = hb * center**zk1 + 1.0  # h'(center)
-        gz = n * center**zn1 + gc * center**zm1  # g'(center)
-        s0 = db * a**ek1 + 1.0 + n * a**en1 + dc * a**em1  # M'(a)
-        d0 = s0 * r
-        bracket = diff - d0
-        total += d0
-        u, w = abs(fz), abs(gz)
-        gain = sqrt(2.0 * (u * u + w * w + 2.0 * abs((fz * gz).imag)))
-        if lower > half * gain + gamma2 * s0 * r + bracket + gamma * total:
-            return False, None, None
-        sigma = abs(u - w) - gamma * s0
-        if not sigma > 0:
-            return True, None, (0j, inf)
-        gzb = gz.conjugate()
-        j = (fz.real**2.0 + fz.imag**2.0) - (gzb.real**2.0 + gzb.imag**2.0)
-        d = (gzb * v.conjugate() - fz.conjugate() * v) / j
-        ad = abs(d)
-        # The offset d of any zero in the cell has |d - d*| <= rho.
-        rho = (bracket + gamma * (2.0 * total + s0 * ad + av)) / sigma
-        if max(abs(d.real), abs(d.imag)) > half + rho:
-            return False, None, None
-        rc = _CERT_RADIUS * r
-        x = a + rc
-        lr = (ddb * x**ek2 + ddn * x**en2 + ddc * x**em2) * rc  # kappa = lr/sigma
-        if lr < 0.5 * sigma and ad + (gamma * m0 + lr * rc) / sigma < 0.9 * rc:
-            return True, center + d, None
-        return True, None, (d, rho)
+    def walk(stack: list, settle: Callable[[complex, float], bool]) -> None:
+        pop, push = stack.pop, stack.append
+        # The stack's cells are the roots, at depth 1, all of one half-width
+        # h; a cell at depth d has half-width h/2^(d - 1), exactly.
+        h = stack[-1][1]
+        floor = math.ldexp(h, 1 - _FLOOR_DEPTH)  # half-width at _FLOOR_DEPTH
+        deepest = math.ldexp(h, 1 - _MAX_DEPTH)  # half-width at _MAX_DEPTH
+        while stack:
+            center, half = pop()
+            zb = center.conjugate()
+            v = qb * center**zk + zb**zn + qc * zb**zm + center  # q(center)
+            a = abs(center)
+            r = half * _SQRT2
+            x = a + r
+            m0 = b * a**ek + a**en + c * a**em + a  # M(a)
+            m1 = b * x**ek + x**en + c * x**em + x  # M(a + r)
+            av = abs(v)
+            lower = av - gamma * m0  # |q(center)| is at least this
+            diff, total = m1 - m0, m1 + m0
+            if lower > diff + gamma * total:  # stage 1
+                continue
+            fz = hb * center**zk1 + 1.0  # h'(center)
+            gz = n * center**zn1 + gc * center**zm1  # g'(center)
+            s0 = db * a**ek1 + 1.0 + n * a**en1 + dc * a**em1  # M'(a)
+            d0 = s0 * r
+            bracket = diff - d0
+            total += d0
+            u, w = abs(fz), abs(gz)
+            gain = sqrt(2.0 * (u * u + w * w + 2.0 * abs((fz * gz).imag)))
+            if lower > half * gain + gamma2 * s0 * r + bracket + gamma * total:
+                continue  # stage 2
+            sigma = abs(u - w) - gamma * s0
+            if sigma > 0:
+                gzb = gz.conjugate()
+                j = (fz.real**2.0 + fz.imag**2.0) - (gzb.real**2.0 + gzb.imag**2.0)
+                d = (gzb * v.conjugate() - fz.conjugate() * v) / j
+                ad = abs(d)
+                # The offset d of any zero in the cell has |d - d*| <= rho.
+                rho = (bracket + gamma * (2.0 * total + s0 * ad + av)) / sigma
+                dx, dy = d.real, d.imag
+                ax, ay = abs(dx), abs(dy)
+                if (ay if ay > ax else ax) > half + rho:  # stage 3; max(ax, ay)
+                    continue
+                rc = _CERT_RADIUS * r
+                x = a + rc
+                # kappa = lr/sigma
+                lr = (ddb * x**ek2 + ddn * x**en2 + ddc * x**em2) * rc
+                if lr < 0.5 * sigma and ad + (gamma * m0 + lr * rc) / sigma < 0.9 * rc:
+                    # Stage 4: the cell holds at most the one zero of its
+                    # Kantorovich disk, which Newton from the iterate finds.
+                    settle(center + d, inf)
+                    continue
+            else:  # NaN too: no Newton box, so the box is the whole plane
+                dx = dy = 0.0
+                rho = inf
+            if half <= floor:
+                # A run dropped in a certified disk says nothing of the
+                # rest of the cell: split past the floor.
+                if not settle(center, inf) or half <= deepest:
+                    continue
+            # Push only the quarters center + o +- h2 that meet the Newton
+            # box center + d* +- rho, which holds every zero of the cell
+            # (module docstring), in a fixed order.
+            h2 = 0.5 * half
+            reach = h2 + rho
+            cx, cy = center.real, center.imag
+            right = not abs(dx - h2) > reach  # NaN keeps a quarter
+            left = not abs(dx + h2) > reach
+            if not abs(dy - h2) > reach:
+                if right:
+                    push((complex(cx + h2, cy + h2), h2))
+                if left:
+                    push((complex(cx - h2, cy + h2), h2))
+            if not abs(dy + h2) > reach:
+                if right:
+                    push((complex(cx + h2, cy - h2), h2))
+                if left:
+                    push((complex(cx - h2, cy - h2), h2))
 
     def run(
         z: complex, step: float, found: list
@@ -388,7 +440,7 @@ def _kernels(p: HarmonicQuadrinomial):
             return None, (z, rho, z, singular), taken
         return None, None, taken
 
-    return cell, run
+    return walk, run
 
 
 def _mirror(
@@ -420,7 +472,7 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
         raise BoundUnavailable(
             "no zero-inclusion disk available (k = n with |b| = 1)"
         )
-    cell, run = _kernels(p)
+    walk, run = _kernels(p)
     singular = OrientationClass.SINGULAR
     # (centre, radius, location, orientation) per found zero, each with its
     # centre in the closed upper half-plane; its mirror image is implied.
@@ -443,35 +495,7 @@ def find_zeros(p: HarmonicQuadrinomial) -> ZeroSetReport:
     frac, exp = math.frexp(disk.radius)
     bits = 53 - _MAX_DEPTH
     h = math.ldexp(math.ceil(math.ldexp(frac, bits)), exp - bits - 1)  # R'/2
-    stack = [(complex(h, h), h, 1), (complex(-h, h), h, 1)]
-    while stack:
-        center, half, depth = stack.pop()
-        kept, z1, box = cell(center, half)
-        if not kept:
-            continue
-        # A certified cell holds at most the one zero of its Kantorovich
-        # disk, which Newton from the test's iterate converges to.
-        if z1 is not None:
-            settle(z1, math.inf)
-            continue
-        if depth >= _FLOOR_DEPTH:
-            # A run dropped in a certified disk says nothing of the rest of
-            # the cell: split past the floor.
-            if not settle(center, math.inf) or depth >= _MAX_DEPTH:
-                continue
-        h2 = 0.5 * half
-        d2 = depth + 1
-        # Push only the quarters center + o +- h2 that meet the Newton box
-        # center + d* +- rho, which holds every zero of the cell (module
-        # docstring).
-        dx, dy, reach = box[0].real, box[0].imag, h2 + box[1]
-        for oy in (h2, -h2):
-            if abs(dy - oy) > reach:
-                continue
-            for ox in (h2, -h2):
-                if abs(dx - ox) > reach:
-                    continue
-                stack.append((center + complex(ox, oy), h2, d2))
+    walk([(complex(h, h), h), (complex(-h, h), h)], settle)
 
     # Every centre is in the upper half, so no mirrored disk is nearer to
     # one than the disk itself.

@@ -210,14 +210,14 @@ def _pow_bits(base, exponent):
 
 
 def test_hoisted_exponents_give_the_same_powers():
-    # The solver's cell test and Newton run, both built by `_kernels`,
-    # raise to exponents hoisted as complex (q, h' and g') or float (the
-    # majorant M, M' and M'') numbers, where `model` passes ints:
-    # CPython converts an int exponent to that same value before the same
-    # pow call, so the bits must agree.  Exponents -2 to 130 cross the
-    # cutoff at 100 between complex pow's two algorithms; points in all
-    # four quadrants with |z| from 1e-3 to 1e3 reach overflow and
-    # underflow at the high exponents.
+    # The solver's quadtree walk, with its inline cell test, and its
+    # Newton run, both built by `_kernels`, raise to exponents hoisted as
+    # complex (q, h' and g') or float (the majorant M, M' and M'') numbers,
+    # where `model` passes ints: CPython converts an int exponent to that
+    # same value before the same pow call, so the bits must agree.
+    # Exponents -2 to 130 cross the cutoff at 100 between complex pow's
+    # two algorithms; points in all four quadrants with |z| from 1e-3 to
+    # 1e3 reach overflow and underflow at the high exponents.
     rng = random.Random(37)
     points = [
         cmath.rect(10.0 ** rng.uniform(-3.0, 3.0),

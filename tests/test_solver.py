@@ -3,8 +3,8 @@ import importlib.util
 import math
 import struct
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -158,23 +158,104 @@ def _exact_stage_bounds(p, center, half, part=None):
     return big_m(a), d1, d1 - slope * r, dist2
 
 
+class _RecordingStack(list):
+    """A walk's stack that logs, in `events`, each cell popped as
+    ("pop", center, half) and each quarter pushed as ("push", center,
+    half).  With push=False a quarter is logged but not pushed, so a walk
+    from one cell tests that cell alone."""
+
+    def __init__(self, cells, events, push=True):
+        super().__init__(cells)
+        self.events, self.push = events, push
+
+    def pop(self):
+        cell = super().pop()
+        self.events.append(("pop", *cell))
+        return cell
+
+    def append(self, cell):
+        self.events.append(("push", *cell))
+        if self.push:
+            super().append(cell)
+
+
+def _recorded(walk, events):
+    """walk, logging its pops and pushes through a `_RecordingStack` and
+    each call of its settle as ("settle", z, step, result), all in
+    `events` in the order they happen."""
+
+    def recorded_walk(stack, settle):
+        def recorded_settle(z, step):
+            result = settle(z, step)
+            events.append(("settle", z, step, result))
+            return result
+
+        walk(_RecordingStack(stack, events), recorded_settle)
+
+    return recorded_walk
+
+
+def _walk_cell(walk, center, half):
+    """The events of walking the one cell center +- half, as `_recorded`
+    logs them, with its quarters logged but not pushed and a settle that
+    answers False.  The cell is its own root, above the floor, so it is
+    dropped (no other event), certified (a settle call at the Kantorovich
+    iterate) or split (the quarters its Newton box meets)."""
+    events = []
+
+    def settle(z, step):
+        events.append(("settle", z, step))
+        return False
+
+    walk(_RecordingStack([(center, half)], events, push=False), settle)
+    return events
+
+
+def _walk_stage(events):
+    """A one-cell walk's answer: 0 certified, 1 split and 2 dropped."""
+    kinds = {e[0] for e in events}
+    return 0 if "settle" in kinds else 1 if "push" in kinds else 2
+
+
+def _quarters(center, half):
+    """The four quarters of the cell center +- half, in the walk's push
+    order, as (o, (center + o, half/2)), o each one's offset from the
+    centre."""
+    h2 = 0.5 * half
+    return [
+        (complex(ox, oy), (complex(center.real + ox, center.imag + oy), h2))
+        for oy in (h2, -h2)
+        for ox in (h2, -h2)
+    ]
+
+
+class _Work:
+    """What find_zeros does as it runs: each walk, as (p, events) with the
+    events `_recorded` logs, in `walks`; each Newton run, as (p, z, step,
+    found, result) in run order, found the found zeros it ran against, in
+    `runs`; and the Newton steps the runs tried in `steps`."""
+
+    def __init__(self):
+        self.walks, self.runs, self.steps = [], [], 0
+
+    @property
+    def cells(self):
+        """Each cell tested, as (p, center, half), in test order."""
+        return [
+            (p, e[1], e[2]) for p, events in self.walks for e in events if e[0] == "pop"
+        ]
+
+
 @pytest.fixture
 def work(monkeypatch):
-    """What find_zeros does as it runs: each cell it tests, as
-    (p, center, half, result) in test order, in `cells`; each Newton run,
-    as (p, z, step, found, result) in run order, found the found zeros it
-    ran against, in `runs`; and the Newton steps the runs tried in
-    `steps`."""
-    work = SimpleNamespace(cells=[], runs=[], steps=0)
-    real_kernels = solver._kernels
+    """A `_Work` that records every find_zeros call, through the walk and
+    the run that `solver._kernels` builds."""
+    work = _Work()
 
     def recording_kernels(p):
-        cell, run = real_kernels(p)
-
-        def recorded_cell(center, half):
-            result = cell(center, half)
-            work.cells.append((p, center, half, result))
-            return result
+        walk, run = _kernels(p)
+        events = []
+        work.walks.append((p, events))
 
         def recorded_run(z, step, found):
             result = run(z, step, found)
@@ -182,7 +263,7 @@ def work(monkeypatch):
             work.steps += result[2]
             return result
 
-        return recorded_cell, recorded_run
+        return _recorded(walk, events), recorded_run
 
     monkeypatch.setattr(solver, "_kernels", recording_kernels)
     return work
@@ -200,8 +281,11 @@ def _reference_cell(p, maj):
     """The cell test composed from its helpers, `_Majorant.value`, `slope`
     and `margin`, `_corner_gain`, `solver._newton_update` and
     `_kantorovich`, as the solver's docstrings state it; q, h' and
-    g' are read from the solver module when the cell runs.  The solver's
-    flat cell must give bitwise the same (kept, z1, box)."""
+    g' are read from the solver module when the cell runs.  It gives
+    (kept, z1, box), as the solver's walk decides a cell: kept is False
+    when the cell is dropped, z1 the Kantorovich iterate when it is
+    certified, and box (d*, rho) its Newton box, or (0j, inf) without one,
+    when it is split."""
     value, slope, gamma = maj.value, maj.slope, maj.gamma
 
     def cell(center, half):
@@ -232,6 +316,42 @@ def _reference_cell(p, maj):
         return True, z1, None if z1 is not None else (d, rho)
 
     return cell
+
+
+def _reference_walk(p, maj):
+    """The quadtree walk as find_zeros looped over a cell test before the
+    walk inlined it, over `_reference_cell`: each stack entry's depth kept
+    beside it, the roots at depth 1, and each quarter built as
+    center + o.  The solver's flat walk must pop, push and settle bitwise
+    as it does."""
+    cell = _reference_cell(p, maj)
+
+    def walk(stack, settle):
+        depths = [1] * len(stack)
+        while stack:
+            center, half = stack.pop()
+            depth = depths.pop()
+            kept, z1, box = cell(center, half)
+            if not kept:
+                continue
+            if z1 is not None:
+                settle(z1, math.inf)
+                continue
+            if depth >= solver._FLOOR_DEPTH:
+                if not settle(center, math.inf) or depth >= solver._MAX_DEPTH:
+                    continue
+            h2 = 0.5 * half
+            dx, dy, reach = box[0].real, box[0].imag, h2 + box[1]
+            for oy in (h2, -h2):
+                if abs(dy - oy) > reach:
+                    continue
+                for ox in (h2, -h2):
+                    if abs(dx - ox) > reach:
+                        continue
+                    stack.append((center + complex(ox, oy), h2))
+                    depths.append(depth + 1)
+
+    return walk
 
 
 def _reference_run(p, maj):
@@ -276,29 +396,23 @@ def _reference_run(p, maj):
 
 
 def _bits(x):
-    """x, a cell test's (kept, z1, box) or a run's (hit, entry, steps),
-    with every float, complex parts included, as its bit pattern, so that
-    -0.0 and NaN compare exactly."""
+    """x, a walk's events or a run's (hit, entry, steps), with every float,
+    complex parts included, as its bit pattern, so that -0.0 and NaN
+    compare exactly."""
     if isinstance(x, float):
         return struct.pack("<d", x)
     if isinstance(x, complex):
         return _bits(x.real), _bits(x.imag)
-    if isinstance(x, tuple):
+    if isinstance(x, (tuple, list)):
         return tuple(_bits(y) for y in x)
     return x
 
 
-def _cell_stage(result):
-    """A cell test's answer: 0 certified, 1 split and 2 dropped."""
-    kept, z1, _ = result
-    return 2 if not kept else 0 if z1 is not None else 1
-
-
-def _switches(flat, ref, make, ladder, kind=_cell_stage):
+def _switches(flat, ref, make, ladder, kind=_walk_stage):
     """The switches (below, above) of kind(answer) for the reference's
-    answer, by default a cell's `_cell_stage`, between neighbouring scales
-    of the increasing positive `ladder`, for the arguments make(t) at scale
-    t.  Each is bisected over the scale's bit patterns down to two adjacent
+    answer, by default a one-cell walk's `_walk_stage`, between
+    neighbouring scales of the increasing positive `ladder`, for the
+    arguments make(t) at scale t.  Each is bisected over the scale's bit patterns down to two adjacent
     floats, and at both the flat function must answer bit for bit as the
     reference."""
 
@@ -336,22 +450,15 @@ def _workloads():
     return module
 
 
-def _screened(half, box):
+def _screened(center, half, events):
     """The quarters o +- half/2, as (o, half/2) with o the offset from the
-    centre, of a cell of half-width half that the quadtree skips, given
-    its cell test's box: those that miss the Newton box d* +- rho on an
-    axis (solver module docstring)."""
-    if box is None:
+    centre, that a one-cell walk from center +- half skips, given its
+    events: where it splits the cell, those that miss its Newton box
+    d* +- rho on an axis (solver module docstring)."""
+    if _walk_stage(events) != 1:
         return []
-    d, rho = box
-    h2 = 0.5 * half
-    reach = h2 + rho
-    return [
-        (complex(ox, oy), h2)
-        for oy in (h2, -h2)
-        for ox in (h2, -h2)
-        if abs(d.real - ox) > reach or abs(d.imag - oy) > reach
-    ]
+    pushed = {e[1:] for e in events if e[0] == "push"}
+    return [(o, q[1]) for o, q in _quarters(center, half) if q not in pushed]
 
 
 signs = st.sampled_from((-1.0, 1.0))
@@ -449,9 +556,9 @@ def test_newton_updates_follow_a_positive_margin(monkeypatch, p):
     # update with those same values only where it is positive.  The
     # callers here are newton_step and _certify, in find_zeros's runs made
     # by `_reference_run`, and, on CENSUS_CASE, whose critical circle
-    # exists, critical._zero_disk.  The solver's cell test and run inline
-    # both helpers; TestFlatCell and TestFlatRun check them against
-    # `_reference_cell` and `_reference_run`, which call them.
+    # exists, critical._zero_disk.  The solver's walk and run inline both
+    # helpers; TestFlatCell and TestFlatRun check them against
+    # `_reference_walk` and `_reference_run`, which call them.
     last = {}
     calls = []
     real_margin, real_update = _Majorant.margin, solver._newton_update
@@ -542,7 +649,7 @@ class TestFindZeros:
         # zeros are the mirror images of the upper half's.
         p = HarmonicQuadrinomial(b=1.4, c=-2.2, k=5, n=3, m=2)
         report = find_zeros(p)
-        tested = [(center, half) for _, center, half, _ in work.cells]
+        tested = [(center, half) for _, center, half in work.cells]
         # The root half-width is R'/2, R' the least float >= R whose
         # significand fits in 53 - _MAX_DEPTH bits.
         radius = Fraction(report.disk.radius)
@@ -684,8 +791,7 @@ class TestExclusion:
         # Without the rounding margins either stage would prune the cell.
         assert abs(v) > drop
         assert abs(v) > drop2
-        kept, _, _ = _kernels(p)[0](center, half)
-        assert kept
+        assert _walk_stage(_walk_cell(_kernels(p)[0], center, half)) != 2
 
     def test_second_order_stage_prunes_what_the_first_keeps(self):
         # Around -1-2j the terms of h' and g' partly cancel, so the drop of
@@ -697,35 +803,30 @@ class TestExclusion:
         a, r = abs(center), half * math.sqrt(2.0)
         m0, m1 = maj.value(a), maj.value(a + r)
         assert abs(evaluate(p, center)) - maj.gamma * m0 < m1 - m0
-        kept, z1, _ = _kernels(p)[0](center, half)
-        assert not kept
-        assert z1 is None
+        assert _walk_stage(_walk_cell(_kernels(p)[0], center, half)) == 2
 
     def test_cell_without_a_margin_keeps_a_whole_cell_box(self):
         # conj(z)^2 + z has h' = 1 and g' = 2z, so |h'| = |g'| on
         # |z| = 1/2 and the margin at the centre 0.5j is -gamma*M'(1/2):
         # stages 3 and 4 cannot run.  The cell is kept with a box that
-        # covers all of it, so a split pushes all four quarters.
+        # covers all of it, so its split pushes all four quarters.
         p = HarmonicQuadrinomial(b=0.0, c=0.0, k=1, n=2, m=1)
         maj = _Majorant(p)
         center, half = 0.5j, 0.25
         _, fz, gz = _jet(p, center)
         assert abs(fz) == abs(gz) == 1.0
         assert maj.margin(center, fz, gz) < 0
-        kept, z1, box = _kernels(p)[0](center, half)
-        assert kept
-        assert z1 is None
-        assert box is not None
-        assert _screened(half, box) == []
+        events = _walk_cell(_kernels(p)[0], center, half)
+        pushed = [e[1:] for e in events if e[0] == "push"]
+        assert pushed == [q for _, q in _quarters(center, half)]
+        assert _walk_stage(events) == 1
 
     def test_cell_iterate_is_newton_step(self):
         # The cell test's Newton iterate comes from the q, h' and g' it
         # evaluated for exclusion, by the formula newton_step uses.
         center = 0.7 + 0.7j  # 0.01 from the zero exp(i*pi/4) per axis
-        kept, z1, _ = _kernels(CUBIC)[0](center, 0.01)
-        assert kept
-        assert z1 is not None
-        assert z1 == newton_step(CUBIC, center)
+        events = _walk_cell(_kernels(CUBIC)[0], center, 0.01)
+        assert events[1:] == [("settle", newton_step(CUBIC, center), math.inf)]
 
     @pytest.mark.parametrize(
         "b, c, depth, ix, iy",
@@ -752,9 +853,7 @@ class TestExclusion:
         a, r = abs(center), half * math.sqrt(2.0)
         bracket = maj.value(a + r) - maj.value(a) - maj.slope(a) * r
         assert abs(v) < (abs(fz) + abs(gz)) * r + bracket
-        kept, z1, _ = _kernels(p)[0](center, half)
-        assert not kept
-        assert z1 is None
+        assert _walk_stage(_walk_cell(_kernels(p)[0], center, half)) == 2
 
     def test_corner_stage_halves_the_cells_at_a_singular_origin(self, work):
         # 2,1,3,3,1 took 2 010 cell tests under the disk's bound.
@@ -801,48 +900,40 @@ class TestExclusion:
     def test_tested_cells_are_exact_quarters(self, work, p, depth):
         # The cell test takes its cell as given, with no slack for rounded
         # centres, so every (center, half) the solver tests must be exact:
-        # each cell below the roots is, in rational arithmetic, a quarter
-        # of a tested cell, the two roots tile [-R', R'] x [0, R'], and
-        # each of a split cell's four quarters is either tested or
-        # screened out by the cell's Newton box, never both.  By induction
-        # the tested and screened cells tile their parents exactly, down
-        # to the deepest, at the floor or, for the last instance, at
-        # _MAX_DEPTH, which sets R''s bits.
-        tested, screened = [], set()
-
+        # in rational arithmetic, each quarter the walk pushes is a
+        # quarter of the cell it popped last, and the two roots tile
+        # [-R', R'] x [0, R'].  Every pushed quarter is tested once, and a
+        # split cell's other quarters are those its Newton box screens out
+        # (`test_screened_quarters_hold_no_zero`).  By induction the tested and screened cells tile their parents
+        # exactly, down to the deepest, at the floor or, for the last
+        # instance, at _MAX_DEPTH, which sets R''s bits.
         def exact(center, half):
             return Fraction(center.real), Fraction(center.imag), Fraction(half)
 
         find_zeros(p)
-        for _, center, half, result in work.cells:
-            x, y, e = exact(center, half)
-            tested.append((x, y, e))
-            for o, h2 in _screened(half, result[2]):
-                ox, oy, e2 = exact(o, h2)
-                screened.add((x + ox, y + oy, e2))
-        h = max(half for _, _, half in tested)
-        assert [t for t in tested if t[2] == h] == [(-h, h, h), (h, h, h)]
-        cells = set(tested)
-        assert len(cells) == len(tested)
-        assert screened
-        quarters = {}
-        for x, y, half in cells:
-            if half == h:
+        [(_, events)] = work.walks
+        tested, pushed, splits = [], [], {}
+        for kind, *args in events:
+            if kind == "settle":
                 continue
-            parents = [
-                (x + sx * half, y + sy * half, 2 * half)
-                for sx in (-1, 1) for sy in (-1, 1)
-            ]
-            parent = [t for t in parents if t in cells]
-            assert len(parent) == 1, (x, y, half)
-            quarters.setdefault(parent[0], set()).add((x, y, half))
-        for (x, y, half), children in quarters.items():
-            four = {
-                (x + sx * half / 2, y + sy * half / 2, half / 2)
-                for sx in (-1, 1) for sy in (-1, 1)
-            }
-            assert not children & screened, (x, y, half)
-            assert children | (four & screened) == four, (x, y, half)
+            cell = exact(*args)
+            if kind == "pop":
+                tested.append(cell)
+            else:
+                x, y, e = tested[-1]
+                four = {
+                    (x + sx * e / 2, y + sy * e / 2, e / 2)
+                    for sx in (-1, 1) for sy in (-1, 1)
+                }
+                assert cell in four, (tested[-1], cell)
+                pushed.append(cell)
+                splits[tested[-1]] = splits.get(tested[-1], 0) + 1
+        h = max(half for _, _, half in tested)
+        roots = [(-h, h, h), (h, h, h)]
+        assert [t for t in tested if t[2] == h] == roots
+        assert len(set(tested)) == len(tested)
+        assert sorted(tested) == sorted(roots + pushed)
+        assert any(n < 4 for n in splits.values())  # some quarter is screened
         assert max(2 * h / half for _, _, half in tested) == 2**depth
 
     @pytest.mark.parametrize("b, c, k, n, m", STAGE_CASES)
@@ -850,8 +941,8 @@ class TestExclusion:
         # The reference cell, which reads q, h' and g' from the solver
         # module as it runs, is fed chosen values v of q at the centre,
         # each a multiple t of a fixed direction; t is the least |v| at
-        # which it drops the cell.  (The solver's flat cell computes q, h'
-        # and g' itself; `TestFlatCell` ties it to the reference bit for
+        # which it drops the cell.  (The solver's walk computes q, h' and
+        # g' itself; `TestFlatCell` ties it to the reference bit for
         # bit.)  Dropping at t is sound when every q(center)
         # within the rounding bound gamma*M(a) of v rules out a zero in the
         # cell, in rational arithmetic: stage 1 when t - gamma*M(a)
@@ -914,7 +1005,8 @@ class TestExclusion:
     @pytest.mark.parametrize("b, c, k, n, m", STAGE_CASES)
     def test_screened_quarters_hold_no_zero(self, b, c, k, n, m):
         # A split cell pushes only the quarters that its Newton box
-        # center + d* +- rho meets.  Each quarter it skips must rule out a
+        # center + d* +- rho meets.  Each quarter a one-cell walk skips,
+        # where it splits the cell, must rule out a
         # zero in rational arithmetic: the distance from -q(center) to
         # A(quarter), less the rounding bound gamma*M(a) of q(center),
         # exceeds the bracket.  A zero at the centre lies on a corner of
@@ -923,14 +1015,14 @@ class TestExclusion:
         zeros = [rec.location for rec in find_zeros(p).zeros if rec.certified]
         maj = _Majorant(p)
         gamma = Fraction(maj.gamma)
-        cell = _kernels(p)[0]
+        walk = _kernels(p)[0]
         screened = 0
         for z0 in zeros:
             for center, half in _cells_around(z0):
                 v = _jet(p, center)[0]
-                box = cell(center, half)[2]
+                events = _walk_cell(walk, center, half)
                 w = (-Fraction(v.real), -Fraction(v.imag))
-                for part in _screened(half, box):
+                for part in _screened(center, half, events):
                     m0, _, bracket, dist2 = _exact_stage_bounds(p, center, half, part)
                     assert dist2(w) > (bracket + gamma * m0) ** 2, (center, half, part)
                     screened += 1
@@ -955,41 +1047,83 @@ def _pool(name):
     return [HarmonicQuadrinomial(*t) for t in _POOLS[name]()]
 
 
-class TestFlatCell:
-    """The solver's cell test inlines its helpers; it must answer bitwise
-    as `_reference_cell`, their composition, does."""
+def _walk_outcomes(events):
+    """What a walk did with each cell it popped: "dropped"; "certified",
+    a settle call at the Kantorovich iterate; "split", quarters pushed;
+    "floor", a floor run from the centre; or "floor-split", a floor run
+    that a certified disk dropped, then quarters pushed."""
+    outcomes = []
+    for e in events:
+        if e[0] == "pop":
+            center, kinds = e[1], []
+            outcomes.append(kinds)
+        elif e[0] == "settle":
+            kinds.append("floor" if e[1] == center else "certified")
+        elif not kinds or kinds[-1] != "split":
+            kinds.append("split")
+    return {"-".join(kinds) or "dropped" for kinds in outcomes}
 
-    @pytest.mark.parametrize("pool", ["stage", "degenerate", "batch"])
-    def test_every_tested_cell_matches_the_reference(self, work, pool):
-        # Through the factory seam: each cell find_zeros tests is also put
-        # to the reference, and the two answers must agree bit for bit.
-        # (kept, certified) per cell: dropped, split and certified all occur.
-        for p in _pool(pool):
+
+class TestFlatCell:
+    """The solver's walk runs the cell test inline, with its helpers
+    inlined too; it must pop, push and settle bitwise as `_reference_walk`,
+    the quadtree loop over their composition, does."""
+
+    @pytest.mark.parametrize(
+        "pool, outcomes",
+        [
+            ("stage", {"dropped", "certified", "split", "floor"}),
+            ("degenerate", {"dropped", "certified", "split", "floor", "floor-split"}),
+            ("batch", {"dropped", "certified", "split"}),
+        ],
+        ids=["stage", "degenerate", "batch"],
+    )
+    def test_every_tested_cell_matches_the_reference(
+        self, work, monkeypatch, pool, outcomes
+    ):
+        # Each instance is solved twice, through the flat walk and then
+        # through the reference walk, both with the solver's run.  The two
+        # must pop the same cells, push the same quarters and call settle
+        # with the same arguments, getting the same answers, in the same
+        # order, bit for bit.
+        ps = _pool(pool)
+        for p in ps:
             find_zeros(p)
-        seen, refs = set(), {}
-        for p, center, half, out in work.cells:
-            if p not in refs:
-                refs[p] = _reference_cell(p, _Majorant(p))
-            assert _bits(out) == _bits(refs[p](center, half)), (p, center, half)
-            seen.add((out[0], out[1] is not None))
-        assert seen == {(False, False), (True, False), (True, True)}, seen
+        refs = []
+
+        def reference_kernels(p):
+            events = []
+            refs.append((p, events))
+            return _recorded(_reference_walk(p, _Majorant(p)), events), _kernels(p)[1]
+
+        monkeypatch.setattr(solver, "_kernels", reference_kernels)
+        for p in ps:
+            find_zeros(p)
+        assert [p for p, _ in work.walks] == [p for p, _ in refs] == ps
+        seen = set()
+        for (p, events), (_, ref) in zip(work.walks, refs):
+            for i, (e, f) in enumerate(zip(events, ref)):
+                assert _bits(e) == _bits(f), (p, i, e, f)
+            assert len(events) == len(ref), p
+            seen |= _walk_outcomes(events)
+        assert seen == outcomes
 
     @pytest.mark.parametrize("b, c, k, n, m", STAGE_CASES)
     def test_thresholds_match_the_reference(self, work, b, c, k, n, m):
-        # The cells find_zeros tests, each scaled in two ways: its
-        # half-width by 2^-30 to 2^8, its centre fixed, and its centre by
-        # 2^-2 to 2^2 in steps of 2^(1/4), its half-width fixed.  At every
-        # switch of the reference's answer between neighbouring scales
-        # the two cells agree bit for bit (`_switches`).  A change of any
-        # bound, even by gamma*(M(a + r) - M(a)), moves a switch by many
-        # floats, so it shows here where the cells of a real tree may not
-        # reach it.  Switches to a drop and to a certificate both occur.
+        # The cells find_zeros tests, each walked alone and scaled in two
+        # ways: its half-width by 2^-30 to 2^8, its centre fixed, and its
+        # centre by 2^-2 to 2^2 in steps of 2^(1/4), its half-width fixed.
+        # At every switch of the reference's answer between neighbouring
+        # scales the two walks agree bit for bit (`_switches`).  A change
+        # of any bound, even by gamma*(M(a + r) - M(a)), moves a switch by
+        # many floats, so it shows here where the cells of a real tree may
+        # not reach it.  Switches to a drop and to a certificate both occur.
         p = HarmonicQuadrinomial(b=b, c=c, k=k, n=n, m=m)
-        maj = _Majorant(p)
         find_zeros(p)
-        flat, ref = _kernels(p)[0], _reference_cell(p, maj)
+        flat = partial(_walk_cell, _kernels(p)[0])
+        ref = partial(_walk_cell, _reference_walk(p, _Majorant(p)))
         switches = set()
-        for center, half in {(center, half) for _, center, half, _ in work.cells}:
+        for center, half in {(center, half) for _, center, half in work.cells}:
             switches |= _switches(
                 flat, ref, lambda t: (center, t),
                 [math.ldexp(half, j) for j in range(-30, 9)],
@@ -1007,13 +1141,14 @@ class TestFlatCell:
         # everywhere, so this takes a centre where both conditions hold:
         # CUBIC at (1 + i)/sqrt(6), on its diagonal and its critical circle
         # (h' = 1, g' = 3z^2 = i).  There the switch from a drop to a split
-        # as the half-width grows is stage 1's, and both cells agree at it.
+        # as the half-width grows is stage 1's, and both walks agree at it.
         maj = _Majorant(CUBIC)
         x = 1.0 / math.sqrt(6.0)
         center = complex(x, x)
         _, fz, gz = _jet(CUBIC, center)
         assert not maj.margin(center, fz, gz) > 0
-        flat, ref = _kernels(CUBIC)[0], _reference_cell(CUBIC, maj)
+        flat = partial(_walk_cell, _kernels(CUBIC)[0])
+        ref = partial(_walk_cell, _reference_walk(CUBIC, maj))
         found = _switches(flat, ref, lambda t: (center, t), [1e-6, 1.0])
         assert found == {(2, 1)}
 
@@ -1430,7 +1565,7 @@ def test_cells_holding_a_certified_zero_are_kept(p, offsets):
     # the zero's scale max(1, |z0|), which reaches 1e16 at tiny |b|.
     report = find_zeros(p)
     maj = _Majorant(p)
-    cell = _kernels(p)[0]
+    walk = _kernels(p)[0]
     tested = 0
     for rec in report.zeros:
         if not rec.certified:
@@ -1453,7 +1588,7 @@ def test_cells_holding_a_certified_zero_are_kept(p, offsets):
                 ):
                     continue  # the cell does not hold D(z0, e)
                 tested += 1
-                kept, _, _ = cell(center, half)
+                kept = _walk_stage(_walk_cell(walk, center, half)) != 2
                 assert kept, (z0, center, half)
     if report.n_certified:
         assert tested > 0

@@ -41,9 +41,12 @@ Then two lines give the md5 of the criterion-9 sweep CSV, as
 
 The last two lines are the work: `work`, the pool, then the cell tests
 and the Newton steps tried that find_zeros makes on perfbench's
-`batch_pool(720)` and `degenerate_pool()`, counted through the cell test
-and the Newton run that the solver's `_kernels` factory builds, as
-tests/test_solver.py's `work` fixture counts them.  So one diff shows both same answers and same work.
+`batch_pool(720)` and `degenerate_pool()`.  Both are counted through
+what the solver's `_kernels` factory builds, as tests/test_solver.py's
+`work` fixture counts them: the cells as the pops from a list subclass
+given to the quadtree walk as its stack, the steps as the third item of
+each Newton run's answer.  So one diff shows both same answers and same
+work.
 """
 
 from __future__ import annotations
@@ -201,19 +204,25 @@ def work_answer(name: str, params: list[tuple]) -> str:
     counts = {"cells": 0, "steps": 0}
     real_kernels = solver._kernels
 
-    def counting_kernels(p):
-        cell, run = real_kernels(p)
+    class CountingStack(list):
+        """The walk's stack, counting the cells popped from it."""
 
-        def counted_cell(center, half):
+        def pop(self):
             counts["cells"] += 1
-            return cell(center, half)
+            return super().pop()
+
+    def counting_kernels(p):
+        walk, run = real_kernels(p)
+
+        def counted_walk(stack, settle):
+            walk(CountingStack(stack), settle)
 
         def counted_run(z, step, found):
             result = run(z, step, found)
             counts["steps"] += result[2]
             return result
 
-        return counted_cell, counted_run
+        return counted_walk, counted_run
 
     solver._kernels = counting_kernels
     try:
